@@ -3,10 +3,12 @@
 Each discipline's average VoI is assembled from three pieces: stationary
 server-state probabilities over a renewal cycle, the expected collected area
 of a packet that arrives in idle state, and the expected area of a packet
-that arrives in busy state (zero for the bufferless discipline).  Generic
-scenarios go through adaptive quadrature; the two classic parameter families
-(uniform value with log service, exponential value with identity service)
-also have closed forms.
+that arrives in busy state (zero for the bufferless discipline).  Each piece
+is a weighted sum over the components of the admitted service law
+(``model.service_law``); the two classic parameter families (uniform value
+with log service, exponential value with identity service) also have closed
+forms.  Only the linear decay law is covered, since the FCFS busy-arrival
+fold (``model._wait_kernel``) is a closed form for that law alone.
 
 Class-filtered admission is handled by Poisson thinning: the queue sees rate
 lam * P[class admitted] and the value distribution conditioned on admission.
@@ -20,22 +22,18 @@ from typing import Callable, NamedTuple
 
 from .model import (
     BinaryValue,
-    ClassExponentialService,
     DependentService,
-    DescendFunction,
     ExponentialValue,
-    IndependentDeterministicService,
-    IndependentExponentialService,
     Scenario,
     UniformValue,
     MG11,
     MG12,
     MG12_STAR,
-    admitted_atoms,
     effective_lambda,
     mean_service_time,
     mgf_service,
     one_minus_mgf_service,
+    service_law,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 
@@ -75,23 +73,14 @@ class BufferedStationary(NamedTuple):
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _require_linear(descend: DescendFunction) -> None:
-    if descend.kind != "linear":
+def _require(scenario: Scenario, discipline: str) -> None:
+    """Reject scenarios outside the analytic coverage or of another discipline."""
+    if scenario.descend.kind != "linear":
         raise UnsupportedAnalyticsError(
             "analytic VoI covers the linear descend law only; use the simulator"
         )
-
-
-def _require_discipline(scenario: Scenario, discipline: str) -> None:
     if scenario.discipline != discipline:
         raise ValueError(f"scenario discipline is {scenario.discipline!r}, expected {discipline!r}")
-
-
-def _mean_admitted_value(scenario: Scenario) -> float:
-    atoms = admitted_atoms(scenario)
-    if atoms is not None:
-        return sum(pr * v for v, pr, _ in atoms)
-    return scenario.value_dist.mean()
 
 
 def v_tilde(scenario: Scenario) -> float:
@@ -112,31 +101,6 @@ def v_tilde(scenario: Scenario) -> float:
     return vt
 
 
-def _expect_service(scenario: Scenario, fn: Callable[[float], float], spec: QuadratureSpec) -> float:
-    """E[fn(S)] over the admitted service distribution."""
-    svc = scenario.service
-    if isinstance(svc, IndependentDeterministicService):
-        return fn(svc.s0)
-    if isinstance(svc, IndependentExponentialService):
-        hi = -math.log(1e-12) / svc.rate
-        return integrate(lambda s: svc.rate * math.exp(-svc.rate * s) * fn(s), 0.0, hi, spec)
-    atoms = admitted_atoms(scenario)
-    if isinstance(svc, ClassExponentialService):
-        assert atoms is not None
-        total = 0.0
-        for v, pr, _ in atoms:
-            hi = -math.log(1e-12) * v
-            total += pr * integrate(
-                lambda s: math.exp(-s / v) / v * fn(s), 0.0, hi, spec
-            )
-        return total
-    assert isinstance(svc, DependentService)
-    if atoms is not None:
-        return sum(pr * fn(svc.g(v)) for v, pr, _ in atoms)
-    lo, hi = scenario.value_dist.support()
-    return integrate(lambda v: scenario.value_dist.pdf(v) * fn(svc.g(v)), lo, hi, spec)
-
-
 def _expect_value_kappa(
     scenario: Scenario, kappa: Callable[[float], float], spec: QuadratureSpec
 ) -> float:
@@ -145,125 +109,17 @@ def _expect_value_kappa(
     All conditional expected areas share this shape; the bufferless idle case
     uses kappa(d) = d**2, the buffered cases fold the waiting time into kappa.
     """
-    descend_d = scenario.descend.deadline
-    svc = scenario.service
-    atoms = admitted_atoms(scenario)
-    if isinstance(svc, DependentService):
-        if atoms is not None:
-            return sum(
-                pr * v * kappa(descend_d - svc.g(v))
-                for v, pr, _ in atoms
-                if svc.g(v) < descend_d
-            )
-        lo, hi = scenario.value_dist.support()
-        hi = min(hi, svc.g_inv(descend_d))
-        if hi <= lo:
-            return 0.0
-        return integrate(
-            lambda v: scenario.value_dist.pdf(v) * v * kappa(descend_d - svc.g(v)),
-            lo,
-            hi,
-            spec,
-        )
-    if isinstance(svc, IndependentDeterministicService):
-        if svc.s0 >= descend_d:
-            return 0.0
-        return _mean_admitted_value(scenario) * kappa(descend_d - svc.s0)
-    if isinstance(svc, IndependentExponentialService):
-        rate = svc.rate
-        tail = integrate(
-            lambda s: rate * math.exp(-rate * s) * kappa(descend_d - s), 0.0, descend_d, spec
-        )
-        return _mean_admitted_value(scenario) * tail
-    assert isinstance(svc, ClassExponentialService) and atoms is not None
-    total = 0.0
-    for v, pr, _ in atoms:
-        total += pr * v * integrate(
-            lambda s: math.exp(-s / v) / v * kappa(descend_d - s), 0.0, descend_d, spec
-        )
-    return total
+    d = scenario.descend.deadline
+    return sum(c.weight * c.expect_value_kappa(d, kappa, spec) for c in service_law(scenario))
 
 
-def _expm1_quad(x: float) -> float:
-    """(expm1(-x) + x) / x**2, the O(x^2) remainder of exp(-x), without
-    cancellation: series below x = 0.01, direct evaluation above."""
-    if x < 1e-2:
-        return 0.5 - x / 6.0 + x * x / 24.0 - x**3 / 120.0 + x**4 / 720.0
-    return (math.expm1(-x) + x) / (x * x)
-
-
-def _wait_kernel(s: float, d: float, lam: float) -> float:
-    """Closed form of int_0^min(d,s) (d - w) * (1 - exp(-lam (s - w))) dw.
-
-    The whole expression is O(lam) as lam -> 0, so it is regrouped around
-    expm1 remainders; every factor keeps full relative accuracy for any lam.
-    """
-    m = d if d < s else s
-    if m <= 0.0:
-        return 0.0
-    decay = lam * (s - m)
-    c = m * m * (_expm1_quad(lam * m) * (1.0 + lam * d) - 0.5)
-    return (d * m - 0.5 * m * m) * (-math.expm1(-decay)) + math.exp(-decay) * c
-
-
-def _fcfs_wait_integral(scenario: Scenario, rem: float, lam: float, spec: QuadratureSpec) -> float:
+def _fcfs_wait_integral(law, rem: float, lam: float, spec: QuadratureSpec) -> float:
     """(1 - MGF) * int_0^rem (rem - w) P[W' > w] dw, i.e. E_S[_wait_kernel(S, rem)].
 
-    Folding the residual CCDF over the service law keeps a single quadrature
-    level; the kernel has a kink at S = rem, so integrations split there.
+    Folding the residual CCDF over the service law (``service_law``) keeps a
+    single quadrature level.
     """
-    svc = scenario.service
-    if isinstance(svc, IndependentDeterministicService):
-        return _wait_kernel(svc.s0, rem, lam)
-    if isinstance(svc, IndependentExponentialService):
-        th = svc.rate
-        # Memoryless service: P[W'>w] (1-MGF) = exp(-th w) lam/(th+lam).
-        return lam / (th + lam) * (rem / th - (1.0 - math.exp(-th * rem)) / th**2)
-    atoms = admitted_atoms(scenario)
-    if isinstance(svc, ClassExponentialService):
-        assert atoms is not None
-        return sum(
-            pr * lam * v / (1.0 + lam * v) * (rem * v - v * v * (1.0 - math.exp(-rem / v)))
-            for v, pr, _ in atoms
-        )
-    assert isinstance(svc, DependentService)
-    if atoms is not None:
-        return sum(pr * _wait_kernel(svc.g(v), rem, lam) for v, pr, _ in atoms)
-    dist = scenario.value_dist
-    lo, hi = dist.support()
-    cut = min(max(svc.g_inv(rem), lo), hi)
-    total = 0.0
-    for a, b in ((lo, cut), (cut, hi)):
-        if b > a:
-            total += integrate(
-                lambda u: dist.pdf(u) * _wait_kernel(svc.g(u), rem, lam), a, b, spec
-            )
-    return total
-
-
-def _service_ccdf(scenario: Scenario) -> tuple[Callable[[float], float], tuple[float, ...]]:
-    """CCDF of the admitted service time plus its jump/kink abscissae."""
-    svc = scenario.service
-    if isinstance(svc, IndependentExponentialService):
-        return (lambda w: math.exp(-svc.rate * w)), ()
-    if isinstance(svc, IndependentDeterministicService):
-        s0 = svc.s0
-        return (lambda w: 1.0 if w < s0 else 0.0), (s0,)
-    atoms = admitted_atoms(scenario)
-    if isinstance(svc, ClassExponentialService):
-        assert atoms is not None
-        frozen = tuple(atoms)
-        return (lambda w: sum(pr * math.exp(-w / v) for v, pr, _ in frozen)), ()
-    assert isinstance(svc, DependentService)
-    if atoms is not None:
-        frozen = tuple(atoms)
-        return (
-            lambda w: sum(pr for v, pr, _ in frozen if svc.g(v) > w),
-            tuple(sorted(svc.g(v) for v, _, _ in frozen)),
-        )
-    dist = scenario.value_dist
-    lo, hi = dist.support()
-    return (lambda w: 1.0 - dist.cdf(svc.g_inv(w))), (svc.g(lo), svc.g(hi))
+    return sum(c.weight * c.wait_fold(rem, lam, spec) for c in law)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +147,12 @@ def stationary_mg12(scenario: Scenario) -> BufferedStationary:
     e_s = mean_service_time(scenario)
     mgf = mgf_service(scenario)
     omm = one_minus_mgf_service(scenario)
-    t_cycle = 1.0 / lam + e_s / mgf
-    p_idle = 1.0 / (lam * t_cycle)
-    p_busy = e_s / (t_cycle * mgf)
+    # Scaled by MGF so that nothing divides by it: it underflows to 0 once
+    # lam * S is large, when every service sees an arrival.
+    busy = lam * e_s
+    p_idle = mgf / (mgf + busy)
+    p_busy = busy / (mgf + busy)
+    t_cycle = 1.0 / lam + e_s / mgf if mgf > 0.0 else math.inf
     e_wait_b2 = e_s - omm / lam
     p_busy2 = p_busy * e_wait_b2 / e_s if e_s > 0.0 else 0.0
     return BufferedStationary(p_idle, p_busy, p_busy - p_busy2, p_busy2, t_cycle, e_wait_b2)
@@ -302,78 +161,55 @@ def stationary_mg12(scenario: Scenario) -> BufferedStationary:
 def residual_ccdf_mg12(scenario: Scenario, w: float) -> float:
     """P[W' > w]: residual service seen by the first busy-period arrival.
 
-    W' = S - X conditioned on X < S with X exponential(lam); exactly
-    exp(-rate * w) for independent exponential service, quadrature otherwise.
+    W' = S - X conditioned on X < S with X exponential(lam).  Exponential
+    components contribute their own CCDF (memorylessness), point masses a
+    closed form and a value-mapped density a quadrature.
     """
     if w < 0.0:
         raise ValueError("residual time must be >= 0")
     if w == 0.0:
         return 1.0
-    svc = scenario.service
     lam = effective_lambda(scenario)
-    if isinstance(svc, IndependentExponentialService):
-        return math.exp(-svc.rate * w)
     omm = one_minus_mgf_service(scenario)
     if omm <= 0.0:
         raise ValueError("no busy-state arrivals exist under this service law")
-    if isinstance(svc, IndependentDeterministicService):
-        num = -math.expm1(-lam * (svc.s0 - w)) if svc.s0 > w else 0.0
-        return num / omm
-    atoms = admitted_atoms(scenario)
-    if isinstance(svc, ClassExponentialService):
-        assert atoms is not None
-        num = sum(
-            pr * math.exp(-w / v) * lam * v / (1.0 + lam * v) for v, pr, _ in atoms
-        )
-        return num / omm
-    assert isinstance(svc, DependentService)
-    if atoms is not None:
-        num = sum(
-            -pr * math.expm1(-lam * (svc.g(v) - w)) for v, pr, _ in atoms if svc.g(v) > w
-        )
-        return num / omm
-    dist = scenario.value_dist
-    lo, hi = dist.support()
-    lo = max(lo, svc.g_inv(w))
-    if lo >= hi:
-        return 0.0
-    num = integrate(
-        lambda v: -dist.pdf(v) * math.expm1(-lam * (svc.g(v) - w)), lo, hi, DEFAULT_SPEC
-    )
-    return num / omm
+    return sum(c.weight * c.residual_num(lam, w) for c in service_law(scenario)) / omm
 
 
 # ---------------------------------------------------------------------------
 # Average VoI per discipline
 # ---------------------------------------------------------------------------
 
-def _eq_idle(scenario: Scenario, spec: QuadratureSpec) -> float:
-    """E[Q | arrival in idle]: the packet waits only for its own service."""
-    d = scenario.descend.deadline
-    return _expect_value_kappa(scenario, lambda rem: rem * rem, spec) / (2.0 * d)
+def _report(
+    scenario: Scenario, st: BufferedStationary, p_collect: float, kappa: Callable | None = None
+) -> AnalyticReport:
+    """Assemble the report.  An idle arrival waits only for its own service;
+    the busy arrivals that are served (stationary fraction ``p_collect``)
+    collect E[V * kappa(D - S); S < D] / (2D), none without ``kappa``."""
+    two_d = 2.0 * scenario.descend.deadline
+    eqi = _expect_value_kappa(scenario, lambda rem: rem * rem, DEFAULT_SPEC) / two_d
+    eqb = 0.0 if kappa is None else _expect_value_kappa(scenario, kappa, DEFAULT_SPEC.split(2)) / two_d
+    eq = st.p_idle * eqi + p_collect * eqb
+    return AnalyticReport(
+        p_idle=st.p_idle,
+        p_busy=st.p_busy,
+        p_busy1=st.p_busy1,
+        p_busy2=st.p_busy2,
+        t_cycle=st.t_cycle,
+        mgf=mgf_service(scenario),
+        eq_idle=eqi,
+        eq_busy=eqb,
+        eq=eq,
+        avg_voi=effective_lambda(scenario) * eq,
+        method="quadrature",
+    )
 
 
 def avg_voi_mg11(scenario: Scenario) -> AnalyticReport:
     """Average VoI for the bufferless discipline: only idle arrivals count."""
-    _require_linear(scenario.descend)
-    _require_discipline(scenario, MG11)
-    lam = effective_lambda(scenario)
+    _require(scenario, MG11)
     p_idle, p_busy, t_cycle = stationary_mg11(scenario)
-    eqi = _eq_idle(scenario, DEFAULT_SPEC)
-    eq = p_idle * eqi
-    return AnalyticReport(
-        p_idle=p_idle,
-        p_busy=p_busy,
-        p_busy1=p_busy,
-        p_busy2=0.0,
-        t_cycle=t_cycle,
-        mgf=mgf_service(scenario),
-        eq_idle=eqi,
-        eq_busy=0.0,
-        eq=eq,
-        avg_voi=lam * eq,
-        method="quadrature",
-    )
+    return _report(scenario, BufferedStationary(p_idle, p_busy, p_busy, 0.0, t_cycle, 0.0), 0.0)
 
 
 def avg_voi_mg12(scenario: Scenario) -> AnalyticReport:
@@ -385,36 +221,20 @@ def avg_voi_mg12(scenario: Scenario) -> AnalyticReport:
     CCDF integral is folded over the service law with a closed-form kernel,
     so no density of W' is ever differentiated numerically.
     """
-    _require_linear(scenario.descend)
-    _require_discipline(scenario, MG12)
+    _require(scenario, MG12)
     lam = effective_lambda(scenario)
     st = stationary_mg12(scenario)
     level = DEFAULT_SPEC.split(2)
-    eqi = _eq_idle(scenario, DEFAULT_SPEC)
     omm = one_minus_mgf_service(scenario)
-    if omm > 0.0 and st.p_busy1 > 0.0:
+    if not (omm > 0.0 and st.p_busy1 > 0.0):
+        return _report(scenario, st, st.p_busy1)
+    law = service_law(scenario)
 
-        def kappa(rem: float) -> float:
-            t = _fcfs_wait_integral(scenario, rem, lam, level) / omm
-            return max(rem * rem - 2.0 * t, 0.0)
+    def kappa(rem: float) -> float:
+        t = _fcfs_wait_integral(law, rem, lam, level) / omm
+        return max(rem * rem - 2.0 * t, 0.0)
 
-        eqb = _expect_value_kappa(scenario, kappa, level) / (2.0 * scenario.descend.deadline)
-    else:
-        eqb = 0.0
-    eq = st.p_idle * eqi + st.p_busy1 * eqb
-    return AnalyticReport(
-        p_idle=st.p_idle,
-        p_busy=st.p_busy,
-        p_busy1=st.p_busy1,
-        p_busy2=st.p_busy2,
-        t_cycle=st.t_cycle,
-        mgf=mgf_service(scenario),
-        eq_idle=eqi,
-        eq_busy=eqb,
-        eq=eq,
-        avg_voi=lam * eq,
-        method="quadrature",
-    )
+    return _report(scenario, st, st.p_busy1, kappa)
 
 
 def avg_voi_mg12star(scenario: Scenario) -> AnalyticReport:
@@ -425,42 +245,26 @@ def avg_voi_mg12star(scenario: Scenario) -> AnalyticReport:
     which contributes the factor exp(-lam w).  W follows the stationary
     residual-service density (1 - F_S(w)) / E[S] over busy periods.
     """
-    _require_linear(scenario.descend)
-    _require_discipline(scenario, MG12_STAR)
+    _require(scenario, MG12_STAR)
     lam = effective_lambda(scenario)
     st = stationary_mg12(scenario)
     level = DEFAULT_SPEC.split(2)
-    eqi = _eq_idle(scenario, DEFAULT_SPEC)
     e_s = mean_service_time(scenario)
-    if e_s > 0.0 and st.p_busy > 0.0:
-        ccdf, breaks = _service_ccdf(scenario)
+    if not (e_s > 0.0 and st.p_busy > 0.0):
+        return _report(scenario, st, st.p_busy)
+    law = service_law(scenario)
+    # A lone component's own method keeps the innermost integrand one call deep.
+    ccdf = law[0].ccdf if len(law) == 1 else (lambda w: sum(c.weight * c.ccdf(w) for c in law))
+    kinks = [k for c in law for k in c.kinks]
 
-        def kappa(rem: float) -> float:
-            cuts = sorted({0.0, rem, *(b for b in breaks if 0.0 < b < rem)})
-            total = 0.0
-            for a, b in zip(cuts, cuts[1:]):
-                total += integrate(
-                    lambda w: (rem - w) ** 2 * math.exp(-lam * w) * ccdf(w), a, b, level
-                )
-            return total / e_s
+    def kappa(rem: float) -> float:
+        cuts = sorted({0.0, rem, *(k for k in kinks if 0.0 < k < rem)})
+        total = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            total += integrate(lambda w: (rem - w) ** 2 * math.exp(-lam * w) * ccdf(w), a, b, level)
+        return total / e_s
 
-        eqb = _expect_value_kappa(scenario, kappa, level) / (2.0 * scenario.descend.deadline)
-    else:
-        eqb = 0.0
-    eq = st.p_idle * eqi + st.p_busy * eqb
-    return AnalyticReport(
-        p_idle=st.p_idle,
-        p_busy=st.p_busy,
-        p_busy1=st.p_busy1,
-        p_busy2=st.p_busy2,
-        t_cycle=st.t_cycle,
-        mgf=mgf_service(scenario),
-        eq_idle=eqi,
-        eq_busy=eqb,
-        eq=eq,
-        avg_voi=lam * eq,
-        method="quadrature",
-    )
+    return _report(scenario, st, st.p_busy, kappa)
 
 
 def analyze(scenario: Scenario) -> AnalyticReport:

@@ -49,7 +49,6 @@ from .model import (
     Scenario,
     UniformValue,
 )
-from .quadrature import QuadratureError
 from .sim import SimConfig, simulate
 
 ENGINES = ("analytic", "closed-form", "simulate")
@@ -90,6 +89,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.lambda_grid:
             raise UsageError("lambda grid must not be empty")
+        if not all(lam > 0.0 for lam in self.lambda_grid):
+            raise UsageError("lambda grid values must be > 0")
         if not self.engines:
             raise UsageError("at least one engine required")
         for e in self.engines:
@@ -99,6 +100,8 @@ class ExperimentConfig:
             raise UsageError("experiment needs at least one scenario variant")
         if self.jobs < 1:
             raise UsageError("--jobs must be >= 1")
+        if self.n_packets < 1:
+            raise UsageError("n_packets must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +176,10 @@ PRESETS = {
 def load_preset(name: str, mu_independent: float = 1.5) -> ExperimentConfig:
     if name not in PRESETS:
         raise UsageError(f"unknown preset {name!r} (try: {', '.join(sorted(PRESETS))})")
-    return PRESETS[name][0](mu_independent)
+    try:
+        return PRESETS[name][0](mu_independent)
+    except ValueError as exc:
+        raise UsageError(f"preset {name!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +266,14 @@ def parse_lambda_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"cannot parse lambda grid {text!r}") from exc
 
 
+def _parse_number(text: str, key: str, kind: type = int):
+    """``int(text)`` or ``float(text)``, with a bad value reported as a usage error."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from exc
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), 1):
@@ -301,7 +315,7 @@ def build_config(raw: dict[str, str], preset: str | None = None) -> ExperimentCo
     for key in raw:
         if key not in _KNOWN_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-    mu_independent = float(raw.get("mu_independent", "1.5"))
+    mu_independent = _parse_number(raw.get("mu_independent", "1.5"), "mu_independent", float)
     preset_name = raw.get("preset", preset)
     if preset_name is not None:
         cfg = load_preset(preset_name, mu_independent)
@@ -341,14 +355,11 @@ def build_config(raw: dict[str, str], preset: str | None = None) -> ExperimentCo
         overrides["lambda_grid"] = parse_lambda_grid(raw["lambda_grid"])
     if "engines" in raw:
         overrides["engines"] = tuple(e.strip() for e in raw["engines"].split(","))
-    if "n_packets" in raw:
-        overrides["n_packets"] = int(raw["n_packets"])
-    if "seed" in raw:
-        overrides["seed"] = int(raw["seed"])
+    for key in ("n_packets", "seed", "jobs"):
+        if key in raw:
+            overrides[key] = _parse_number(raw[key], key)
     if "out" in raw:
         overrides["out"] = raw["out"]
-    if "jobs" in raw:
-        overrides["jobs"] = int(raw["jobs"])
     try:
         return replace(cfg, **overrides)
     except ValueError as exc:
@@ -413,6 +424,12 @@ def _run_row(task: tuple) -> dict[str, str]:
     return row
 
 
+def worker_count(jobs: int, n_tasks: int) -> int:
+    """Worker processes for a sweep: ``--jobs`` capped by the cores and the
+    task count (a process pool starts all its workers at once)."""
+    return max(1, min(jobs, os.cpu_count() or 1, n_tasks))
+
+
 def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
     """Execute the sweep and write the CSV artifact (if an output path is set).
 
@@ -425,8 +442,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
         for (label, scenario) in config.variants
         for engine in config.engines
     ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = worker_count(config.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_row, tasks, chunksize=1))
     else:
         rows = [_run_row(t) for t in tasks]
@@ -595,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             overrides["seed"] = args.seed
         elif "seed" not in raw and SEED_ENV_VAR in os.environ:
-            overrides["seed"] = int(os.environ[SEED_ENV_VAR])
+            overrides["seed"] = _parse_number(os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
         if args.packets is not None:
             overrides["n_packets"] = args.packets
         if args.jobs is not None:
@@ -611,7 +629,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

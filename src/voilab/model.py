@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate
 
 # Queueing disciplines: no buffer / one-slot FCFS / one-slot LCFS with replacement.
 MG11 = "M/GI/1/1"
@@ -75,6 +75,26 @@ class DescendFunction:
     def power_convex(cls, shape: float, deadline: float) -> "DescendFunction":
         return cls("power-convex", deadline, shape)
 
+    def area(self, v0, t_sys):
+        """Value left between reception at ``t_sys`` and the deadline,
+        elementwise: the integral of ``value_at`` over [t_sys, D].
+
+        Every law has an elementary antiderivative, written in the
+        remaining fraction r = max((D - t_sys)/D, 0) so that packets
+        received close to the deadline keep their accuracy.
+        """
+        t = np.asarray(t_sys, dtype=float)
+        v = np.asarray(v0, dtype=float)
+        d = self.deadline
+        if self.kind == "linear":
+            rem = np.clip(d - t, 0.0, None)
+            return v / (2.0 * d) * rem * rem
+        r = np.clip((d - t) / d, 0.0, None)
+        k1 = self.shape + 1.0
+        if self.kind == "power-convex":
+            return v * d * r**k1 / k1
+        return v * d * (r - (1.0 - (1.0 - r) ** k1) / k1)
+
 
 def value_at(descend: DescendFunction, v0: float, tau: float) -> float:
     """Remaining value of a packet ``tau`` time units after generation."""
@@ -93,42 +113,22 @@ def value_at(descend: DescendFunction, v0: float, tau: float) -> float:
     return v0 * (1.0 - x) ** descend.shape
 
 
-def q_area(
-    descend: DescendFunction,
-    v0: float,
-    t_sys: float,
-    method: str = "auto",
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
+def q_area(descend: DescendFunction, v0: float, t_sys: float) -> float:
     """Value area a packet delivers: integral of value_at from t_sys to D.
 
-    ``t_sys`` is the packet's total generation-to-reception time.  For the
-    linear law this is the triangle tail v0/(2D) * (D - t_sys)**2; the power
-    laws are evaluated by quadrature (``method="quadrature"`` forces that
-    path for the linear law too).
+    ``t_sys`` is the packet's total generation-to-reception time; every
+    decay law is evaluated in closed form (``DescendFunction.area``).
     """
     if v0 < 0.0:
         raise ValueError("initial value must be >= 0")
     if t_sys < 0.0:
         raise ValueError("system time must be >= 0")
-    d = descend.deadline
-    if t_sys >= d:
-        return 0.0
-    if descend.kind == "linear" and method == "auto":
-        return v0 / (2.0 * d) * (d - t_sys) ** 2
-    return integrate(lambda tau: value_at(descend, v0, tau), t_sys, d, spec)
+    return float(descend.area(v0, t_sys))
 
 
 def q_area_batch(descend: DescendFunction, v0: np.ndarray, t_sys: np.ndarray) -> np.ndarray:
-    """Vectorized q_area; the linear law gets the closed form, power laws
-    fall back to per-element quadrature (intended for modest batch sizes)."""
-    t = np.asarray(t_sys, dtype=float)
-    v = np.asarray(v0, dtype=float)
-    d = descend.deadline
-    if descend.kind == "linear":
-        rem = np.clip(d - t, 0.0, None)
-        return v / (2.0 * d) * rem * rem
-    return np.array([q_area(descend, float(vi), float(ti)) for vi, ti in zip(v, t)])
+    """Vectorized q_area over whole packet arrays, closed form for every law."""
+    return descend.area(v0, t_sys)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +208,6 @@ class BinaryValue:
 
     def support(self) -> tuple[float, float]:
         return (min(self.v1, self.v2), max(self.v1, self.v2))
-
-    def cdf(self, v: float) -> float:
-        return sum(pr for val, pr, _ in self.atoms() if val <= v)
 
     def atoms(self) -> tuple[tuple[float, float, int], ...]:
         return ((self.v1, self.p, 1), (self.v2, 1.0 - self.p, 2))
@@ -298,17 +295,10 @@ def service_time(
     """One service requirement for a packet with initial value ``v0``."""
     if v0 < 0.0:
         raise ValueError("initial value must be >= 0")
-    if isinstance(service, DependentService):
-        return service.g(v0)
-    if isinstance(service, IndependentDeterministicService):
-        return service.s0
-    if rng is None:
-        raise ValueError("random service models need an RNG handle")
-    if isinstance(service, IndependentExponentialService):
-        return float(rng.exponential(1.0 / service.rate))
-    if cls not in (1, 2):
-        raise ValueError("class-conditional service requires a packet class")
-    return float(rng.exponential(v0))
+    if cls not in (None, 1, 2):
+        raise ValueError("packet class must be 1 or 2")
+    classes = None if cls is None else np.array([cls])
+    return float(sample_service_times(service, np.array([float(v0)]), classes, rng)[0])
 
 
 def sample_service_times(
@@ -368,33 +358,13 @@ class Scenario:
         return None
 
 
-def admitted_fraction(scenario: Scenario) -> float:
-    """Probability that an arriving packet passes the admission filter."""
-    cls = scenario.admitted_class()
-    if cls is None:
-        return 1.0
-    assert isinstance(scenario.value_dist, BinaryValue)
-    return scenario.value_dist.p if cls == 1 else 1.0 - scenario.value_dist.p
-
-
 def effective_lambda(scenario: Scenario) -> float:
     """Arrival rate of the admitted (thinned) Poisson stream."""
-    return scenario.lam * admitted_fraction(scenario)
-
-
-def admitted_atoms(scenario: Scenario) -> Optional[tuple[tuple[float, float, int], ...]]:
-    """Value atoms seen by the queue, renormalized after class filtering.
-
-    Returns None for continuous value distributions.
-    """
-    dist = scenario.value_dist
-    if not isinstance(dist, BinaryValue):
-        return None
-    keep = scenario.admitted_class()
-    atoms = dist.atoms()
-    if keep is not None:
-        atoms = tuple((v, 1.0, c) for v, _, c in atoms if c == keep)
-    return atoms
+    cls = scenario.admitted_class()
+    if cls is None:
+        return scenario.lam
+    p = scenario.value_dist.p
+    return scenario.lam * (p if cls == 1 else 1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -418,25 +388,197 @@ class Packet:
 
 
 # ---------------------------------------------------------------------------
-# Service transform
+# Admitted service law
 # ---------------------------------------------------------------------------
+#
+# ``service_law`` writes the joint law of an admitted packet's value V and
+# service time S once, as weighted components, each carrying the value it
+# pays (the value distribution itself when S = g(V)).  Each provides, with
+# X ~ exponential(lam): mean(), mgf(lam), one_minus_mgf(lam); ccdf(w) = P[S > w]
+# and its kinks; residual_num(lam, w) = P[S - X > w, X < S];
+# expect_value_kappa(d, kappa, spec) = E[V kappa(d - S); S < d]; and
+# wait_fold(rem, lam, spec) = E[_wait_kernel(S, rem, lam)].
+
+def _expm1_quad(x: float) -> float:
+    """(expm1(-x) + x) / x**2, the O(x^2) remainder of exp(-x), without
+    cancellation: series below x = 0.01, direct evaluation above."""
+    if x < 1e-2:
+        return 0.5 - x / 6.0 + x * x / 24.0 - x**3 / 120.0 + x**4 / 720.0
+    return (math.expm1(-x) + x) / (x * x)
+
+
+def _wait_kernel(s: float, d: float, lam: float) -> float:
+    """Closed form of int_0^min(d,s) (d - w) * (1 - exp(-lam (s - w))) dw.
+
+    The whole expression is O(lam) as lam -> 0, so it is regrouped around
+    expm1 remainders; every factor keeps full relative accuracy for any lam.
+    """
+    m = d if d < s else s
+    if m <= 0.0:
+        return 0.0
+    decay = lam * (s - m)
+    c = m * m * (_expm1_quad(lam * m) * (1.0 + lam * d) - 0.5)
+    return (d * m - 0.5 * m * m) * (-math.expm1(-decay)) + math.exp(-decay) * c
+
+
+@dataclass(frozen=True)
+class PointMass:
+    """Service exactly ``s`` for packets paying ``value``: deterministic
+    service, or one value atom of a dependent service."""
+
+    weight: float
+    value: float
+    s: float
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return (self.s,)
+
+    def mean(self) -> float:
+        return self.s
+
+    def mgf(self, lam: float) -> float:
+        return math.exp(-lam * self.s)
+
+    def one_minus_mgf(self, lam: float) -> float:
+        return -math.expm1(-lam * self.s)
+
+    def ccdf(self, w: float) -> float:
+        return 1.0 if w < self.s else 0.0
+
+    def residual_num(self, lam: float, w: float) -> float:
+        return -math.expm1(-lam * (self.s - w)) if self.s > w else 0.0
+
+    def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
+        return self.value * kappa(d - self.s) if self.s < d else 0.0
+
+    def wait_fold(self, rem: float, lam: float, spec: QuadratureSpec) -> float:
+        return _wait_kernel(self.s, rem, lam)
+
+
+@dataclass(frozen=True)
+class ExponentialComponent:
+    """Exponential service with mean ``m`` for packets paying ``value``:
+    independent exponential service, or one class of class-exponential
+    service."""
+
+    weight: float
+    value: float
+    m: float
+
+    kinks = ()
+
+    def mean(self) -> float:
+        return self.m
+
+    def mgf(self, lam: float) -> float:
+        return 1.0 / (1.0 + lam * self.m)
+
+    def one_minus_mgf(self, lam: float) -> float:
+        return lam * self.m / (1.0 + lam * self.m)
+
+    def ccdf(self, w: float) -> float:
+        return math.exp(-w / self.m)
+
+    def residual_num(self, lam: float, w: float) -> float:
+        # Memoryless: the residual of an interrupted service is S itself.
+        return self.ccdf(w) * self.one_minus_mgf(lam)
+
+    def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
+        m = self.m
+        return self.value * integrate(lambda s: math.exp(-s / m) / m * kappa(d - s), 0.0, d, spec)
+
+    def wait_fold(self, rem: float, lam: float, spec: QuadratureSpec) -> float:
+        # (1 - MGF) * int_0^rem (rem - w) exp(-w/m) dw.
+        return self.one_minus_mgf(lam) * rem * rem * _expm1_quad(rem / self.m)
+
+
+@dataclass(frozen=True)
+class ValueMapped:
+    """Service S = g(V) for a continuous value V; the component pays V."""
+
+    weight: float
+    value: InitialValueDist
+    service: DependentService
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        lo, hi = self.value.support()
+        return (self.service.g(lo), self.service.g(hi))
+
+    def mean(self) -> float:
+        g, pdf = self.service.g, self.value.pdf
+        return integrate(lambda v: g(v) * pdf(v), *self.value.support())
+
+    def mgf(self, lam: float) -> float:
+        g, pdf = self.service.g, self.value.pdf
+        return integrate(lambda v: math.exp(-lam * g(v)) * pdf(v), *self.value.support())
+
+    def one_minus_mgf(self, lam: float) -> float:
+        g, pdf = self.service.g, self.value.pdf
+        return integrate(lambda v: -math.expm1(-lam * g(v)) * pdf(v), *self.value.support())
+
+    def ccdf(self, w: float) -> float:
+        return 1.0 - self.value.cdf(self.service.g_inv(w))
+
+    def residual_num(self, lam: float, w: float) -> float:
+        g, pdf = self.service.g, self.value.pdf
+        lo, hi = self.value.support()
+        lo = max(lo, self.service.g_inv(w))
+        if lo >= hi:
+            return 0.0
+        return integrate(lambda v: -pdf(v) * math.expm1(-lam * (g(v) - w)), lo, hi)
+
+    def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
+        g, pdf = self.service.g, self.value.pdf
+        lo, hi = self.value.support()
+        hi = min(hi, self.service.g_inv(d))
+        if hi <= lo:
+            return 0.0
+        return integrate(lambda v: pdf(v) * v * kappa(d - g(v)), lo, hi, spec)
+
+    def wait_fold(self, rem: float, lam: float, spec: QuadratureSpec) -> float:
+        # The kernel has a kink at S = rem, so the integration splits there.
+        g, pdf = self.service.g, self.value.pdf
+        lo, hi = self.value.support()
+        cut = min(max(self.service.g_inv(rem), lo), hi)
+        total = 0.0
+        for a, b in ((lo, cut), (cut, hi)):
+            if b > a:
+                total += integrate(lambda u: pdf(u) * _wait_kernel(g(u), rem, lam), a, b, spec)
+        return total
+
+
+ServiceComponent = Union[PointMass, ExponentialComponent, ValueMapped]
+
+
+def service_law(scenario: Scenario) -> tuple[ServiceComponent, ...]:
+    """The admitted joint law of (V, S) as weighted components.
+
+    Class-filtered admission keeps the admitted atom alone, with weight 1;
+    independent service pays the mean admitted value.
+    """
+    svc = scenario.service
+    dist = scenario.value_dist
+    atoms = None
+    if isinstance(dist, BinaryValue):
+        keep = scenario.admitted_class()
+        atoms = [(v, pr if keep is None else 1.0) for v, pr, c in dist.atoms() if keep in (None, c)]
+    if isinstance(svc, ClassExponentialService):
+        return tuple(ExponentialComponent(pr, v, v) for v, pr in atoms)
+    if isinstance(svc, DependentService):
+        if atoms is None:
+            return (ValueMapped(1.0, dist, svc),)
+        return tuple(PointMass(pr, v, svc.g(v)) for v, pr in atoms)
+    value = dist.mean() if atoms is None else sum(pr * v for v, pr in atoms)
+    if isinstance(svc, IndependentExponentialService):
+        return (ExponentialComponent(1.0, value, 1.0 / svc.rate),)
+    return (PointMass(1.0, value, svc.s0),)
+
 
 def mean_service_time(scenario: Scenario) -> float:
     """E[S] of the service requirement seen by the queue (after admission)."""
-    svc = scenario.service
-    if isinstance(svc, IndependentExponentialService):
-        return 1.0 / svc.rate
-    if isinstance(svc, IndependentDeterministicService):
-        return svc.s0
-    atoms = admitted_atoms(scenario)
-    if isinstance(svc, ClassExponentialService):
-        assert atoms is not None
-        return sum(pr * v for v, pr, _ in atoms)
-    assert isinstance(svc, DependentService)
-    if atoms is not None:
-        return sum(pr * svc.g(v) for v, pr, _ in atoms)
-    lo, hi = scenario.value_dist.support()
-    return integrate(lambda v: svc.g(v) * scenario.value_dist.pdf(v), lo, hi)
+    return sum(c.weight * c.mean() for c in service_law(scenario))
 
 
 def mgf_service(scenario: Scenario, lam: Optional[float] = None) -> float:
@@ -449,39 +591,11 @@ def mgf_service(scenario: Scenario, lam: Optional[float] = None) -> float:
         lam = effective_lambda(scenario)
     if lam < 0.0:
         raise ValueError("transform argument must be >= 0")
-    svc = scenario.service
-    if isinstance(svc, IndependentExponentialService):
-        return svc.rate / (svc.rate + lam)
-    if isinstance(svc, IndependentDeterministicService):
-        return math.exp(-lam * svc.s0)
-    atoms = admitted_atoms(scenario)
-    if isinstance(svc, ClassExponentialService):
-        assert atoms is not None
-        return sum(pr / (1.0 + lam * v) for v, pr, _ in atoms)
-    assert isinstance(svc, DependentService)
-    if atoms is not None:
-        return sum(pr * math.exp(-lam * svc.g(v)) for v, pr, _ in atoms)
-    lo, hi = scenario.value_dist.support()
-    return integrate(lambda v: math.exp(-lam * svc.g(v)) * scenario.value_dist.pdf(v), lo, hi)
+    return sum(c.weight * c.mgf(lam) for c in service_law(scenario))
 
 
 def one_minus_mgf_service(scenario: Scenario, lam: Optional[float] = None) -> float:
     """1 - MGF_S(lam) evaluated without cancellation for small lam."""
     if lam is None:
         lam = effective_lambda(scenario)
-    svc = scenario.service
-    if isinstance(svc, IndependentExponentialService):
-        return lam / (svc.rate + lam)
-    if isinstance(svc, IndependentDeterministicService):
-        return -math.expm1(-lam * svc.s0)
-    atoms = admitted_atoms(scenario)
-    if isinstance(svc, ClassExponentialService):
-        assert atoms is not None
-        return sum(pr * lam * v / (1.0 + lam * v) for v, pr, _ in atoms)
-    assert isinstance(svc, DependentService)
-    if atoms is not None:
-        return sum(-pr * math.expm1(-lam * svc.g(v)) for v, pr, _ in atoms)
-    lo, hi = scenario.value_dist.support()
-    return integrate(
-        lambda v: -math.expm1(-lam * svc.g(v)) * scenario.value_dist.pdf(v), lo, hi
-    )
+    return sum(c.weight * c.one_minus_mgf(lam) for c in service_law(scenario))

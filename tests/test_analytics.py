@@ -33,6 +33,7 @@ from voilab.model import (
     UniformValue,
     mean_service_time,
     one_minus_mgf_service,
+    service_law,
 )
 from voilab.quadrature import QuadratureSpec, integrate, integrate_nested, integrate_to_inf
 
@@ -240,7 +241,7 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
             literal = integrate(
                 lambda w: (d - w) * residual_ccdf_mg12(sc, w), 0.0, d, loose
             )
-            folded = _fcfs_wait_integral(sc, d, sc.lam, QuadratureSpec()) / omm
+            folded = _fcfs_wait_integral(service_law(sc), d, sc.lam, QuadratureSpec()) / omm
             assert folded == pytest.approx(literal, rel=1e-4)
 
 
@@ -404,3 +405,92 @@ def test_analyze_dispatch():
     assert analyze(expid(1.0, MG11)).avg_voi == pytest.approx(VOI_MG11_EXPID, rel=1e-8)
     assert analyze(mm12(1.0)).avg_voi == pytest.approx(VOI_MM12[1.0], rel=1e-8)
     assert analyze(expid(1.0, MG12_STAR)).avg_voi > VOI_MG11_EXPID
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs of every service model x admission x discipline
+# ---------------------------------------------------------------------------
+
+_PIN_VALUES = {
+    "unif": UniformValue(0.0, 10.0),
+    "unif2": UniformValue(0.5, 2.0),
+    "bin": BinaryValue(0.4, 1.33, 0.8),
+}
+_PIN_SERVICES = {
+    "log": DependentService("log-shift", 1.0),
+    "id": DependentService("identity"),
+    "iexp": IndependentExponentialService(1.5),
+    "idet": IndependentDeterministicService(0.8),
+    "cexp": ClassExponentialService(),
+}
+# (avg_voi, p_idle, p_busy1, p_busy2) at lambda = 0.9 with deadline 3, as
+# computed by the per-service-model implementation this table guards.
+_PINNED = [
+    ("unif2", "log", "serve-all", MG11, (0.5049352820077886, 0.5839131271414159, 0.41608687285858414, 0.0)),
+    ("unif2", "log", "serve-all", MG12, (0.5813641133354126, 0.41151261164491415, 0.41433779035633184, 0.17414959799875412)),
+    ("unif2", "log", "serve-all", MG12_STAR, (0.6093683932072113, 0.41151261164491415, 0.41433779035633184, 0.17414959799875412)),
+    ("unif2", "id", "serve-all", MG11, (0.24044117647058813, 0.47058823529411764, 0.5294117647058824, 0.0)),
+    ("unif2", "id", "serve-all", MG12, (0.2041151894930735, 0.23722273245596884, 0.4408015053609236, 0.3219757621831076)),
+    ("unif2", "id", "serve-all", MG12_STAR, (0.24348511456515026, 0.23722273245596884, 0.4408015053609236, 0.3219757621831076)),
+    ("bin", "log", "serve-all", MG11, (0.3769604988114267, 0.7170945230638306, 0.28290547693616946, 0.0)),
+    ("bin", "log", "serve-all", MG12, (0.45564225510649625, 0.6343389257556998, 0.29252030821164454, 0.07314076603265549)),
+    ("bin", "log", "serve-all", MG12_STAR, (0.4606593714293756, 0.6343389257556998, 0.29252030821164454, 0.07314076603265549)),
+    ("bin", "log", "class-only(1)", MG11, (0.2741215560188753, 0.8049844570818558, 0.1950155429181443, 0.0)),
+    ("bin", "log", "class-only(1)", MG12, (0.3225696934892439, 0.7641347888678482, 0.2094687818352702, 0.026396429296881626)),
+    ("bin", "log", "class-only(1)", MG12_STAR, (0.32325072489895507, 0.7641347888678482, 0.2094687818352702, 0.026396429296881626)),
+    ("bin", "log", "class-only(2)", MG11, (0.1606824057936958, 0.8678624801374891, 0.13213751986251093, 0.0)),
+    ("bin", "log", "class-only(2)", MG12, (0.17409504698655995, 0.8494039502435349, 0.1396918143549262, 0.010904235401538984)),
+    ("bin", "log", "class-only(2)", MG12_STAR, (0.17450912242881295, 0.8494039502435349, 0.1396918143549262, 0.010904235401538984)),
+    ("unif", "iexp", "serve-all", MG11, (2.755787918109525, 0.625, 0.375, 0.0)),
+    ("unif", "iexp", "serve-all", MG12, (3.074455958857481, 0.510204081632653, 0.3061224489795918, 0.18367346938775508)),
+    ("unif", "iexp", "serve-all", MG12_STAR, (3.2290079061509527, 0.510204081632653, 0.3061224489795918, 0.18367346938775508)),
+    ("bin", "iexp", "class-only(1)", MG11, (0.19067073163136175, 0.6756756756756757, 0.32432432432432434, 0.0)),
+    ("bin", "iexp", "class-only(1)", MG12, (0.21338069512754276, 0.5846585594013096, 0.28063610851262866, 0.13470533208606175)),
+    ("bin", "iexp", "class-only(1)", MG12_STAR, (0.22106735271445407, 0.5846585594013096, 0.28063610851262866, 0.13470533208606175)),
+    ("bin", "iexp", "class-only(2)", MG11, (0.2094398817763239, 0.8928571428571429, 0.10714285714285712, 0.0)),
+    ("bin", "iexp", "class-only(2)", MG12, (0.2219447006523128, 0.8815232722143864, 0.10578279266572635, 0.012693935119887156)),
+    ("bin", "iexp", "class-only(2)", MG12_STAR, (0.2226756728602868, 0.8815232722143864, 0.10578279266572635, 0.012693935119887156)),
+    ("unif", "idet", "serve-all", MG11, (2.11046511627907, 0.5813953488372092, 0.4186046511627907, 0.0)),
+    ("unif", "idet", "serve-all", MG12, (2.46035077380282, 0.40335723720919014, 0.4253132666669346, 0.17132949612387524)),
+    ("unif", "idet", "serve-all", MG12_STAR, (2.569651094545495, 0.40335723720919014, 0.4253132666669346, 0.17132949612387524)),
+    ("bin", "idet", "class-only(1)", MG11, (0.1474111675126904, 0.6345177664974619, 0.3654822335025381, 0.0)),
+    ("bin", "idet", "class-only(1)", MG12, (0.17303307034281998, 0.4939122054266321, 0.3847124379299091, 0.1213753566434587)),
+    ("bin", "idet", "class-only(1)", MG12_STAR, (0.1781105941122501, 0.4939122054266321, 0.3847124379299091, 0.1213753566434587)),
+    ("bin", "idet", "class-only(2)", MG11, (0.16880769230769233, 0.8741258741258742, 0.12587412587412586, 0.0)),
+    ("bin", "idet", "class-only(2)", MG12, (0.18284704693585319, 0.857409895033643, 0.13279916723272556, 0.00979093773363149)),
+    ("bin", "idet", "class-only(2)", MG12_STAR, (0.18321316565368218, 0.857409895033643, 0.13279916723272556, 0.00979093773363149)),
+    ("bin", "cexp", "serve-all", MG11, (0.3268386931348064, 0.65470734581642, 0.34529265418357996, 0.0)),
+    ("bin", "cexp", "serve-all", MG12, (0.36475708623390135, 0.5629288485493873, 0.26579915951017385, 0.1712719919404388)),
+    ("bin", "cexp", "serve-all", MG12_STAR, (0.3796011390934482, 0.5629288485493873, 0.26579915951017385, 0.1712719919404388)),
+    ("bin", "cexp", "class-only(1)", MG11, (0.2578816029691297, 0.7763975155279503, 0.22360248447204972, 0.0)),
+    ("bin", "cexp", "class-only(1)", MG12, (0.2942918562738217, 0.7294243966201391, 0.21007422622660013, 0.06050137715326084)),
+    ("bin", "cexp", "class-only(1)", MG12_STAR, (0.2977111573449056, 0.7294243966201391, 0.21007422622660013, 0.06050137715326084)),
+    ("bin", "cexp", "class-only(2)", MG11, (0.13479257323694072, 0.806842020332419, 0.19315797966758108, 0.0)),
+    ("bin", "cexp", "class-only(2)", MG12, (0.14139235710099807, 0.771181050514549, 0.18462074349318297, 0.04419820599226803)),
+    ("bin", "cexp", "class-only(2)", MG12_STAR, (0.1431603969596957, 0.771181050514549, 0.18462074349318297, 0.04419820599226803)),
+]
+
+
+@pytest.mark.parametrize(
+    "value, service, admission, discipline, expected",
+    _PINNED,
+    ids=[f"{v}-{s}-{a}-{d}" for v, s, a, d, _ in _PINNED],
+)
+def test_pinned_analytic_outputs(value, service, admission, discipline, expected):
+    sc = Scenario(0.9, _PIN_VALUES[value], _PIN_SERVICES[service], LIN3, discipline, admission)
+    rep = analyze(sc)
+    got = (rep.avg_voi, rep.p_idle, rep.p_busy1, rep.p_busy2)
+    assert got == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("discipline", [MG12, MG12_STAR])
+def test_buffered_disciplines_survive_mgf_underflow(discipline):
+    # lambda * s = 3e4: MGF_S(lambda) = exp(-3e4) underflows to 0.
+    sc = Scenario(1e4, UniformValue(0.0, 10.0), IndependentDeterministicService(3.0), LIN3, discipline)
+    st = stationary_mg12(sc)
+    probs = (st.p_idle, st.p_busy1, st.p_busy2)
+    assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
+    assert sum(probs) == pytest.approx(1.0, rel=1e-12)
+    assert st.t_cycle == math.inf
+    rep = analyze(sc)
+    assert math.isfinite(rep.avg_voi) and rep.avg_voi >= 0.0

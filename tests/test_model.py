@@ -21,9 +21,11 @@ from voilab.model import (
     mean_service_time,
     mgf_service,
     q_area,
+    q_area_batch,
     service_time,
     value_at,
 )
+from voilab.quadrature import integrate
 from voilab.sim import rng_stream
 
 LIN3 = DescendFunction.linear(3.0)
@@ -98,8 +100,29 @@ def test_q_area_linear_quadrature_matches_closed_form(v0, deadline, frac):
     descend = DescendFunction.linear(deadline)
     t_sys = frac * deadline
     closed = q_area(descend, v0, t_sys)
-    quad = q_area(descend, v0, t_sys, method="quadrature")
+    quad = integrate(lambda tau: value_at(descend, v0, tau), t_sys, deadline)
     assert quad == pytest.approx(closed, rel=1e-10, abs=1e-12)
+
+
+# Fractions of the deadline at which packets are received: anywhere up to
+# 1.5 D, plus points within 1e-12 D on either side of the deadline, where the
+# closed forms must not lose accuracy to cancellation.
+_RECEPTION_FRACS = st.one_of(
+    st.floats(0.0, 1.5),
+    st.sampled_from([1.0 - 1e-12, 1.0 - 1e-9, 1.0 - 1e-6, 1.0, 1.0 + 1e-12]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(descend_strategy(), st.floats(0.1, 20.0), st.lists(_RECEPTION_FRACS, min_size=1, max_size=8))
+def test_q_area_batch_matches_quadrature_oracle(descend, v0, fracs):
+    d = descend.deadline
+    t_sys = np.array(fracs) * d
+    values = np.full(t_sys.size, v0)
+    areas = q_area_batch(descend, values, t_sys)
+    for t, area in zip(t_sys, areas):
+        oracle = integrate(lambda tau: value_at(descend, v0, tau), min(float(t), d), d)
+        assert area == pytest.approx(oracle, rel=1e-8, abs=1e-11 * v0 * d)
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,8 +133,6 @@ def test_q_area_decreases_with_system_time(descend, v0):
     for a, b in zip(areas, areas[1:]):
         assert b <= a + 1e-9
     # full-area consistency: zero system time integrates the whole curve
-    from voilab.quadrature import integrate
-
     full = integrate(lambda tau: value_at(descend, v0, tau), 0.0, descend.deadline)
     assert areas[0] == pytest.approx(full, rel=1e-8, abs=1e-10)
 
