@@ -89,8 +89,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.lambda_grid:
             raise UsageError("lambda grid must not be empty")
-        if not all(lam > 0.0 for lam in self.lambda_grid):
-            raise UsageError("lambda grid values must be > 0")
+        if not all(0.0 < lam < math.inf for lam in self.lambda_grid):
+            raise UsageError("lambda grid values must be finite and > 0")
         if not self.engines:
             raise UsageError("at least one engine required")
         for e in self.engines:

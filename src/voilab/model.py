@@ -58,10 +58,10 @@ class DescendFunction:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "power-concave", "power-convex"):
             raise ValueError(f"unknown descend kind {self.kind!r}")
-        if not (self.deadline > 0.0):
-            raise ValueError("deadline must be > 0")
-        if not (self.shape >= 1.0):
-            raise ValueError("shape exponent must be >= 1")
+        if not (0.0 < self.deadline < math.inf):
+            raise ValueError("deadline must be finite and > 0")
+        if not (1.0 <= self.shape < math.inf):
+            raise ValueError("shape exponent must be finite and >= 1")
 
     @classmethod
     def linear(cls, deadline: float) -> "DescendFunction":
@@ -141,8 +141,8 @@ class UniformValue:
     v_max: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.v_min < self.v_max):
-            raise ValueError("require 0 <= v_min < v_max")
+        if not (0.0 <= self.v_min < self.v_max < math.inf):
+            raise ValueError("require 0 <= v_min < v_max < inf")
 
     def mean(self) -> float:
         return 0.5 * (self.v_min + self.v_max)
@@ -169,8 +169,8 @@ class ExponentialValue:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0.0):
-            raise ValueError("rate must be > 0")
+        if not (0.0 < self.rate < math.inf):
+            raise ValueError("rate must be finite and > 0")
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -198,8 +198,8 @@ class BinaryValue:
     p: float
 
     def __post_init__(self) -> None:
-        if not (self.v1 > 0.0 and self.v2 > 0.0):
-            raise ValueError("class values must be > 0")
+        if not (0.0 < self.v1 < math.inf and 0.0 < self.v2 < math.inf):
+            raise ValueError("class values must be finite and > 0")
         if not (0.0 < self.p < 1.0):
             raise ValueError("class-1 probability must lie in (0, 1)")
 
@@ -235,8 +235,8 @@ class DependentService:
     def __post_init__(self) -> None:
         if self.map_kind not in ("identity", "log-shift"):
             raise ValueError(f"unknown service map {self.map_kind!r}")
-        if self.map_kind == "log-shift" and not (self.a > 0.0):
-            raise ValueError("log-shift scale must be > 0")
+        if self.map_kind == "log-shift" and not (0.0 < self.a < math.inf):
+            raise ValueError("log-shift scale must be finite and > 0")
 
     def g(self, v: float) -> float:
         if self.map_kind == "identity":
@@ -259,8 +259,8 @@ class IndependentExponentialService:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0.0):
-            raise ValueError("service rate must be > 0")
+        if not (0.0 < self.rate < math.inf):
+            raise ValueError("service rate must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -268,8 +268,8 @@ class IndependentDeterministicService:
     s0: float
 
     def __post_init__(self) -> None:
-        if self.s0 < 0.0:
-            raise ValueError("service time must be >= 0")
+        if not (0.0 <= self.s0 < math.inf):
+            raise ValueError("service time must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -338,8 +338,8 @@ class Scenario:
     admission: str = SERVE_ALL
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0):
-            raise ValueError("arrival rate must be > 0")
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError("arrival rate must be finite and > 0")
         if self.discipline not in DISCIPLINES:
             raise ValueError(f"unknown discipline {self.discipline!r}")
         if self.admission not in ADMISSIONS:

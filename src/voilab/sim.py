@@ -1,10 +1,11 @@
-"""Seeded discrete-event simulation of the three packet-management disciplines.
+"""Seeded simulation of the three packet-management disciplines.
 
 One run draws the whole packet stream up front (Philox counter-based streams,
-one per random source), replays arrivals and service completions in time
-order with a two-event merge loop, and post-processes the delivery log into
-time-average VoI, time-average age, state occupancies and their batch-means
-standard errors.  Identical config and seed give bit-identical reports.
+one per random source).  One pass over the admitted arrivals, Lindley's
+single-server recursion, fixes who is served and when each leaves.  VoI, age,
+state occupancies, the states arrivals find, their batch-means standard errors
+and the optional event trace all follow from those service intervals.
+Identical config and seed give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class SimConfig:
     seed: int = 0
     sample_voi_every: Optional[float] = None
     n_batches: int = 100
-    trace: bool = False         # keep per-packet arrays and service starts
-    event_trace: bool = False   # keep one (time, kind, id, state) tuple per event
+    trace: bool = False         # keep per-packet arrays, deliveries and service starts in ``detail``
+    event_trace: bool = False   # rebuild one (time, kind, id, state) tuple per arrival and completion
 
     def __post_init__(self) -> None:
         if self.n_packets < 1:
@@ -95,28 +96,37 @@ def simulate(config: SimConfig) -> SimReport:
 
     keep_cls = sc.admitted_class()
     admitted = None if keep_cls is None else (classes == keep_cls)
+    # Index only when admission filters: serve-all runs on the whole stream.
+    pos = None if admitted is None else np.flatnonzero(admitted)
+    t_adm = t_gen if pos is None else t_gen[pos]
+    disc = {MG11: 0, MG12: 1}.get(sc.discipline, 2)
+    served, d_t = _serve(t_adm, services if pos is None else services[pos], disc)
+    d_idx = served if pos is None else pos[served]
+    elapsed = float(max(t_gen[-1], d_t[-1]) if d_t.size else t_gen[-1])
 
-    state = _event_loop(
-        t_gen.tolist(),
-        services.tolist(),
-        admitted.tolist() if admitted is not None else None,
-        {MG11: 0, MG12: 1}.get(sc.discipline, 2),
-        n,
-        n_batches,
-        config.event_trace,
-        config.trace,
-    )
-    elapsed = state["elapsed"]
-    d_idx = np.array(state["delivered_ids"], dtype=np.int64)
-    d_t = np.array(state["delivered_times"])
-
-    deadline = sc.descend.deadline
-    t_sys = _system_times(t_gen[d_idx], services[d_idx], d_t)
+    # Packets leave in service order, so each starts service at its generation
+    # time or at the previous departure, whichever is later.  System time is
+    # wait + service, so a packet served on arrival gets exactly ``s`` and one
+    # whose service reaches the deadline never keeps a rounding-sized area.
+    gen = t_gen[d_idx]
+    d_prev = np.concatenate(([-np.inf], d_t[:-1]))
+    start = np.maximum(gen, d_prev)
+    t_sys = (start - gen) + services[d_idx]
     q = q_area_batch(sc.descend, values[d_idx], t_sys)
-    n_expired = int(np.count_nonzero(t_sys >= deadline))
+    n_expired = int(np.count_nonzero(t_sys >= sc.descend.deadline))
 
-    # Batch edges by generation index; renewal-reward batching assigns each
-    # packet's area to the batch of its generation epoch.
+    # The buffer of a served packet is filled by the first admitted arrival
+    # after its service starts, if that arrives by its departure, and stays
+    # full until the departure.  The bufferless discipline drops that arrival.
+    first = np.maximum(served + 1, np.searchsorted(t_adm, d_prev, side="right"))
+    t_next = np.where(first < t_adm.size, t_adm[np.minimum(first, t_adm.size - 1)], np.inf)
+    fills = (t_next <= d_t) & (disc != 0)
+    fill_t = np.where(fills, t_next, d_t)
+    fill_ids = first[fills] if pos is None else pos[first[fills]]
+
+    # One batch partition by generation index for every batch-means error;
+    # renewal-reward batching assigns each packet's area to the batch of its
+    # generation epoch.
     edges_idx = (np.arange(1, n_batches) * n) // n_batches
     edges_t = np.concatenate(([0.0], t_gen[edges_idx], [elapsed]))
     spans = np.diff(edges_t)
@@ -125,25 +135,41 @@ def simulate(config: SimConfig) -> SimReport:
     q_full[d_idx] = q
     batch_sums = np.add.reduceat(q_full, np.concatenate(([0], edges_idx)))
     avg_voi = float(q.sum() / elapsed)
-    stderr_voi = _batch_stderr(batch_sums / spans)
+    stderr_voi = _batch_stderr(batch_sums, spans)
 
-    avg_aoi, stderr_aoi = _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t)
+    avg_aoi, stderr_aoi = _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans)
 
-    occ = np.array(state["occupancy"])  # (3, n_batches)
-    occ_totals = occ.sum(axis=1)
-    occupancy = tuple((occ_totals / elapsed).tolist())
-    batch_elapsed = occ.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        occ_frac = np.where(batch_elapsed > 0.0, occ / batch_elapsed, 0.0)
-    occupancy_stderr = tuple(_batch_stderr(row) for row in occ_frac)
+    # Time spent idle, busy with an empty buffer and busy with a full buffer,
+    # cumulated up to each batch edge.
+    busy_at = _covered(start, d_t, edges_t)
+    full_at = _covered(fill_t, d_t, edges_t)
+    occ_at = np.stack((edges_t - busy_at, busy_at - full_at, full_at))
+    occupancy = tuple((occ_at[:, -1] / elapsed).tolist())
+    occupancy_stderr = tuple(_batch_stderr(row, spans) for row in np.diff(occ_at, axis=1))
 
-    seen = np.array(state["seen"], dtype=float)
-    arrival_seen = tuple((seen / seen.sum()).tolist())
+    # The state each arrival finds: busy while a served packet that arrived
+    # earlier has not left, full while the service during which an earlier
+    # arrival filled the buffer has not ended.
+    seen = _found_open(d_idx, d_t, t_gen).astype(np.int64)
+    seen += _found_open(fill_ids, d_t[fills], t_gen)
+    arrival_seen = tuple((np.bincount(seen, minlength=3) / n).tolist())
 
     sampled = None
     if config.sample_voi_every is not None:
         sampled = _sampled_voi_mean(
             sc.descend, t_gen, values, d_idx, d_t, t_sys, elapsed, config.sample_voi_every
+        )
+
+    events = None
+    if config.event_trace:
+        # Arrivals first on equal times, then departures in service order.
+        times = np.concatenate((t_gen, d_t))
+        order = np.argsort(times, kind="stable")
+        kinds = np.repeat(np.array(["arrival", "completion"]), (n, d_t.size))
+        who = np.concatenate((np.arange(n), d_idx))
+        state = np.concatenate((seen, 1 + fills))
+        events = tuple(
+            zip(times[order].tolist(), kinds[order].tolist(), who[order].tolist(), state[order].tolist())
         )
 
     detail = None
@@ -158,15 +184,15 @@ def simulate(config: SimConfig) -> SimReport:
             "delivered_times": d_t,
             "system_times": t_sys,
             "q_areas": q,
-            "service_start_ids": np.array(state["start_ids"], dtype=np.int64),
-            "service_start_times": np.array(state["start_times"]),
+            "service_start_ids": d_idx,
+            "service_start_times": start,
         }
 
     return SimReport(
         n_generated=n,
         n_delivered=int(d_idx.size),
         n_expired=n_expired,
-        elapsed=float(elapsed),
+        elapsed=elapsed,
         avg_voi=avg_voi,
         stderr_voi=stderr_voi,
         avg_aoi=avg_aoi,
@@ -177,130 +203,71 @@ def simulate(config: SimConfig) -> SimReport:
         sampled_voi_mean=sampled,
         seed=config.seed,
         n_batches=n_batches,
-        events=tuple(state["events"]) if config.event_trace else None,
+        events=events,
         detail=detail,
     )
 
 
-def _event_loop(tg, sv, adm, disc, n, n_batches, want_events, want_starts):
-    """Merge the precomputed arrival stream with service completions.
+def _serve(t_arr, s_arr, disc):
+    """Positions served, in service order, and their departure times.
 
-    States: 0 idle, 1 busy with empty buffer, 2 busy with occupied buffer.
-    Arrivals in busy state are discarded (no buffer), parked in the free
-    buffer slot (FCFS), or overwrite the buffered packet (LCFS).
+    ``t_arr`` and ``s_arr`` are the admitted arrivals' times and service times;
+    ``disc`` is 0 (no buffer), 1 (FCFS buffer) or 2 (LCFS buffer with
+    replacement).  ``c`` is when the server next falls free and ``buf`` the
+    buffered position (-1: none).  An arrival at the instant the server falls
+    free still finds it busy.
     """
-    inf = math.inf
-    occ0 = [0.0] * n_batches
-    occ1 = [0.0] * n_batches
-    occ2 = [0.0] * n_batches
-    seen = [0, 0, 0]
-    delivered_ids: list[int] = []
-    delivered_times: list[float] = []
-    start_ids: list[int] = []
-    start_times: list[float] = []
-    events: list[tuple] = []
-
-    t = 0.0
-    state = 0
-    b = 0
-    i = 0
-    srv = -1
-    srv_done = inf
+    served, departs = [], []
+    c = -math.inf
     buf = -1
-    while True:
-        if i < n:
-            ta = tg[i]
-        elif srv < 0:
-            break
-        else:
-            ta = inf
-        if ta <= srv_done:
-            dt = ta - t
-            if state == 0:
-                occ0[b] += dt
-            elif state == 1:
-                occ1[b] += dt
-            else:
-                occ2[b] += dt
-            t = ta
-            seen[state] += 1
-            if want_events:
-                events.append((t, "arrival", i, state))
-            if adm is None or adm[i]:
-                if srv < 0:
-                    srv = i
-                    srv_done = t + sv[i]
-                    state = 1
-                    if want_starts:
-                        start_ids.append(i)
-                        start_times.append(t)
-                elif disc == 1:
-                    if buf < 0:
-                        buf = i
-                        state = 2
-                elif disc == 2:
-                    buf = i
-                    state = 2
-            i += 1
-            b = (i * n_batches) // n
-            if b >= n_batches:
-                b = n_batches - 1
-        else:
-            dt = srv_done - t
-            if state == 1:
-                occ1[b] += dt
-            else:
-                occ2[b] += dt
-            t = srv_done
-            if want_events:
-                events.append((t, "completion", srv, state))
-            delivered_ids.append(srv)
-            delivered_times.append(t)
-            if buf >= 0:
-                srv = buf
-                buf = -1
-                srv_done = t + sv[srv]
-                state = 1
-                if want_starts:
-                    start_ids.append(srv)
-                    start_times.append(t)
-            else:
-                srv = -1
-                srv_done = inf
-                state = 0
-    return {
-        "elapsed": t,
-        "occupancy": (occ0, occ1, occ2),
-        "seen": seen,
-        "delivered_ids": delivered_ids,
-        "delivered_times": delivered_times,
-        "start_ids": start_ids,
-        "start_times": start_times,
-        "events": events,
-    }
+    sv = memoryview(s_arr)
+    for i, t in enumerate(memoryview(t_arr)):
+        if t > c and buf >= 0:
+            c += sv[buf]
+            served.append(buf)
+            departs.append(c)
+            buf = -1
+        if t > c:
+            c = t + sv[i]
+            served.append(i)
+            departs.append(c)
+        elif disc == 2 or (disc == 1 and buf < 0):
+            buf = i
+    if buf >= 0:
+        served.append(buf)
+        departs.append(c + sv[buf])
+    return np.array(served, dtype=np.int64), np.array(departs)
 
 
-def _system_times(gen, s, d_t):
-    """Generation-to-reception time of each delivered packet, as wait + service.
-
-    Packets leave in service order, so each starts service at its generation
-    time or at the previous delivery, whichever is later.  Adding the service
-    time to the wait (rather than subtracting generation from delivery time)
-    gives a packet served on arrival exactly ``s``, so one whose service
-    reaches the deadline is never left with a rounding-sized area.
-    """
-    start = np.maximum(gen, np.concatenate(([0.0], d_t[:-1])))
-    return (start - gen) + s
+def _found_open(first_ids, ends, t_gen):
+    """Whether each arrival i comes after some arrival ``first_ids[k]`` and no
+    later than ``ends[k]`` (both increasing, so the last k with
+    ``first_ids[k] < i`` decides; arrivals precede departures at equal times)."""
+    opened = np.zeros(t_gen.size + 1, dtype=np.int64)
+    opened[first_ids + 1] = 1
+    np.cumsum(opened, out=opened)  # opened[i]: intervals opened before arrival i
+    return np.concatenate(([-np.inf], ends))[opened[:-1]] >= t_gen
 
 
-def _batch_stderr(batch_means: np.ndarray) -> float:
-    m = np.asarray(batch_means, dtype=float)
+def _covered(lo, hi, x):
+    """Length of the disjoint sorted intervals [lo, hi] that lies below each ``x >= 0``."""
+    lo = np.concatenate(([0.0], lo))
+    hi = np.concatenate(([0.0], hi))
+    cum = np.cumsum(hi - lo)
+    k = np.searchsorted(lo, x, side="right") - 1
+    return cum[k] - np.maximum(hi[k] - x, 0.0)
+
+
+def _batch_stderr(batch_totals: np.ndarray, spans: np.ndarray) -> float:
+    """Batch-means standard error of a time average, over the batches of positive length."""
+    keep = spans > 0.0
+    m = batch_totals[keep] / spans[keep]
     if m.size < 2:
         return 0.0
     return float(m.std(ddof=1) / math.sqrt(m.size))
 
 
-def _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t):
+def _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans):
     """Time-average age and its batch-means standard error.
 
     The age process starts at zero, grows with slope one, and drops to
@@ -325,11 +292,8 @@ def _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t):
         k = np.clip(np.searchsorted(r, x, side="right") - 1, 0, r.size - 1)
         return cum[k] + 0.5 * ((x - u[k]) ** 2 - (r[k] - u[k]) ** 2)
 
-    total = float(age_integral_at(np.array([elapsed]))[0])
     at_edges = age_integral_at(edges_t)
-    spans = np.diff(edges_t)
-    batch_means = np.diff(at_edges) / spans
-    return total / elapsed, _batch_stderr(batch_means)
+    return float(at_edges[-1]) / elapsed, _batch_stderr(np.diff(at_edges), spans)
 
 
 def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):

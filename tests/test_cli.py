@@ -32,6 +32,31 @@ def test_bad_numeric_config_value_is_a_usage_error(tmp_path, line, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+_SCENARIO_BASE = (
+    "engines = analytic\n"
+    "lambda_grid = 1\n"
+    "scenario.value_dist = uniform(0,10)\n"
+    "scenario.service = independent-deterministic(1)\n"
+    "scenario.descend = linear(3)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "scenario.service = independent-deterministic(inf)",
+        "scenario.value_dist = uniform(0,inf)",
+        "scenario.descend = linear(inf)",
+        "lambda_grid = inf",
+    ],
+)
+def test_non_finite_model_parameter_is_a_usage_error(tmp_path, line, capsys):
+    # The later line replaces the base's value for the same key.
+    assert _run_config(tmp_path, _SCENARIO_BASE + line + "\n") == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_worker_count_is_capped_by_cores_and_tasks():
     cores = os.cpu_count() or 1
     assert worker_count(5000, 10_000) == cores

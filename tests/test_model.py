@@ -264,6 +264,36 @@ def test_scenario_rejects_nonpositive_rate():
         Scenario(0.0, UniformValue(0, 10), DependentService(), LIN3, MG12)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: UniformValue(0.0, x),
+        lambda x: UniformValue(x, 10.0),
+        lambda x: ExponentialValue(x),
+        lambda x: BinaryValue(x, 1.33, 0.5),
+        lambda x: BinaryValue(0.4, x, 0.5),
+        lambda x: BinaryValue(0.4, 1.33, x),
+        lambda x: DependentService("log-shift", x),
+        lambda x: IndependentExponentialService(x),
+        lambda x: IndependentDeterministicService(x),
+        lambda x: DescendFunction.linear(x),
+        lambda x: DescendFunction.power_concave(x, 3.0),
+        lambda x: DescendFunction.power_convex(2.0, x),
+        lambda x: Scenario(x, UniformValue(0, 10), DependentService(), LIN3, MG12),
+    ],
+    ids=[
+        "uniform-max", "uniform-min", "exponential", "binary-v1", "binary-v2", "binary-p",
+        "log-shift", "independent-exponential", "independent-deterministic", "linear",
+        "power-concave-shape", "power-convex-deadline", "scenario-lam",
+    ],
+)
+def test_constructors_reject_non_finite_parameters(build, bad):
+    # Construction only: an infinite service time would never let a run end.
+    with pytest.raises(ValueError):
+        build(bad)
+
+
 def test_packet_reception_after_service():
     with pytest.raises(ValueError):
         Packet(id=0, t_gen=1.0, v0=2.0, s=1.0, t_recv=1.5)

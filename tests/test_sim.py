@@ -329,3 +329,111 @@ def test_event_trace_shape_and_rendering():
     assert len(text.splitlines()) == len(events)
     n_arr = sum(1 for e in events if e[1] == "arrival")
     assert n_arr == 500
+
+
+# ---------------------------------------------------------------------------
+# Event-by-event reference simulator
+# ---------------------------------------------------------------------------
+
+def _reference_run(t_gen, services, admitted, discipline):
+    """Replay arrivals and completions one event at a time.
+
+    Returns the delivered ids and times, the state each arrival finds, the
+    event tuples and a timeline of (time, state after the event).  States: 0
+    idle, 1 busy, 2 busy with a full buffer.  An arrival at a completion
+    instant is handled first.
+    """
+    ids, times, seen, events, timeline = [], [], [0, 0, 0], [], [(0.0, 0)]
+    in_service, done, buffer = None, math.inf, None
+    i = 0
+    while i < len(t_gen) or in_service is not None:
+        state = (in_service is not None) + (buffer is not None)
+        if i < len(t_gen) and t_gen[i] <= done:
+            t = t_gen[i]
+            seen[state] += 1
+            events.append((t, "arrival", i, state))
+            if admitted is None or admitted[i]:
+                if in_service is None:
+                    in_service, done = i, t + services[i]
+                elif discipline == MG12_STAR or (discipline == MG12 and buffer is None):
+                    buffer = i
+            i += 1
+        else:
+            t = done
+            events.append((t, "completion", in_service, state))
+            ids.append(in_service)
+            times.append(t)
+            in_service, buffer = buffer, None
+            done = math.inf if in_service is None else t + services[in_service]
+        timeline.append((t, (in_service is not None) + (buffer is not None)))
+    return ids, times, seen, events, timeline
+
+
+def _state_time(timeline, a, b):
+    """Time spent in each state within [a, b]."""
+    out = [0.0, 0.0, 0.0]
+    for (t0, state), (t1, _) in zip(timeline, timeline[1:]):
+        out[state] += max(0.0, min(t1, b) - max(t0, a))
+    return out
+
+
+def _check_against_reference(cfg):
+    rep = simulate(cfg)
+    d = rep.detail
+    n, nb = rep.n_generated, rep.n_batches
+    admitted = None if d["admitted"] is None else d["admitted"].tolist()
+    ids, times, seen, events, timeline = _reference_run(
+        d["t_gen"].tolist(), d["services"].tolist(), admitted, cfg.scenario.discipline
+    )
+    assert d["delivered_ids"].tolist() == ids
+    assert d["delivered_times"].tolist() == times
+    assert rep.arrival_seen == tuple((np.array(seen) / n).tolist())
+    assert rep.events == tuple(events)
+    elapsed = timeline[-1][0]
+    assert rep.elapsed == elapsed
+    total = _state_time(timeline, 0.0, elapsed)
+    for got, want in zip(rep.occupancy, total):
+        assert got == pytest.approx(want / elapsed, rel=0.0, abs=1e-12)
+    # Batch means over the batches of VoI and AoI: edges at generation times.
+    edges = [0.0] + [d["t_gen"][b * n // nb] for b in range(1, nb)] + [elapsed]
+    fracs = [
+        [x / (b - a) for x in _state_time(timeline, a, b)]
+        for a, b in zip(edges, edges[1:])
+        if b > a
+    ]
+    for k in range(3):
+        col = np.array([f[k] for f in fracs])
+        want = col.std(ddof=1) / math.sqrt(col.size) if col.size > 1 else 0.0
+        assert rep.occupancy_stderr[k] == pytest.approx(want, rel=1e-9, abs=1e-15)
+    return rep
+
+
+@pytest.mark.parametrize("admission", ["serve-all", "class-only(1)", "class-only(2)"])
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_simulation_matches_event_by_event_reference(disc, admission):
+    for service in (ClassExponentialService(), IndependentDeterministicService(0.8)):
+        for lam in (0.5, 3.0):
+            sc = Scenario(lam, BinaryValue(0.4, 1.33, 0.5), service, LIN3, disc, admission)
+            for seed in (1, 2):
+                _check_against_reference(
+                    SimConfig(sc, n_packets=400, n_batches=10, seed=seed, trace=True, event_trace=True)
+                )
+            for seed in range(4):
+                _check_against_reference(SimConfig(sc, n_packets=1, seed=seed, trace=True, event_trace=True))
+
+
+def test_run_without_an_admitted_packet_matches_reference():
+    sc = Scenario(1.0, BinaryValue(0.4, 1.33, 0.9), ClassExponentialService(), LIN3, MG12, "class-only(2)")
+    rep = _check_against_reference(SimConfig(sc, n_packets=5, seed=0, trace=True, event_trace=True))
+    assert not rep.detail["admitted"].any()
+    assert rep.n_delivered == 0 and rep.occupancy == (1.0, 0.0, 0.0)
+
+
+def test_zero_length_last_batch_gives_finite_errors():
+    # With as many batches as packets, a run ending on an unserved arrival
+    # has a last batch of zero length; it must not enter the batch means.
+    sc = Scenario(3.0, BinaryValue(0.4, 1.33, 0.5), ClassExponentialService(), LIN3, MG11, "class-only(1)")
+    for seed in range(200):
+        rep = simulate(SimConfig(sc, n_packets=50, seed=seed))
+        errors = (rep.stderr_voi, rep.stderr_aoi) + rep.occupancy_stderr
+        assert all(math.isfinite(x) for x in errors), seed
