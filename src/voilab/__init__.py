@@ -1,8 +1,9 @@
 """Queueing laboratory for the value of deadline-limited status updates.
 
 Two independent routes to the same quantity: renewal-reward analytics
-(closed forms plus adaptive quadrature) and seeded discrete-event
-simulation, over three packet-management disciplines.
+(vectorised Gauss-Legendre quadrature, checked against closed forms where
+they exist) and seeded discrete-event simulation, over three
+packet-management disciplines.
 """
 
 from .analytics import (

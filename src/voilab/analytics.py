@@ -7,8 +7,16 @@ that arrives in busy state (zero for the bufferless discipline).  Each piece
 is a weighted sum over the components of the admitted service law
 (``model.service_law``); the two classic parameter families (uniform value
 with log service, exponential value with identity service) also have closed
-forms.  Only the linear decay law is covered, since the FCFS busy-arrival
+forms, which ``analyze`` never calls, so that the two routes check each
+other.  Only the linear decay law is covered, since the FCFS busy-arrival
 fold (``model._wait_kernel``) is a closed form for that law alone.
+
+Expectations without a closed form use vectorised Gauss-Legendre panels
+(``quadrature.gauss_legendre``) split at the known kinks of each integrand.
+The busy-arrival area is one tensor-product rule: the outer service-time
+nodes are evaluated together, and the inner fold (M/GI/1/2) or residual
+integral (M/GI/1/2*) runs once over all of them, with every outer node's
+inner pieces cut at its own remaining time.
 
 Class-filtered admission is handled by Poisson thinning: the queue sees rate
 lam * P[class admitted] and the value distribution conditioned on admission.
@@ -19,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .model import (
     BinaryValue,
@@ -35,7 +45,8 @@ from .model import (
     one_minus_mgf_service,
     service_law,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+# integrate is not called here; it stays bound for perfbench, whose tracer patches it by name.
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, gauss_legendre, integrate  # noqa: F401
 
 
 class UnsupportedAnalyticsError(ValueError):
@@ -94,7 +105,7 @@ def v_tilde(scenario: Scenario) -> float:
         raise UnsupportedAnalyticsError(
             "value threshold is defined for value-dependent service only"
         )
-    vt = svc.g_inv(scenario.descend.deadline)
+    vt = float(svc.g_inv(scenario.descend.deadline))
     dist = scenario.value_dist
     if isinstance(dist, (UniformValue, BinaryValue)):
         vt = min(vt, dist.support()[1])
@@ -102,19 +113,21 @@ def v_tilde(scenario: Scenario) -> float:
 
 
 def _expect_value_kappa(
-    scenario: Scenario, kappa: Callable[[float], float], spec: QuadratureSpec
+    scenario: Scenario, kappa: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec
 ) -> float:
     """E[V * kappa(D - S) * 1{S < D}] over the admitted joint value/service law.
 
     All conditional expected areas share this shape; the bufferless idle case
     uses kappa(d) = d**2, the buffered cases fold the waiting time into kappa.
+    ``kappa`` maps an array of remaining times to an array.
     """
     d = scenario.descend.deadline
     return sum(c.weight * c.expect_value_kappa(d, kappa, spec) for c in service_law(scenario))
 
 
-def _fcfs_wait_integral(law, rem: float, lam: float, spec: QuadratureSpec) -> float:
-    """(1 - MGF) * int_0^rem (rem - w) P[W' > w] dw, i.e. E_S[_wait_kernel(S, rem)].
+def _fcfs_wait_integral(law, rem, lam: float, spec: QuadratureSpec):
+    """(1 - MGF) * int_0^rem (rem - w) P[W' > w] dw, i.e. E_S[_wait_kernel(S, rem)],
+    elementwise over an array ``rem``.
 
     Folding the residual CCDF over the service law (``service_law``) keeps a
     single quadrature level.
@@ -173,7 +186,7 @@ def residual_ccdf_mg12(scenario: Scenario, w: float) -> float:
     omm = one_minus_mgf_service(scenario)
     if omm <= 0.0:
         raise ValueError("no busy-state arrivals exist under this service law")
-    return sum(c.weight * c.residual_num(lam, w) for c in service_law(scenario)) / omm
+    return float(sum(c.weight * c.residual_num(lam, w) for c in service_law(scenario)) / omm)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +243,9 @@ def avg_voi_mg12(scenario: Scenario) -> AnalyticReport:
         return _report(scenario, st, st.p_busy1)
     law = service_law(scenario)
 
-    def kappa(rem: float) -> float:
+    def kappa(rem):
         t = _fcfs_wait_integral(law, rem, lam, level) / omm
-        return max(rem * rem - 2.0 * t, 0.0)
+        return np.maximum(rem * rem - 2.0 * t, 0.0)
 
     return _report(scenario, st, st.p_busy1, kappa)
 
@@ -253,22 +266,24 @@ def avg_voi_mg12star(scenario: Scenario) -> AnalyticReport:
     if not (e_s > 0.0 and st.p_busy > 0.0):
         return _report(scenario, st, st.p_busy)
     law = service_law(scenario)
-    # A lone component's own method keeps the innermost integrand one call deep.
-    ccdf = law[0].ccdf if len(law) == 1 else (lambda w: sum(c.weight * c.ccdf(w) for c in law))
-    kinks = [k for c in law for k in c.kinks]
+    d = scenario.descend.deadline
+    kinks = sorted({k for c in law for k in c.kinks if 0.0 < k < d})
 
-    def kappa(rem: float) -> float:
-        cuts = sorted({0.0, rem, *(k for k in kinks if 0.0 < k < rem)})
-        total = 0.0
-        for a, b in zip(cuts, cuts[1:]):
-            total += integrate(lambda w: (rem - w) ** 2 * math.exp(-lam * w) * ccdf(w), a, b, level)
-        return total / e_s
+    def kappa(rem):
+        # One row of pieces per outer point: [0, rem] cut at every kink,
+        # each clipped to that point's [0, rem] (empty pieces add nothing).
+        cuts = np.stack([np.zeros_like(rem), *(np.clip(k, 0.0, rem) for k in kinks), rem])
+
+        def f(w):
+            return (rem - w) ** 2 * np.exp(-lam * w) * sum(c.weight * c.ccdf(w) for c in law)
+
+        return gauss_legendre(f, cuts[:-1], cuts[1:], level).sum(axis=0) / e_s
 
     return _report(scenario, st, st.p_busy, kappa)
 
 
 def analyze(scenario: Scenario) -> AnalyticReport:
-    """Dispatch to the discipline's quadrature evaluation."""
+    """Dispatch to the discipline's quadrature evaluation (never a closed form)."""
     if scenario.discipline == MG11:
         return avg_voi_mg11(scenario)
     if scenario.discipline == MG12:

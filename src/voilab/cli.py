@@ -69,6 +69,8 @@ CSV_COLUMNS = (
 DEFAULT_SEED = 123456789
 SEED_ENV_VAR = "VOI_LAB_SEED"
 DEFAULT_GRID = tuple(float(x) for x in np.geomspace(0.1, 5.0, 20))
+# Most points a 'start:stop:step' lambda range may expand to.
+MAX_GRID_POINTS = 100_000
 
 
 class UsageError(ValueError):
@@ -257,7 +259,10 @@ def parse_lambda_grid(text: str) -> tuple[float, ...]:
             start, stop, step = float(start_s), float(stop_s), float(step_s)
             if step <= 0.0 or stop < start:
                 raise UsageError(f"bad lambda range {text!r}")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            steps = (stop - start) / step + 1e-9
+            if not steps < MAX_GRID_POINTS:  # also false for inf and nan
+                raise UsageError(f"lambda range {text!r} has more than {MAX_GRID_POINTS} points")
+            count = int(math.floor(steps)) + 1
             return tuple(start + k * step for k in range(count))
         return tuple(float(x) for x in text.split(","))
     except UsageError:

@@ -16,7 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate
+# integrate is not called here; it stays bound for perfbench, whose tracer patches it by name.
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, gauss_legendre, integrate  # noqa: F401
 
 # Queueing disciplines: no buffer / one-slot FCFS / one-slot LCFS with replacement.
 MG11 = "M/GI/1/1"
@@ -150,15 +151,13 @@ class UniformValue:
     def support(self) -> tuple[float, float]:
         return (self.v_min, self.v_max)
 
-    def pdf(self, v: float) -> float:
-        return 1.0 / (self.v_max - self.v_min) if self.v_min <= v <= self.v_max else 0.0
+    def pdf(self, v):
+        """Density, elementwise over an array."""
+        inside = (v >= self.v_min) & (v <= self.v_max)
+        return np.where(inside, 1.0 / (self.v_max - self.v_min), 0.0)
 
-    def cdf(self, v: float) -> float:
-        if v <= self.v_min:
-            return 0.0
-        if v >= self.v_max:
-            return 1.0
-        return (v - self.v_min) / (self.v_max - self.v_min)
+    def cdf(self, v):
+        return np.clip((np.asarray(v) - self.v_min) / (self.v_max - self.v_min), 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, n: int):
         return rng.uniform(self.v_min, self.v_max, n), None
@@ -179,11 +178,12 @@ class ExponentialValue:
         # Finite truncation point for numerical integration (tail mass EXP_TAIL_EPS).
         return (0.0, -math.log(EXP_TAIL_EPS) / self.rate)
 
-    def pdf(self, v: float) -> float:
-        return self.rate * math.exp(-self.rate * v) if v >= 0.0 else 0.0
+    def pdf(self, v):
+        """Density, elementwise over an array."""
+        return np.where(v >= 0.0, self.rate * np.exp(-self.rate * np.maximum(v, 0.0)), 0.0)
 
-    def cdf(self, v: float) -> float:
-        return -math.expm1(-self.rate * v) if v > 0.0 else 0.0
+    def cdf(self, v):
+        return -np.expm1(-self.rate * np.maximum(v, 0.0))
 
     def sample(self, rng: np.random.Generator, n: int):
         return rng.exponential(1.0 / self.rate, n), None
@@ -238,20 +238,22 @@ class DependentService:
         if self.map_kind == "log-shift" and not (0.0 < self.a < math.inf):
             raise ValueError("log-shift scale must be finite and > 0")
 
-    def g(self, v: float) -> float:
+    def g(self, v):
+        """Service time of value ``v``, elementwise over an array."""
         if self.map_kind == "identity":
-            return v
-        return self.a * math.log1p(v)
-
-    def g_inv(self, s: float) -> float:
-        if self.map_kind == "identity":
-            return s
-        return math.expm1(s / self.a)
-
-    def g_array(self, v: np.ndarray) -> np.ndarray:
-        if self.map_kind == "identity":
-            return np.asarray(v, dtype=float)
+            return np.asarray(v, dtype=float)[()]
         return self.a * np.log1p(v)
+
+    def g_inv(self, s):
+        if self.map_kind == "identity":
+            return np.asarray(s, dtype=float)[()]
+        return np.expm1(np.asarray(s) / self.a)
+
+    def g_inv_slope(self, s):
+        """Derivative of ``g_inv`` at ``s``, elementwise."""
+        if self.map_kind == "identity":
+            return 1.0
+        return np.exp(np.asarray(s) / self.a) / self.a
 
 
 @dataclass(frozen=True)
@@ -310,7 +312,7 @@ def sample_service_times(
     """Vectorized service_time for a whole packet stream."""
     n = len(values)
     if isinstance(service, DependentService):
-        return service.g_array(values)
+        return service.g(values)
     if isinstance(service, IndependentDeterministicService):
         return np.full(n, service.s0)
     if rng is None:
@@ -397,28 +399,61 @@ class Packet:
 # X ~ exponential(lam): mean(), mgf(lam), one_minus_mgf(lam); ccdf(w) = P[S > w]
 # and its kinks; residual_num(lam, w) = P[S - X > w, X < S];
 # expect_value_kappa(d, kappa, spec) = E[V kappa(d - S); S < d]; and
-# wait_fold(rem, lam, spec) = E[_wait_kernel(S, rem, lam)].
+# wait_fold(rem, lam, spec) = E[_wait_kernel(S, rem, lam)].  The arguments
+# w and rem, and the argument and result of kappa, are numpy arrays
+# (elementwise); expectations without a closed form go through
+# ``gauss_legendre``.
 
-def _expm1_quad(x: float) -> float:
+def _series_or(x, small: float, series, direct):
+    """``series(x)`` where x < small, else ``direct(x)``, elementwise; each
+    branch only sees arguments from its own range."""
+    x = np.asarray(x, dtype=float)
+    lo = x < small
+    out = np.asarray(direct(np.where(lo, small, x)))
+    if lo.any():
+        out[lo] = series(x[lo])
+    return out
+
+
+def _expm1_quad(x):
     """(expm1(-x) + x) / x**2, the O(x^2) remainder of exp(-x), without
     cancellation: series below x = 0.01, direct evaluation above."""
-    if x < 1e-2:
-        return 0.5 - x / 6.0 + x * x / 24.0 - x**3 / 120.0 + x**4 / 720.0
-    return (math.expm1(-x) + x) / (x * x)
+    return _series_or(
+        x,
+        1e-2,
+        lambda x: 0.5 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x / 720))),
+        lambda x: (np.expm1(-x) + x) / (x * x),
+    )
 
 
-def _wait_kernel(s: float, d: float, lam: float) -> float:
-    """Closed form of int_0^min(d,s) (d - w) * (1 - exp(-lam (s - w))) dw.
+def _expm1_cube(x):
+    """1/2 - (1 - exp(-x) (1 + x)) / x**2, which is x/3 + O(x^2), without
+    cancellation: series below x = 0.1, direct evaluation above."""
+    return _series_or(
+        x,
+        1e-1,
+        # sum over n >= 3 of (-1)^(n+1) (n - 1)/n! x^(n-2), through n = 10
+        lambda x: x * np.polyval([-1 / 403200, 1 / 45360, -1 / 5760, 1 / 840, -1 / 144, 1 / 30, -1 / 8, 1 / 3], x),
+        lambda x: 0.5 + (np.expm1(-x) + x * np.exp(-x)) / (x * x),
+    )
 
-    The whole expression is O(lam) as lam -> 0, so it is regrouped around
-    expm1 remainders; every factor keeps full relative accuracy for any lam.
+
+def _wait_kernel(s, d, lam: float):
+    """Closed form of int_0^min(d,s) (d - w) * (1 - exp(-lam (s - w))) dw,
+    elementwise over arrays s and d.
+
+    With m = min(d, s) it is (d m - m^2/2) (1 - exp(-lam (s - m)))
+    + exp(-lam (s - m)) m^2 (lam (d - m) q(lam m) + r(lam m)), q and r the
+    expm1 remainders above: a sum of non-negative terms, each with full
+    relative accuracy for any lam, although the whole is O(lam) as lam -> 0.
     """
-    m = d if d < s else s
-    if m <= 0.0:
-        return 0.0
+    s = np.asarray(s, dtype=float)
+    d = np.asarray(d, dtype=float)
+    m = np.maximum(np.minimum(d, s), 0.0)
     decay = lam * (s - m)
-    c = m * m * (_expm1_quad(lam * m) * (1.0 + lam * d) - 0.5)
-    return (d * m - 0.5 * m * m) * (-math.expm1(-decay)) + math.exp(-decay) * c
+    x = lam * m
+    c = m * m * (lam * (d - m) * _expm1_quad(x) + _expm1_cube(x))
+    return (d * m - 0.5 * m * m) * -np.expm1(-decay) + np.exp(-decay) * c
 
 
 @dataclass(frozen=True)
@@ -443,16 +478,16 @@ class PointMass:
     def one_minus_mgf(self, lam: float) -> float:
         return -math.expm1(-lam * self.s)
 
-    def ccdf(self, w: float) -> float:
-        return 1.0 if w < self.s else 0.0
+    def ccdf(self, w):
+        return np.where(w < self.s, 1.0, 0.0)
 
-    def residual_num(self, lam: float, w: float) -> float:
-        return -math.expm1(-lam * (self.s - w)) if self.s > w else 0.0
+    def residual_num(self, lam: float, w):
+        return -np.expm1(-lam * np.maximum(self.s - w, 0.0))
 
     def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
-        return self.value * kappa(d - self.s) if self.s < d else 0.0
+        return self.value * float(kappa(d - self.s)) if self.s < d else 0.0
 
-    def wait_fold(self, rem: float, lam: float, spec: QuadratureSpec) -> float:
+    def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
         return _wait_kernel(self.s, rem, lam)
 
 
@@ -477,25 +512,31 @@ class ExponentialComponent:
     def one_minus_mgf(self, lam: float) -> float:
         return lam * self.m / (1.0 + lam * self.m)
 
-    def ccdf(self, w: float) -> float:
-        return math.exp(-w / self.m)
+    def ccdf(self, w):
+        return np.exp(-w / self.m)
 
-    def residual_num(self, lam: float, w: float) -> float:
+    def residual_num(self, lam: float, w):
         # Memoryless: the residual of an interrupted service is S itself.
         return self.ccdf(w) * self.one_minus_mgf(lam)
 
     def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
         m = self.m
-        return self.value * integrate(lambda s: math.exp(-s / m) / m * kappa(d - s), 0.0, d, spec)
+        return self.value * gauss_legendre(lambda s: np.exp(-s / m) / m * kappa(d - s), 0.0, d, spec)
 
-    def wait_fold(self, rem: float, lam: float, spec: QuadratureSpec) -> float:
+    def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
         # (1 - MGF) * int_0^rem (rem - w) exp(-w/m) dw.
         return self.one_minus_mgf(lam) * rem * rem * _expm1_quad(rem / self.m)
 
 
 @dataclass(frozen=True)
 class ValueMapped:
-    """Service S = g(V) for a continuous value V; the component pays V."""
+    """Service S = g(V) for a continuous value V; the component pays V.
+
+    Expectations integrate over the service time s, with density
+    pdf(g^-1(s)) (g^-1)'(s): every kink of an integrand sits at a known
+    service time, and the log-shift map's singularity at V = -1 moves out
+    to s = -inf, so each piece is smooth.
+    """
 
     weight: float
     value: InitialValueDist
@@ -504,49 +545,49 @@ class ValueMapped:
     @property
     def kinks(self) -> tuple[float, ...]:
         lo, hi = self.value.support()
-        return (self.service.g(lo), self.service.g(hi))
+        return (float(self.service.g(lo)), float(self.service.g(hi)))
+
+    def _expect(self, f, lo=None, hi=None, spec: QuadratureSpec = DEFAULT_SPEC):
+        """E[f(S); lo < S < hi] over the service support, for array bounds."""
+        s_lo, s_hi = self.kinks
+        lo = s_lo if lo is None else np.clip(lo, s_lo, s_hi)
+        hi = s_hi if hi is None else np.clip(hi, lo, s_hi)
+        pdf, g_inv, slope = self.value.pdf, self.service.g_inv, self.service.g_inv_slope
+        return gauss_legendre(lambda s: pdf(g_inv(s)) * slope(s) * f(s), lo, hi, spec)
 
     def mean(self) -> float:
-        g, pdf = self.service.g, self.value.pdf
-        return integrate(lambda v: g(v) * pdf(v), *self.value.support())
+        return self._expect(lambda s: s)
 
     def mgf(self, lam: float) -> float:
-        g, pdf = self.service.g, self.value.pdf
-        return integrate(lambda v: math.exp(-lam * g(v)) * pdf(v), *self.value.support())
+        return self._expect(lambda s: np.exp(-lam * s))
 
     def one_minus_mgf(self, lam: float) -> float:
-        g, pdf = self.service.g, self.value.pdf
-        return integrate(lambda v: -math.expm1(-lam * g(v)) * pdf(v), *self.value.support())
+        return self._expect(lambda s: -np.expm1(-lam * s))
 
-    def ccdf(self, w: float) -> float:
+    def ccdf(self, w):
         return 1.0 - self.value.cdf(self.service.g_inv(w))
 
-    def residual_num(self, lam: float, w: float) -> float:
-        g, pdf = self.service.g, self.value.pdf
-        lo, hi = self.value.support()
-        lo = max(lo, self.service.g_inv(w))
-        if lo >= hi:
-            return 0.0
-        return integrate(lambda v: -pdf(v) * math.expm1(-lam * (g(v) - w)), lo, hi)
+    def residual_num(self, lam: float, w):
+        return self._expect(lambda s: -np.expm1(-lam * np.maximum(s - w, 0.0)), lo=w)
 
     def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
-        g, pdf = self.service.g, self.value.pdf
-        lo, hi = self.value.support()
-        hi = min(hi, self.service.g_inv(d))
-        if hi <= lo:
+        # The buffered kappas bend where d - S crosses a kink of the service
+        # law, whose only component this is, so the pieces end there too.
+        s_lo, s_hi = self.kinks
+        top = min(s_hi, d)
+        if top <= s_lo:
             return 0.0
-        return integrate(lambda v: pdf(v) * v * kappa(d - g(v)), lo, hi, spec)
+        cuts = sorted(c for c in (d - k for k in self.kinks) if s_lo < c < top)
+        g_inv = self.service.g_inv
+        return float(self._expect(lambda s: g_inv(s) * kappa(d - s), [s_lo, *cuts], [*cuts, top], spec).sum())
 
-    def wait_fold(self, rem: float, lam: float, spec: QuadratureSpec) -> float:
-        # The kernel has a kink at S = rem, so the integration splits there.
-        g, pdf = self.service.g, self.value.pdf
-        lo, hi = self.value.support()
-        cut = min(max(self.service.g_inv(rem), lo), hi)
-        total = 0.0
-        for a, b in ((lo, cut), (cut, hi)):
-            if b > a:
-                total += integrate(lambda u: pdf(u) * _wait_kernel(g(u), rem, lam), a, b, spec)
-        return total
+    def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
+        # The kernel has a kink at S = rem, so the integration splits there:
+        # both pieces in one call, one row per piece.
+        s_lo, s_hi = self.kinks
+        lo = np.stack(np.broadcast_arrays(s_lo, rem))
+        hi = np.stack(np.broadcast_arrays(rem, s_hi))
+        return self._expect(lambda s: _wait_kernel(s, rem, lam), lo, hi, spec).sum(axis=0)
 
 
 ServiceComponent = Union[PointMass, ExponentialComponent, ValueMapped]
@@ -569,7 +610,7 @@ def service_law(scenario: Scenario) -> tuple[ServiceComponent, ...]:
     if isinstance(svc, DependentService):
         if atoms is None:
             return (ValueMapped(1.0, dist, svc),)
-        return tuple(PointMass(pr, v, svc.g(v)) for v, pr in atoms)
+        return tuple(PointMass(pr, v, float(svc.g(v))) for v, pr in atoms)
     value = dist.mean() if atoms is None else sum(pr * v for v, pr in atoms)
     if isinstance(svc, IndependentExponentialService):
         return (ExponentialComponent(1.0, value, 1.0 / svc.rate),)

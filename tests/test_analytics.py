@@ -1,8 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from voilab import cli
 from voilab.analytics import (
     UnsupportedAnalyticsError,
     _fcfs_wait_integral,
@@ -35,7 +40,7 @@ from voilab.model import (
     one_minus_mgf_service,
     service_law,
 )
-from voilab.quadrature import QuadratureSpec, integrate, integrate_nested, integrate_to_inf
+from voilab.quadrature import QuadratureError, QuadratureSpec, integrate, integrate_nested, integrate_to_inf
 
 LIN3 = DescendFunction.linear(3.0)
 
@@ -169,6 +174,12 @@ def test_residual_ccdf_non_increasing_and_mean_bounded():
             assert b <= a + 1e-10
         e_wait = integrate_to_inf(lambda w: residual_ccdf_mg12(sc, w), 0.0, outer)
         assert e_wait <= mean_service_time(sc) + 1e-6
+
+
+def test_residual_ccdf_vanishes_beyond_the_longest_service():
+    # Uniform(0, 10) values with log-shift service never need more than
+    # log(11) ~ 2.4; a large rate must not overflow the empty integral.
+    assert residual_ccdf_mg12(uniflog(500.0, MG12), 5.0) == 0.0
 
 
 def test_residual_ccdf_rejects_negative_argument():
@@ -494,3 +505,171 @@ def test_buffered_disciplines_survive_mgf_underflow(discipline):
     assert st.t_cycle == math.inf
     rep = analyze(sc)
     assert math.isfinite(rep.avg_voi) and rep.avg_voi >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Busy-arrival areas against an independent scipy oracle
+# ---------------------------------------------------------------------------
+#
+# The engine folds the residual CCDF over the service law with a closed-form
+# kernel in service-time space.  The oracle instead swaps the order of
+# integration: with h(w) = E[V (D - S - w)^2; S < D - w],
+#   M/GI/1/2   eq_busy = int_0^D f_W'(w) h(w) dw / (2D), where W' = S - X given
+#              X < S has density lam E[exp(-lam (S - w)); S > w] / (1 - MGF);
+#   M/GI/1/2*  eq_busy = int_0^D P[S > w] exp(-lam w) h(w) dw / (2D E[S]).
+# Every expectation is a scipy ``quad`` over the value x (or over S itself
+# for class-exponential service), on the untruncated support.
+
+def _q(f, a, b, points=None):
+    pts = None if points is None else [p for p in points if a < p < b] or None
+    return quad(f, a, b, points=pts, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+
+class _Law:
+    """One admitted (V, S) law: density dens(x) on [lo, hi], S = g(x), V = value(x)."""
+
+    def __init__(self, dens, lo, hi, g, g_inv, value):
+        self.dens, self.lo, self.hi, self.g, self.g_inv, self.value = dens, lo, hi, g, g_inv, value
+
+    def expect(self, f, lo=None, hi=None):
+        lo = self.lo if lo is None else min(max(lo, self.lo), self.hi)
+        hi = self.hi if hi is None else min(max(hi, lo), self.hi)
+        if hi <= lo:
+            return 0.0
+        return _q(lambda x: self.dens(x) * f(x), lo, hi)
+
+
+def _oracle_eq_busy(law, lam, deadline, discipline):
+    d, g = deadline, law.g
+    e_s = law.expect(g)
+    omm = law.expect(lambda x: -math.expm1(-lam * g(x)))
+
+    def h(w):
+        return law.expect(lambda x: law.value(x) * (d - g(x) - w) ** 2, hi=law.g_inv(d - w))
+
+    if discipline == MG12:
+        def weight(w):
+            return lam * law.expect(lambda x: math.exp(-lam * (g(x) - w)), lo=law.g_inv(w)) / omm
+        norm = 2.0 * d
+    else:
+        def weight(w):
+            return law.expect(lambda x: 1.0, lo=law.g_inv(w)) * math.exp(-lam * w)
+        norm = 2.0 * d * e_s
+    kinks = [g(law.lo)] + ([g(law.hi)] if math.isfinite(law.hi) else [])
+    return _q(lambda w: weight(w) * h(w), 0.0, d, points=kinks + [d - k for k in kinks]) / norm
+
+
+def _ident(x):
+    return x
+
+
+_ORACLE_FAMILIES = {
+    "exp-identity": (
+        Scenario(1.0, ExponentialValue(1.5), DependentService("identity"), LIN3),
+        _Law(lambda x: 1.5 * math.exp(-1.5 * x), 0.0, math.inf, _ident, _ident, _ident),
+    ),
+    "uniform-log": (
+        Scenario(1.0, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), LIN3),
+        _Law(lambda x: 0.1, 0.0, 10.0, math.log1p, math.expm1, _ident),
+    ),
+    "exp-log": (
+        Scenario(1.0, ExponentialValue(1.5), DependentService("log-shift", 1.0), LIN3),
+        _Law(lambda x: 1.5 * math.exp(-1.5 * x), 0.0, math.inf, math.log1p, math.expm1, _ident),
+    ),
+    # class-only(1) admits value 0.4 alone, served in Exp(mean 0.4); x is S.
+    "binary-class1": (
+        Scenario(1.0, BinaryValue(0.4, 1.33, 0.8), ClassExponentialService(), LIN3, MG11, "class-only(1)"),
+        _Law(lambda x: 2.5 * math.exp(-2.5 * x), 0.0, math.inf, _ident, _ident, lambda x: 0.4),
+    ),
+}
+
+
+@pytest.mark.parametrize("discipline", [MG12, MG12_STAR])
+@pytest.mark.parametrize("lam", [0.3, 3.7])
+@pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
+def test_busy_area_matches_scipy_oracle(family, lam, discipline):
+    base, law = _ORACLE_FAMILIES[family]
+    sc = replace(base, lam=lam, discipline=discipline)
+    lam_eff = lam * (0.8 if sc.admission == "class-only(1)" else 1.0)
+    want = _oracle_eq_busy(law, lam_eff, 3.0, discipline)
+    assert analyze(sc).eq_busy == pytest.approx(want, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Any valid scenario gives a finite, normalised report
+# ---------------------------------------------------------------------------
+
+_positive = st.floats(0.2, 5.0)
+
+
+@st.composite
+def _scenarios(draw):
+    dist = draw(
+        st.one_of(
+            st.builds(lambda lo, w: UniformValue(lo, lo + w), st.floats(0.0, 5.0), st.floats(0.1, 10.0)),
+            st.builds(ExponentialValue, _positive),
+            st.builds(BinaryValue, st.floats(0.05, 5.0), st.floats(0.05, 5.0), st.floats(0.05, 0.95)),
+        )
+    )
+    binary = isinstance(dist, BinaryValue)
+    services = [
+        st.just(DependentService("identity")),
+        st.builds(lambda a: DependentService("log-shift", a), st.floats(0.1, 3.0)),
+        st.builds(IndependentExponentialService, _positive),
+        st.builds(IndependentDeterministicService, st.floats(0.0, 5.0)),
+    ]
+    if binary:
+        services.append(st.just(ClassExponentialService()))
+    return Scenario(
+        draw(st.floats(0.05, 20.0)),
+        dist,
+        draw(st.one_of(services)),
+        DescendFunction.linear(draw(st.floats(0.5, 6.0))),
+        draw(st.sampled_from([MG11, MG12, MG12_STAR])),
+        draw(st.sampled_from(["serve-all", "class-only(1)", "class-only(2)"])) if binary else "serve-all",
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenarios())
+# Every service outlasts the deadline: no value is ever collected.
+@example(Scenario(1.0, UniformValue(1.0, 2.0), DependentService("identity"), DescendFunction.linear(0.5), MG12_STAR))
+def test_any_valid_scenario_gives_finite_normalised_report(sc):
+    try:
+        rep = analyze(sc)
+    except (UnsupportedAnalyticsError, QuadratureError):
+        return
+    probs = (rep.p_idle, rep.p_busy1, rep.p_busy2)
+    assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
+    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+    assert math.isfinite(rep.avg_voi) and rep.avg_voi >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Shipped presets: closed form against the analytic engine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_preset_closed_forms_match_analytic_rows(name):
+    cfg = replace(cli.load_preset(name), engines=("analytic", "closed-form"), out=None)
+    rows = cli.run_experiment(cfg)
+    analytic = [r for r in rows if r["engine"] == "analytic"]
+    assert len(analytic) == len(cfg.lambda_grid) * len(cfg.variants)
+    assert all(math.isfinite(float(r["avg_voi"])) for r in analytic)
+    pairs = sum(r["engine"] == "closed-form" and r["avg_voi"] != "unsupported" for r in rows)
+    summary = cli.compare_engines(rows)
+    assert summary.n_fail == 0, [ln for ln in summary.lines if "FAIL" in ln]
+    assert summary.n_pass == pairs
+
+
+def test_analyze_never_calls_a_closed_form(monkeypatch):
+    # The closed forms are the check on the quadrature route, not part of it.
+    import voilab.analytics as analytics
+
+    def called(*args, **kwargs):
+        raise AssertionError("analyze called a closed form")
+
+    for name in ("closed_form_mg11_uniform_log", "closed_form_mm12_exp", "closed_form_report"):
+        monkeypatch.setattr(analytics, name, called)
+    assert analyze(mm12(1.0)).avg_voi == pytest.approx(VOI_MM12[1.0], rel=1e-8)
+    assert analyze(uniflog(1.0)).avg_voi == pytest.approx(VOI_UNIFLOG, rel=1e-6)

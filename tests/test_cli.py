@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from voilab.cli import main, worker_count
+from voilab.cli import MAX_GRID_POINTS, UsageError, main, parse_lambda_grid, worker_count
 
 
 def _run_config(tmp_path, text):
@@ -81,3 +81,17 @@ def test_large_rate_with_underflowing_mgf_runs(tmp_path):
         probs = [float(row[k]) for k in ("p_idle", "p_busy1", "p_busy2")]
         assert sum(probs) == pytest.approx(1.0)
         assert float(row["avg_voi"]) >= 0.0
+
+
+def test_oversized_lambda_range_exits_before_building_it(tmp_path, capsys):
+    # 0.1:5:1e-300 would be ~5e300 points; the count is checked first.
+    assert _run_config(tmp_path, _BASE.replace("lambda_grid = 1", "lambda_grid = 0.1:5:1e-300")) == 2
+    assert "more than" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_lambda_range_point_cap():
+    assert len(parse_lambda_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+    for text in (f"1:{MAX_GRID_POINTS + 1}:1", "0.1:5:1e-6", "0:1:5e-324"):
+        with pytest.raises(UsageError):
+            parse_lambda_grid(text)

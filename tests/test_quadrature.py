@@ -1,10 +1,16 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from voilab.model import _wait_kernel
 from voilab.quadrature import (
     QuadratureError,
     QuadratureSpec,
+    gauss_legendre,
     integrate,
     integrate_nested,
     integrate_to_inf,
@@ -136,3 +142,87 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
+
+
+# ---------------------------------------------------------------------------
+# Vectorised Gauss-Legendre panels
+# ---------------------------------------------------------------------------
+
+def test_gauss_legendre_integrates_many_intervals_at_once():
+    a = np.array([0.0, 0.0, 1.0])
+    b = np.array([math.pi, 1.0, 1.0])
+    got = gauss_legendre(np.sin, a, b)
+    assert got.shape == (3,)
+    assert got == pytest.approx([2.0, 1.0 - math.cos(1.0), 0.0], rel=1e-12, abs=1e-15)
+    assert isinstance(gauss_legendre(np.exp, 0.0, 1.0), float)
+    assert gauss_legendre(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-13)
+
+
+def test_gauss_legendre_parameters_broadcast_against_the_bounds():
+    # int_0^r k x dx = k r^2 / 2 for a grid of (k, r), one interval per pair.
+    k = np.array([1.0, 2.0, 3.0])[:, None]
+    r = np.broadcast_to([0.5, 1.0], (3, 2))
+    got = gauss_legendre(lambda x: k * x, 0.0, r)
+    assert got.shape == (3, 2)
+    np.testing.assert_allclose(got, k * r * r / 2.0, rtol=1e-13)
+
+
+def test_gauss_legendre_rejects_bad_bounds():
+    with pytest.raises(ValueError):
+        gauss_legendre(np.exp, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        gauss_legendre(np.exp, 0.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "f", [lambda x: np.log(x - 0.5), lambda x: 1.0 / (x - x), lambda x: np.where(x > 0.7, np.inf, x)]
+)
+def test_gauss_legendre_nonfinite_integrand_is_numeric_failure(f):
+    with pytest.raises(QuadratureError) as err:
+        gauss_legendre(f, 0.0, 1.0)
+    lo, hi = err.value.interval
+    assert 0.0 <= lo == hi <= 1.0
+
+
+def test_gauss_legendre_doubling_cap_names_the_worst_interval():
+    # 16, 32 and 64 points resolve a few periods of sin(40 x^2) on [0, 1]
+    # but not the ~1300 on [0, 10].
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_depth=2)
+    with pytest.raises(QuadratureError) as err:
+        gauss_legendre(lambda x: np.sin(40.0 * x * x), np.zeros(2), np.array([1.0, 10.0]), spec)
+    assert err.value.interval == (0.0, 10.0)
+
+
+def test_gauss_legendre_unsplit_kink_exhausts_the_order_cap():
+    # Splitting at kinks is the caller's job; an unsplit |x - 0.3| converges
+    # only algebraically and cannot reach 1e-13 within the order cap.
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+    with pytest.raises(QuadratureError):
+        gauss_legendre(lambda x: np.abs(x - 0.3), 0.0, 1.0, spec)
+    assert gauss_legendre(lambda x: np.abs(x - 0.3), np.array([0.0, 0.3]), np.array([0.3, 1.0]), spec).sum() == (
+        pytest.approx(0.29, rel=1e-13)
+    )
+
+
+def _wait_kernel_oracle(s, d, lam):
+    # The defining integral, with 1 - exp(-x) written as -expm1(-x) so that
+    # the oracle itself keeps its accuracy for small lam, and cut into
+    # pieces that resolve the boundary layer of width 1/lam below w = s.
+    m = min(d, s)
+    cuts = [0.0, *sorted(c for c in (s - k / lam for k in (30.0, 3.0, 0.3)) if 0.0 < c < m), m]
+    f = lambda w: (d - w) * -math.expm1(-lam * (s - w))
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-8.0, 3.0),
+    st.lists(st.tuples(st.floats(1e-3, 6.0), st.floats(1e-3, 6.0)), min_size=1, max_size=6),
+)
+def test_wait_kernel_matches_its_defining_integral(log10_lam, pairs):
+    lam = 10.0**log10_lam
+    s = np.array([p[0] for p in pairs])
+    d = np.array([p[1] for p in pairs])
+    got = _wait_kernel(s, d, lam)
+    want = [_wait_kernel_oracle(si, di, lam) for si, di in pairs]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
