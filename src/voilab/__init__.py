@@ -44,7 +44,7 @@ from .model import (
     service_time,
     value_at,
 )
-from .quadrature import QuadratureError, QuadratureSpec, integrate, integrate_nested
+from .quadrature import QuadratureError, QuadratureSpec, integrate
 from .sim import SimConfig, SimReport, delivered_packets, instantaneous_voi, simulate
 
 __version__ = "0.1.0"
@@ -82,7 +82,6 @@ __all__ = [
     "effective_lambda",
     "instantaneous_voi",
     "integrate",
-    "integrate_nested",
     "mean_service_time",
     "mgf_service",
     "q_area",

@@ -49,7 +49,7 @@ class DescendFunction:
     ``power-convex``  : v0 * (1 - tau/D)**shape     (convex for shape > 1)
 
     Both power families reduce to the linear law at shape = 1 and satisfy
-    value(v0, 0) = v0 and value(v0, D) = 0.
+    value(v0, 0) = v0 and value(v0, tau) = 0 for every tau >= D.
     """
 
     kind: str
@@ -76,9 +76,20 @@ class DescendFunction:
     def power_convex(cls, shape: float, deadline: float) -> "DescendFunction":
         return cls("power-convex", deadline, shape)
 
+    def value(self, v0, tau):
+        """Remaining value ``tau`` time units after generation, elementwise
+        over arrays; x = clip(tau/D, 0, 1), so it is exactly 0 from D on."""
+        x = np.clip(np.asarray(tau, dtype=float) / self.deadline, 0.0, 1.0)
+        v = np.asarray(v0, dtype=float)
+        if self.kind == "linear":
+            return v * (1.0 - x)
+        if self.kind == "power-concave":
+            return v * (1.0 - x**self.shape)
+        return v * (1.0 - x) ** self.shape
+
     def area(self, v0, t_sys):
         """Value left between reception at ``t_sys`` and the deadline,
-        elementwise: the integral of ``value_at`` over [t_sys, D].
+        elementwise: the integral of ``value`` over [t_sys, D].
 
         Every law has an elementary antiderivative, written in the
         remaining fraction r = max((D - t_sys)/D, 0) so that packets
@@ -98,20 +109,13 @@ class DescendFunction:
 
 
 def value_at(descend: DescendFunction, v0: float, tau: float) -> float:
-    """Remaining value of a packet ``tau`` time units after generation."""
+    """Remaining value of a packet ``tau`` time units after generation
+    (``DescendFunction.value`` for one packet, with its inputs checked)."""
     if v0 < 0.0:
         raise ValueError("initial value must be >= 0")
     if tau < 0.0:
         raise ValueError("elapsed time must be >= 0")
-    d = descend.deadline
-    if tau >= d:
-        return 0.0
-    x = tau / d
-    if descend.kind == "linear":
-        return v0 * (1.0 - x)
-    if descend.kind == "power-concave":
-        return v0 * (1.0 - x**descend.shape)
-    return v0 * (1.0 - x) ** descend.shape
+    return float(descend.value(v0, tau))
 
 
 def q_area(descend: DescendFunction, v0: float, t_sys: float) -> float:

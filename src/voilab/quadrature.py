@@ -1,21 +1,19 @@
-"""Deterministic quadrature: vectorised Gauss-Legendre panels and adaptive Simpson.
+"""Deterministic quadrature: vectorised Gauss-Legendre panels.
 
 All analytic expectations in this package that lack a closed form are
 evaluated through ``gauss_legendre``, so its error behaviour is pinned down:
 it integrates many intervals at once on numpy arrays, doubles the
 Gauss-Legendre order until successive estimates agree within the budget
 derived from ``QuadratureSpec``, and raises ``QuadratureError`` (carrying the
-worst interval) when the doubling bound is hit first.  The scalar adaptive
-Simpson ``integrate`` and its nested and improper forms, which take plain
-Python integrands, follow the same contract.
+worst interval) when the doubling bound is hit first.  ``integrate`` applies
+the same rule to a plain Python integrand of one float.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,9 +21,9 @@ import numpy as np
 class QuadratureError(ArithmeticError):
     """Numeric failure: the integrator could not meet its tolerance.
 
-    ``interval`` holds the worst subinterval seen when the recursion depth
-    ran out, which is usually enough to locate a singularity or a bad
-    truncation choice in the caller.
+    ``interval`` holds the worst interval seen when order doubling ran out,
+    or the point where the integrand was not finite, which is usually
+    enough to locate a singularity or a bad truncation choice in the caller.
     """
 
     def __init__(self, message: str, interval: tuple[float, float] | None = None):
@@ -147,121 +145,11 @@ def gauss_legendre(
     )
 
 
-def _eval(f: Callable[[float], float], x: float) -> float:
-    try:
-        y = f(x)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise QuadratureError(f"integrand failed at x={x!r}: {exc}", (x, x)) from exc
-    if not math.isfinite(y):
-        raise QuadratureError(f"integrand not finite at x={x!r}", (x, x))
-    return y
-
-
-def _adapt(f, a, m, b, fa, fm, fb, whole, tol, depth, noise):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = _eval(f, lm)
-    frm = _eval(f, rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    # Accept on the Richardson error estimate, on the floating-point noise
-    # floor of the overall result, or when the subinterval has collapsed.
-    if (
-        abs(delta) <= 15.0 * tol
-        or abs(delta) <= noise
-        or (b - a) <= 1e-15 * (abs(a) + abs(b) + 1.0)
-    ):
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"max_depth exceeded on subinterval [{a!r}, {b!r}] (|err est| ~ {abs(delta):.3e})",
-            (a, b),
-        )
-    half = 0.5 * tol
-    return _adapt(f, a, lm, m, fa, flm, fm, left, half, depth - 1, noise) + _adapt(
-        f, m, rm, b, fm, frm, fb, right, half, depth - 1, noise
-    )
-
-
 def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """Adaptive Simpson estimate of the integral of ``f`` over [a, b].
-
-    The result error is bounded by max(rel_tol * |I|, abs_tol); exact for
-    polynomials up to degree 3 on a single panel.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration bounds must be finite (see integrate_to_inf)")
-    if a > b:
-        raise ValueError(f"require a <= b, got a={a!r} > b={b!r}")
-    if a == b:
-        return 0.0
-    fa = _eval(f, a)
-    fb = _eval(f, b)
-    m = 0.5 * (a + b)
-    fm = _eval(f, m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(whole))
-    noise = 1e-16 * abs(whole)
-    return _adapt(f, a, m, b, fa, fm, fb, whole, tol, spec.max_depth, noise)
-
-
-def integrate_to_inf(
-    f: Callable[[float], float],
-    a: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    first_step: float = 1.0,
-    max_doublings: int = 60,
-) -> float:
-    """Integral of a decaying ``f`` over [a, inf).
-
-    The upper limit is truncated where the integrand's contribution falls
-    below the absolute tolerance: chunks [t, t + L] with doubling L are
-    accumulated until one contributes less than abs_tol.
-    """
-    total = 0.0
-    t = a
-    step = first_step
-    for _ in range(max_doublings):
-        chunk = integrate(f, t, t + step, spec)
-        total += chunk
-        t += step
-        step *= 2.0
-        if abs(chunk) < spec.abs_tol:
-            return total
-    raise QuadratureError(
-        f"tail of improper integral did not decay below abs_tol by x={t!r}", (a, t)
-    )
-
-
-def integrate_nested(
-    f: Callable[..., float],
-    limits: Sequence[tuple],
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Iterated integral over a region with variable inner limits.
-
-    ``limits`` lists one (lo, hi) pair per variable, outermost first; inner
-    bounds may be constants or callables of the already-fixed outer
-    variables.  The tolerance budget is split evenly across levels.
-    """
-    if not limits:
-        raise ValueError("at least one integration variable required")
-    level_spec = spec.split(len(limits))
-
-    def _level(idx: int, outer: tuple) -> float:
-        lo, hi = limits[idx]
-        lo_v = lo(*outer) if callable(lo) else float(lo)
-        hi_v = hi(*outer) if callable(hi) else float(hi)
-        if hi_v <= lo_v:
-            return 0.0
-        if idx == len(limits) - 1:
-            return integrate(lambda x: f(*outer, x), lo_v, hi_v, level_spec)
-        return integrate(lambda x: _level(idx + 1, outer + (x,)), lo_v, hi_v, level_spec)
-
-    return _level(0, ())
+    """``gauss_legendre`` for a scalar integrand ``f`` over [a, b]."""
+    return gauss_legendre(np.vectorize(f, otypes=[float]), a, b, spec)

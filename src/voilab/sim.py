@@ -34,6 +34,10 @@ _STREAM_ARRIVALS = 0
 _STREAM_VALUES = 1
 _STREAM_SERVICES = 2
 
+# Most (packet, sample) pairs ``_sampled_voi_mean`` evaluates at once: the
+# memory of one block, whatever the run length and sampling step.
+_SAMPLE_PAIRS_PER_BLOCK = 1 << 16
+
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
@@ -55,8 +59,8 @@ class SimConfig:
             raise ValueError("need at least one packet")
         if self.n_batches < 2:
             raise ValueError("batch-means standard errors need >= 2 batches")
-        if self.sample_voi_every is not None and self.sample_voi_every <= 0.0:
-            raise ValueError("sampling interval must be > 0")
+        if self.sample_voi_every is not None and not (0.0 < self.sample_voi_every < math.inf):
+            raise ValueError("sampling interval must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -271,19 +275,14 @@ def _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans):
     """Time-average age and its batch-means standard error.
 
     The age process starts at zero, grows with slope one, and drops to
-    (delivery time - generation time) whenever a delivery is fresher than
-    everything received so far; stale out-of-order deliveries never reset it.
+    (delivery time - generation time) at every delivery: ``_serve`` serves
+    admitted arrivals in arrival order, so each delivery is the freshest yet.
     """
     if d_idx.size == 0:
         return float(elapsed / 2.0), 0.0
-    gen = t_gen[d_idx]
-    run_max = np.maximum.accumulate(gen)
-    fresh = np.empty(gen.size, dtype=bool)
-    fresh[0] = True
-    fresh[1:] = gen[1:] > run_max[:-1]
     # Segment k (starting at reset time r_k) has age t - u_k.
-    r = np.concatenate(([0.0], d_t[fresh]))
-    u = np.concatenate(([0.0], gen[fresh]))
+    r = np.concatenate(([0.0], d_t))
+    u = np.concatenate(([0.0], t_gen[d_idx]))
     seg_end = np.concatenate((r[1:], [elapsed]))
     seg_int = 0.5 * ((seg_end - u) ** 2 - (r - u) ** 2)
     cum = np.concatenate(([0.0], np.cumsum(seg_int)))
@@ -297,49 +296,32 @@ def _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans):
 
 
 def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):
-    """Mean of instantaneous VoI sampled on a regular grid.
+    """Mean of instantaneous VoI sampled on the grid 0, step, 2 step, ... < elapsed.
 
-    A delivered packet counts while alive, i.e. when its system time
-    ``t_sys`` is below the deadline (the same test as ``n_expired``).
+    VoI is additive: at each sample it is the sum of the current values of
+    the packets the receiver holds.  A delivered packet counts while alive,
+    i.e. when its system time ``t_sys`` is below the deadline (the same test
+    as ``n_expired``), on the samples t with t_on <= t < gen + D: one
+    contiguous run of sample indices.  The runs are expanded in blocks of at
+    most _SAMPLE_PAIRS_PER_BLOCK (packet, sample) pairs, each evaluated with
+    ``DescendFunction.value`` and summed.
     """
     samples = np.arange(0.0, elapsed, step)
-    deadline = descend.deadline
-    alive = t_sys < deadline
-    if not alive.any():
-        return 0.0
+    alive = t_sys < descend.deadline
     gen = t_gen[d_idx][alive]
     v0 = values[d_idx][alive]
-    t_on = d_t[alive]
-    t_off = gen + deadline
-    if descend.kind == "linear":
-        # Each live packet contributes v0 (1 - (t - gen)/D) = alpha - beta t.
-        alpha = v0 * (1.0 + gen / deadline)
-        beta = v0 / deadline
-        ev_t = np.concatenate((t_on, t_off))
-        ev_a = np.concatenate((alpha, -alpha))
-        ev_b = np.concatenate((beta, -beta))
-        order = np.argsort(ev_t, kind="stable")
-        ev_t = ev_t[order]
-        cum_a = np.cumsum(ev_a[order])
-        cum_b = np.cumsum(ev_b[order])
-        k = np.searchsorted(ev_t, samples, side="right") - 1
-        voi = np.where(k >= 0, cum_a[np.clip(k, 0, None)] - samples * cum_b[np.clip(k, 0, None)], 0.0)
-        return float(voi.mean())
-    # Generic decay laws: sweep with an explicit active set (meant for small runs).
-    order_on = np.argsort(t_on, kind="stable")
-    gen, v0, t_on, t_off = gen[order_on], v0[order_on], t_on[order_on], t_off[order_on]
-    import heapq
-
-    active: list[tuple[float, int]] = []
+    lo = np.searchsorted(samples, d_t[alive])
+    hi = np.searchsorted(samples, gen + descend.deadline)
+    ends = np.cumsum(np.maximum(hi - lo, 0))
+    n_pairs = int(ends[-1]) if ends.size else 0
     total = 0.0
-    j = 0
-    for ts in samples:
-        while j < t_on.size and t_on[j] <= ts:
-            heapq.heappush(active, (float(t_off[j]), j))
-            j += 1
-        while active and active[0][0] <= ts:
-            heapq.heappop(active)
-        total += sum(value_at(descend, float(v0[k]), float(ts - gen[k])) for _, k in active)
+    for first in range(0, n_pairs, _SAMPLE_PAIRS_PER_BLOCK):
+        pair = np.arange(first, min(first + _SAMPLE_PAIRS_PER_BLOCK, n_pairs))
+        # The packet whose run holds each pair; such a run is never empty,
+        # so it ends at hi, and the pair's sample counts back from there.
+        k = np.searchsorted(ends, pair, side="right")
+        tau = samples[pair - ends[k] + hi[k]] - gen[k]
+        total += float(descend.value(v0[k], tau).sum())
     return total / samples.size
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from voilab import cli
 from voilab.analytics import (
@@ -40,7 +40,7 @@ from voilab.model import (
     one_minus_mgf_service,
     service_law,
 )
-from voilab.quadrature import QuadratureError, QuadratureSpec, integrate, integrate_nested, integrate_to_inf
+from voilab.quadrature import QuadratureError, QuadratureSpec
 
 LIN3 = DescendFunction.linear(3.0)
 
@@ -172,7 +172,9 @@ def test_residual_ccdf_non_increasing_and_mean_bounded():
         vals = [residual_ccdf_mg12(sc, float(w)) for w in grid]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-10
-        e_wait = integrate_to_inf(lambda w: residual_ccdf_mg12(sc, w), 0.0, outer)
+        e_wait = quad(
+            lambda w: residual_ccdf_mg12(sc, w), 0.0, math.inf, epsabs=outer.abs_tol, epsrel=outer.rel_tol
+        )[0]
         assert e_wait <= mean_service_time(sc) + 1e-6
 
 
@@ -249,9 +251,9 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
     for sc in (mm12(1.0), uniflog(0.8, MG12)):
         omm = one_minus_mgf_service(sc)
         for d in (0.5, 1.5, 2.9):
-            literal = integrate(
-                lambda w: (d - w) * residual_ccdf_mg12(sc, w), 0.0, d, loose
-            )
+            literal = quad(
+                lambda w: (d - w) * residual_ccdf_mg12(sc, w), 0.0, d, epsabs=loose.abs_tol, epsrel=loose.rel_tol
+            )[0]
             folded = _fcfs_wait_integral(service_law(sc), d, sc.lam, QuadratureSpec()) / omm
             assert folded == pytest.approx(literal, rel=1e-4)
 
@@ -342,14 +344,20 @@ def test_mm12_busy_area_against_nested_quadrature():
     # Independent check of the printed busy-state closed form: evaluate the
     # defining double integral with the residual density mu e^{-mu w}.
     mu, deadline = 1.5, 3.0
-    got = integrate_nested(
-        lambda v, w: (v / (2 * deadline))
+    spec = QuadratureSpec()
+    got, _ = dblquad(
+        lambda w, v: (v / (2 * deadline))
         * (deadline - v - w) ** 2
         * mu
         * math.exp(-mu * w)
         * mu
         * math.exp(-mu * v),
-        [(0.0, deadline), (0.0, lambda v: deadline - v)],
+        0.0,
+        deadline,
+        0.0,
+        lambda v: deadline - v,
+        epsabs=spec.abs_tol,
+        epsrel=spec.rel_tol,
     )
     assert got == pytest.approx(EQ_BUSY_MM, rel=1e-8)
 

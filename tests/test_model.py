@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from voilab.model import (
     BinaryValue,
@@ -25,7 +26,6 @@ from voilab.model import (
     service_time,
     value_at,
 )
-from voilab.quadrature import integrate
 from voilab.sim import rng_stream
 
 LIN3 = DescendFunction.linear(3.0)
@@ -69,13 +69,19 @@ def test_value_at_rejects_negative_inputs():
 @settings(max_examples=60, deadline=None)
 @given(descend_strategy(), st.floats(0.0, 50.0))
 def test_value_at_non_increasing_and_vanishing(descend, v0):
-    taus = np.linspace(0.0, 1.5 * descend.deadline, 40)
+    taus = np.sort(np.append(np.linspace(0.0, 1.5 * descend.deadline, 40), descend.deadline))
     vals = [value_at(descend, v0, float(t)) for t in taus]
     assert vals[0] == pytest.approx(v0)
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
     assert all(v == 0.0 for v, t in zip(vals, taus) if t >= descend.deadline)
     assert value_at(descend, 0.0, float(taus[3])) == 0.0
+    # The vectorised law is value_at elementwise, exactly 0 from the deadline
+    # on; numpy's array power may round x**shape (<= 1) differently from its
+    # scalar one, by an ulp of 1 scaled by v0.
+    vec = descend.value(np.full(taus.size, v0), taus)
+    assert vec.tolist() == pytest.approx(vals, rel=0.0, abs=2.0 * np.finfo(float).eps * v0)
+    assert (vec[taus >= descend.deadline] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +100,19 @@ def test_q_area_midpoint():
     assert q_area(LIN3, 10.0, 1.5) == pytest.approx(3.75)
 
 
+def _value_integral(descend, v0, a, b):
+    """Oracle: scipy's adaptive quadrature of value_at over [a, b]."""
+    return quad(lambda tau: value_at(descend, v0, tau), a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.1, 20.0), st.floats(0.5, 8.0), st.floats(0.0, 1.0))
 def test_q_area_linear_quadrature_matches_closed_form(v0, deadline, frac):
     descend = DescendFunction.linear(deadline)
     t_sys = frac * deadline
     closed = q_area(descend, v0, t_sys)
-    quad = integrate(lambda tau: value_at(descend, v0, tau), t_sys, deadline)
-    assert quad == pytest.approx(closed, rel=1e-10, abs=1e-12)
+    oracle = _value_integral(descend, v0, t_sys, deadline)
+    assert oracle == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
 
 # Fractions of the deadline at which packets are received: anywhere up to
@@ -121,7 +132,7 @@ def test_q_area_batch_matches_quadrature_oracle(descend, v0, fracs):
     values = np.full(t_sys.size, v0)
     areas = q_area_batch(descend, values, t_sys)
     for t, area in zip(t_sys, areas):
-        oracle = integrate(lambda tau: value_at(descend, v0, tau), min(float(t), d), d)
+        oracle = _value_integral(descend, v0, min(float(t), d), d)
         assert area == pytest.approx(oracle, rel=1e-8, abs=1e-11 * v0 * d)
 
 
@@ -133,7 +144,7 @@ def test_q_area_decreases_with_system_time(descend, v0):
     for a, b in zip(areas, areas[1:]):
         assert b <= a + 1e-9
     # full-area consistency: zero system time integrates the whole curve
-    full = integrate(lambda tau: value_at(descend, v0, tau), 0.0, descend.deadline)
+    full = _value_integral(descend, v0, 0.0, descend.deadline)
     assert areas[0] == pytest.approx(full, rel=1e-8, abs=1e-10)
 
 

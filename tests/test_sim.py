@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from voilab.model import (
     UniformValue,
     mean_service_time,
     mgf_service,
+    value_at,
 )
 from voilab.sim import (
     SimConfig,
@@ -89,8 +91,9 @@ def test_report_invariants(mm12_run):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(mm12(), n_packets=0)
-    with pytest.raises(ValueError):
-        SimConfig(mm12(), sample_voi_every=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(mm12(), sample_voi_every=bad)
     with pytest.raises(ValueError):
         SimConfig(mm12(), n_batches=1)
 
@@ -300,6 +303,41 @@ def test_sampled_voi_nonlinear_descend():
     assert rep.sampled_voi_mean == pytest.approx(rep.avg_voi, rel=2e-2)
 
 
+def _sampled_voi_reference(rep, descend, step):
+    """Brute force: per sample t, the math.fsum of value_at over the delivered
+    packets with t_on <= t < gen + D; then the exact mean over the samples."""
+    d = rep.detail
+    gen = d["t_gen"][d["delivered_ids"]]
+    v0 = d["values"][d["delivered_ids"]]
+    t_on = d["delivered_times"]
+    samples = np.arange(0.0, rep.elapsed, step)
+    per_sample = [
+        math.fsum(
+            value_at(descend, float(v0[k]), t - float(gen[k]))
+            for k in np.flatnonzero((t_on <= t) & (t < gen + descend.deadline))
+        )
+        for t in samples.tolist()
+    ]
+    return math.fsum(per_sample) / samples.size
+
+
+_DECAYS = (LIN3, DescendFunction.power_convex(1.5, 3.0), DescendFunction.power_concave(2.5, 3.0))
+
+
+@pytest.mark.parametrize(
+    "descend,disc,lam,n,step",
+    [(descend, disc, 1.0, 1000, 0.2) for descend in _DECAYS for disc in (MG11, MG12, MG12_STAR)]
+    # A long, sparse linear run, where running sums of alpha - beta t over
+    # the packets held would cancel to a ~1e-10 relative error.
+    + [(LIN3, MG12_STAR, 0.15, 3000, 0.75)],
+    ids=lambda v: v.kind if isinstance(v, DescendFunction) else None,
+)
+def test_sampled_voi_matches_brute_force_reference(descend, disc, lam, n, step):
+    sc = replace(uniflog(lam, disc), descend=descend)
+    rep = simulate(SimConfig(sc, n_packets=n, seed=SEED, sample_voi_every=step, trace=True))
+    assert rep.sampled_voi_mean == pytest.approx(_sampled_voi_reference(rep, descend, step), rel=1e-12)
+
+
 def test_convex_descend_collects_less_than_linear():
     lin = simulate(SimConfig(mm12(1.0), n_packets=20_000, seed=SEED))
     convex = Scenario(
@@ -386,6 +424,8 @@ def _check_against_reference(cfg):
         d["t_gen"].tolist(), d["services"].tolist(), admitted, cfg.scenario.discipline
     )
     assert d["delivered_ids"].tolist() == ids
+    # Deliveries leave in arrival order, so every delivery resets the age.
+    assert (np.diff(d["delivered_ids"]) > 0).all()
     assert d["delivered_times"].tolist() == times
     assert rep.arrival_seen == tuple((np.array(seen) / n).tolist())
     assert rep.events == tuple(events)
