@@ -66,6 +66,10 @@ CSV_COLUMNS = (
     "seed",
     "runtime_ms",
 )
+# The columns ``compare_engines`` reads: the keys that pair rows, and the
+# numeric cells with the one text each may hold instead of a number.
+_VERIFY_KEY_COLUMNS = ("lambda", "discipline", "policy", "engine")
+_VERIFY_NUMBER_COLUMNS = {"avg_voi": "unsupported", "stderr": ""}
 DEFAULT_SEED = 123456789
 SEED_ENV_VAR = "VOI_LAB_SEED"
 DEFAULT_GRID = tuple(float(x) for x in np.geomspace(0.1, 5.0, 20))
@@ -473,9 +477,38 @@ def write_csv(config: ExperimentConfig, rows: list[dict[str, str]], path: str) -
 
 
 def read_csv(path: str) -> list[dict[str, str]]:
+    """Rows of a sweep CSV, skipping '#' lines.
+
+    A column that ``compare_engines`` reads and the header lacks, or a cell
+    of a numeric one that holds neither a number nor its allowed text, is a
+    UsageError naming the line of the file and the column.
+    """
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+        numbered = [(ln, text) for ln, text in enumerate(fh, 1) if not text.startswith("#")]
+    reader = csv.DictReader(text for _, text in numbered)
+
+    def where() -> str:
+        # The reader counts only the lines it was given.
+        return f"{path}, line {numbered[reader.line_num - 1][0]}"
+
+    if reader.fieldnames is None:
+        raise UsageError(f"{path}: no header line")
+    for col in (*_VERIFY_KEY_COLUMNS, *_VERIFY_NUMBER_COLUMNS):
+        if col not in reader.fieldnames:
+            raise UsageError(f"{where()}: missing column {col!r}")
+    rows = []
+    for row in reader:
+        for col, allowed in _VERIFY_NUMBER_COLUMNS.items():
+            cell = row[col]
+            if cell is None:
+                raise UsageError(f"{where()}: column {col!r}: missing cell")
+            if cell != allowed:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise UsageError(f"{where()}: column {col!r}: {cell!r} is not a number") from None
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

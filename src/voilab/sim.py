@@ -1,11 +1,14 @@
 """Seeded simulation of the three packet-management disciplines.
 
 One run draws the whole packet stream up front (Philox counter-based streams,
-one per random source).  One pass over the admitted arrivals, Lindley's
-single-server recursion, fixes who is served and when each leaves.  VoI, age,
-state occupancies, the states arrivals find, their batch-means standard errors
-and the optional event trace all follow from those service intervals.
-Identical config and seed give bit-identical reports.
+one per random source).  The server then fixes who is served and when each
+leaves.  Without a buffer, each served arrival hands the server on to the
+first arrival after its departure, so the served arrivals are the orbit of
+the first one under that map, expanded by pointer doubling.  With a buffer,
+one pass of Lindley's single-server recursion walks the admitted arrivals.
+VoI, age, state occupancies, the states arrivals find, their batch-means
+standard errors and the optional event trace all follow from those service
+intervals.  Identical config and seed give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ def simulate(config: SimConfig) -> SimReport:
     pos = None if admitted is None else np.flatnonzero(admitted)
     t_adm = t_gen if pos is None else t_gen[pos]
     disc = {MG11: 0, MG12: 1}.get(sc.discipline, 2)
-    served, d_t = _serve(t_adm, services if pos is None else services[pos], disc)
+    s_adm = services if pos is None else services[pos]
+    served, d_t = _serve_bufferless(t_adm, s_adm) if disc == 0 else _serve(t_adm, s_adm, disc)
     d_idx = served if pos is None else pos[served]
     elapsed = float(max(t_gen[-1], d_t[-1]) if d_t.size else t_gen[-1])
 
@@ -118,15 +122,6 @@ def simulate(config: SimConfig) -> SimReport:
     t_sys = (start - gen) + services[d_idx]
     q = q_area_batch(sc.descend, values[d_idx], t_sys)
     n_expired = int(np.count_nonzero(t_sys >= sc.descend.deadline))
-
-    # The buffer of a served packet is filled by the first admitted arrival
-    # after its service starts, if that arrives by its departure, and stays
-    # full until the departure.  The bufferless discipline drops that arrival.
-    first = np.maximum(served + 1, np.searchsorted(t_adm, d_prev, side="right"))
-    t_next = np.where(first < t_adm.size, t_adm[np.minimum(first, t_adm.size - 1)], np.inf)
-    fills = (t_next <= d_t) & (disc != 0)
-    fill_t = np.where(fills, t_next, d_t)
-    fill_ids = first[fills] if pos is None else pos[first[fills]]
 
     # One batch partition by generation index for every batch-means error;
     # renewal-reward batching assigns each packet's area to the batch of its
@@ -143,19 +138,29 @@ def simulate(config: SimConfig) -> SimReport:
 
     avg_aoi, stderr_aoi = _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans)
 
-    # Time spent idle, busy with an empty buffer and busy with a full buffer,
-    # cumulated up to each batch edge.
+    # Time busy cumulated up to each batch edge, and the state each arrival
+    # finds: busy while a served packet that arrived earlier has not left.
     busy_at = _covered(start, d_t, edges_t)
-    full_at = _covered(fill_t, d_t, edges_t)
+    seen = _found_open(d_idx, d_t, t_gen).astype(np.int64)
+    if disc == 0:
+        # The bufferless discipline drops every arrival it finds busy.
+        fills = np.zeros(d_t.size, dtype=bool)
+        full_at = np.zeros_like(edges_t)
+    else:
+        # The buffer of a served packet is filled by the first admitted
+        # arrival after its service starts, if that arrives by its departure,
+        # and stays full until the departure.  An arrival finds it full while
+        # the service during which an earlier arrival filled it has not ended.
+        first = np.maximum(served + 1, np.searchsorted(t_adm, d_prev, side="right"))
+        t_next = np.where(first < t_adm.size, t_adm[np.minimum(first, t_adm.size - 1)], np.inf)
+        fills = t_next <= d_t
+        full_at = _covered(np.where(fills, t_next, d_t), d_t, edges_t)
+        fill_ids = first[fills] if pos is None else pos[first[fills]]
+        seen += _found_open(fill_ids, d_t[fills], t_gen)
+    # Time spent idle, busy with an empty buffer and busy with a full buffer.
     occ_at = np.stack((edges_t - busy_at, busy_at - full_at, full_at))
     occupancy = tuple((occ_at[:, -1] / elapsed).tolist())
     occupancy_stderr = tuple(_batch_stderr(row, spans) for row in np.diff(occ_at, axis=1))
-
-    # The state each arrival finds: busy while a served packet that arrived
-    # earlier has not left, full while the service during which an earlier
-    # arrival filled the buffer has not ended.
-    seen = _found_open(d_idx, d_t, t_gen).astype(np.int64)
-    seen += _found_open(fill_ids, d_t[fills], t_gen)
     arrival_seen = tuple((np.bincount(seen, minlength=3) / n).tolist())
 
     sampled = None
@@ -212,14 +217,38 @@ def simulate(config: SimConfig) -> SimReport:
     )
 
 
+def _serve_bufferless(t_arr, s_arr):
+    """Positions served without a buffer, in service order, and their departure times.
+
+    Once arrival i is served, the next one served is ``jump[i]``, the first
+    arrival after i departs (an arrival at that instant still finds the
+    server busy), so ``jump[i] > i``.  The served positions are the orbit of
+    0 under ``jump`` up to the sentinel ``jump[n] = n``.  Each round appends
+    ``jump[path]`` to the known prefix ``path`` of the orbit, doubling it,
+    and squares the map, so ⌈log2(served + 1)⌉ rounds of gathers replace a
+    pass over every arrival.
+    """
+    n = t_arr.size
+    end = t_arr + s_arr
+    jump = np.append(np.searchsorted(t_arr, end, side="right"), n)
+    path = np.zeros(min(n, 1), dtype=np.int64)
+    while path.size and path[-1] < n:
+        path = np.concatenate((path, jump[path]))
+        jump = jump[jump]
+    path = path[: np.searchsorted(path, n)]
+    return path, end[path]
+
+
 def _serve(t_arr, s_arr, disc):
-    """Positions served, in service order, and their departure times.
+    """Positions served with a buffer, in service order, and their departure times.
 
     ``t_arr`` and ``s_arr`` are the admitted arrivals' times and service times;
-    ``disc`` is 0 (no buffer), 1 (FCFS buffer) or 2 (LCFS buffer with
-    replacement).  ``c`` is when the server next falls free and ``buf`` the
-    buffered position (-1: none).  An arrival at the instant the server falls
-    free still finds it busy.
+    ``disc`` is 1 (FCFS buffer) or 2 (LCFS buffer with replacement).  One pass
+    of Lindley's recursion: ``c`` is when the server next falls free and
+    ``buf`` the buffered position (-1: none).  An arrival at the instant the
+    server falls free still finds it busy.  A buffered packet departs at a
+    running sum of services that decides which arrival is served next, so
+    this loop does not vectorise the way ``_serve_bufferless`` does.
     """
     served, departs = [], []
     c = -math.inf
@@ -235,7 +264,7 @@ def _serve(t_arr, s_arr, disc):
             c = t + sv[i]
             served.append(i)
             departs.append(c)
-        elif disc == 2 or (disc == 1 and buf < 0):
+        elif disc == 2 or buf < 0:
             buf = i
     if buf >= 0:
         served.append(buf)
@@ -312,14 +341,20 @@ def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):
     v0 = values[d_idx][alive]
     lo = np.searchsorted(samples, d_t[alive])
     hi = np.searchsorted(samples, gen + descend.deadline)
-    ends = np.cumsum(np.maximum(hi - lo, 0))
+    runs = np.maximum(hi - lo, 0)
+    ends = np.cumsum(runs)
+    starts = ends - runs
     n_pairs = int(ends[-1]) if ends.size else 0
     total = 0.0
     for first in range(0, n_pairs, _SAMPLE_PAIRS_PER_BLOCK):
-        pair = np.arange(first, min(first + _SAMPLE_PAIRS_PER_BLOCK, n_pairs))
-        # The packet whose run holds each pair; such a run is never empty,
-        # so it ends at hi, and the pair's sample counts back from there.
-        k = np.searchsorted(ends, pair, side="right")
+        last = min(first + _SAMPLE_PAIRS_PER_BLOCK, n_pairs)
+        pair = np.arange(first, last)
+        # The packets whose runs meet the block, each repeated over its share
+        # of it; a run that holds a pair is never empty, so it ends at hi,
+        # and the pair's sample counts back from there.
+        k0, k1 = np.searchsorted(ends, (first, last - 1), side="right")
+        share = np.minimum(ends[k0 : k1 + 1], last) - np.maximum(starts[k0 : k1 + 1], first)
+        k = np.repeat(np.arange(k0, k1 + 1), share)
         tau = samples[pair - ends[k] + hi[k]] - gen[k]
         total += float(descend.value(v0[k], tau).sum())
     return total / samples.size

@@ -95,3 +95,46 @@ def test_lambda_range_point_cap():
     for text in (f"1:{MAX_GRID_POINTS + 1}:1", "0.1:5:1e-6", "0:1:5e-324"):
         with pytest.raises(UsageError):
             parse_lambda_grid(text)
+
+
+_CSV = (
+    "# experiment = hand-written\n"
+    "lambda,discipline,policy,engine,avg_voi,avg_aoi,stderr,p_idle,p_busy1,p_busy2,seed,runtime_ms\n"
+    "1,M/GI/1/1,serve-all,analytic,0.5,,,0.5,0.5,0,1,1\n"
+    "1,M/GI/1/1,serve-all,simulate,0.51,2.0,0.01,0.5,0.5,0,1,1\n"
+)
+
+
+def _verify_text(tmp_path, text):
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    return main(["verify", str(path)])
+
+
+def test_verify_well_formed_csv_passes(tmp_path, capsys):
+    assert _verify_text(tmp_path, _CSV) == 0
+    assert "1 pass, 0 fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        # The header sits on line 2, below one comment line.
+        (",policy,", ",", "line 2: missing column 'policy'"),
+        (",avg_voi,", ",voi,", "line 2: missing column 'avg_voi'"),
+        (",0.51,", ",abc,", "line 4: column 'avg_voi': 'abc' is not a number"),
+        (",0.01,", ",x,", "line 4: column 'stderr': 'x' is not a number"),
+        (",0.5,,,", ",unsupported,,abc,", "line 3: column 'stderr': 'abc' is not a number"),
+        ("serve-all,simulate,0.51,2.0,0.01,0.5,0.5,0,1,1", "serve-all,simulate,0.51", "line 4: column 'stderr': missing cell"),
+    ],
+)
+def test_verify_malformed_csv_is_a_usage_error(tmp_path, capsys, old, new, where):
+    assert old in _CSV
+    assert _verify_text(tmp_path, _CSV.replace(old, new, 1)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
+def test_verify_csv_without_header_is_a_usage_error(tmp_path, capsys):
+    assert _verify_text(tmp_path, "# experiment = empty\n") == 2
+    assert "no header line" in capsys.readouterr().err

@@ -30,6 +30,8 @@ from voilab.model import (
 )
 from voilab.sim import (
     SimConfig,
+    _serve,
+    _serve_bufferless,
     delivered_packets,
     format_events,
     instantaneous_voi,
@@ -460,6 +462,52 @@ def test_simulation_matches_event_by_event_reference(disc, admission):
                 )
             for seed in range(4):
                 _check_against_reference(SimConfig(sc, n_packets=1, seed=seed, trace=True, event_trace=True))
+
+
+def _integer_stream(n, seed):
+    """Integer gaps (0 repeats an arrival time) and integer services (0 included)."""
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.integers(0, 3, n)).astype(float), rng.integers(0, 4, n).astype(float)
+
+
+def _exponential_stream(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.exponential(1.0, n)), rng.exponential(0.5, n)
+
+
+# Admitted streams (arrival times, service times) for the servers.  Integer
+# times put departures exactly on arrival instants, where the arrival must
+# still find the server busy; repeated times and zero services tie arrivals
+# with each other and with departures.
+_STREAMS = {
+    "integer": (np.arange(8.0), np.array([1.0, 1, 2, 1, 3, 1, 1, 1])),
+    "integer-random": _integer_stream(300, 5),
+    "repeated-times": (
+        np.array([0.0, 0, 0, 1, 1, 1, 2.5, 2.5, 4, 4]),
+        np.array([1.0, 0.5, 2, 1.5, 1, 0.25, 1.5, 1, 0, 3]),
+    ),
+    "zero-services": (np.array([0.0, 0, 1, 1, 1, 2, 3, 3]), np.zeros(8)),
+    "single": (np.array([0.7]), np.array([1.3])),
+    "empty": (np.zeros(0), np.zeros(0)),
+    # Serves more than 2**13 packets, so the bufferless orbit takes >= 14 doublings.
+    "exponential-2e4": _exponential_stream(20_000, 7),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(_STREAMS))
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_servers_match_event_by_event_reference(stream, disc):
+    t, s = _STREAMS[stream]
+    ids, times, *_ = _reference_run(t.tolist(), s.tolist(), None, disc)
+    if disc == MG11:
+        served, departs = _serve_bufferless(t, s)
+    else:
+        served, departs = _serve(t, s, 1 if disc == MG12 else 2)
+    assert served.dtype == np.int64 and departs.dtype == np.float64
+    assert served.tolist() == ids
+    assert departs.tolist() == times
+    if stream == "exponential-2e4":
+        assert len(ids) > 2**13
 
 
 def test_run_without_an_admitted_packet_matches_reference():
