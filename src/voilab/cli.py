@@ -16,6 +16,25 @@ Config files are flat ``key = value`` text with dotted scenario keys, e.g.::
     scenario.discipline = M/GI/1/1,M/GI/1/2
     scenario.admission = serve-all
 
+Plain keys: preset, name, lambda_grid ('start:stop:step' inclusive, a comma
+list or one value), engines (comma list of analytic, closed-form, simulate),
+n_packets, seed (an integer in [0, 2**64)), out (default NAME.csv) and jobs.
+Scenario keys, with ``[x]`` optional and defaults in braces::
+
+    scenario.value_dist   uniform(v_min,v_max) | exponential(rate) | binary(v1,v2,p)
+    scenario.service      dependent-identity | dependent-log-shift[(a)] | class-exponential
+                          | independent-exponential(rate) | independent-deterministic(s0)
+    scenario.descend      linear(deadline) | power-concave(shape,deadline)
+                          | power-convex(shape,deadline)                    {linear(3)}
+    scenario.discipline   comma list of M/GI/1/1, M/GI/1/2, M/GI/1/2*      {M/GI/1/1}
+    scenario.admission    serve-all | class-only(1) | class-only(2)        {serve-all}
+
+A scenario key replaces the preset's variants with one per discipline, and
+value_dist and service are then required. A ``run`` flag (--preset, --seed,
+--packets for n_packets, --jobs, --out) beats the config file, which beats the
+preset. There is no mu_independent key: the presets fix the independent
+service rate at 1.5.
+
 Exit codes: 0 success, 2 usage error, 3 verification failure, 4 numeric failure.
 """
 
@@ -30,12 +49,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .analytics import UnsupportedAnalyticsError, analyze, closed_form_report
 from .model import (
-    ADMISSIONS,
     BinaryValue,
     ClassExponentialService,
     DependentService,
@@ -71,7 +90,6 @@ CSV_COLUMNS = (
 _VERIFY_KEY_COLUMNS = ("lambda", "discipline", "policy", "engine")
 _VERIFY_NUMBER_COLUMNS = {"avg_voi": "unsupported", "stderr": ""}
 DEFAULT_SEED = 123456789
-SEED_ENV_VAR = "VOI_LAB_SEED"
 DEFAULT_GRID = tuple(float(x) for x in np.geomspace(0.1, 5.0, 20))
 # Most points a 'start:stop:step' lambda range may expand to.
 MAX_GRID_POINTS = 100_000
@@ -108,84 +126,66 @@ class ExperimentConfig:
             raise UsageError("--jobs must be >= 1")
         if self.n_packets < 1:
             raise UsageError("n_packets must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise UsageError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
-# Presets reproducing the reference parameter sets (deadline fixed at 3)
+# Presets reproducing the reference parameter sets (deadline fixed at 3,
+# independent service rate 1.5)
 # ---------------------------------------------------------------------------
 
-def _linear3() -> DescendFunction:
-    return DescendFunction.linear(3.0)
+_LINEAR3 = DescendFunction.linear(3.0)
+_EXP_VALUE = ExponentialValue(1.5)
+_IDENTITY = DependentService("identity")
+_INDEPENDENT = IndependentExponentialService(1.5)
 
 
-def _preset_uniform_log(mu_independent: float) -> ExperimentConfig:
-    variants = tuple(
+def _serve_all(dist, service, disciplines=DISCIPLINES) -> tuple[tuple[str, Scenario], ...]:
+    return tuple(("serve-all", Scenario(1.0, dist, service, _LINEAR3, d)) for d in disciplines)
+
+
+# name -> (experiment, one-line description)
+PRESETS = {
+    cfg.name: (cfg, about)
+    for cfg, about in (
         (
-            "serve-all",
-            Scenario(1.0, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), _linear3(), d),
-        )
-        for d in DISCIPLINES
-    )
-    return ExperimentConfig("uniform-log", variants)
-
-
-def _preset_exponential(mu_independent: float) -> ExperimentConfig:
-    dist = ExponentialValue(1.5)
-    variants = (
-        ("dependent", Scenario(1.0, dist, DependentService("identity"), _linear3(), MG11)),
+            ExperimentConfig("uniform-log", _serve_all(UniformValue(0.0, 10.0), DependentService("log-shift", 1.0))),
+            "uniform values 0..10, log service map, all disciplines",
+        ),
         (
-            "independent",
-            Scenario(1.0, dist, IndependentExponentialService(mu_independent), _linear3(), MG11),
+            ExperimentConfig("exponential", (
+                ("dependent", Scenario(1.0, _EXP_VALUE, _IDENTITY, _LINEAR3, MG11)),
+                ("independent", Scenario(1.0, _EXP_VALUE, _INDEPENDENT, _LINEAR3, MG11)),
+            )),
+            "exponential values, dependent vs independent service",
+        ),
+        (
+            ExperimentConfig("binary", tuple(
+                (f"{stag}/{ptag}", Scenario(1.0, BinaryValue(0.4, 1.33, 0.8), svc, _LINEAR3, MG11, adm))
+                for stag, svc in (("dep", ClassExponentialService()), ("ind", _INDEPENDENT))
+                for ptag, adm in (("serve-all", "serve-all"), ("class-1", "class-only(1)"), ("class-2", "class-only(2)"))
+            )),
+            "two-class values, three admission policies, dep/ind service",
+        ),
+        (
+            ExperimentConfig("aoi-voi", _serve_all(_EXP_VALUE, _IDENTITY)),
+            "exponential-identity scenario, AoI and VoI, all disciplines",
+        ),
+        (
+            ExperimentConfig(
+                "mm12-closed", _serve_all(_EXP_VALUE, _IDENTITY, (MG12,)), engines=("closed-form", "analytic", "simulate")
+            ),
+            "one-buffer FCFS closed form vs quadrature vs simulation",
         ),
     )
-    return ExperimentConfig("exponential", variants)
-
-
-def _preset_binary(mu_independent: float) -> ExperimentConfig:
-    dist = BinaryValue(0.4, 1.33, 0.8)
-    services = (("dep", ClassExponentialService()), ("ind", IndependentExponentialService(mu_independent)))
-    policies = (("serve-all", "serve-all"), ("class-1", "class-only(1)"), ("class-2", "class-only(2)"))
-    variants = tuple(
-        (f"{stag}/{ptag}", Scenario(1.0, dist, svc, _linear3(), MG11, adm))
-        for stag, svc in services
-        for ptag, adm in policies
-    )
-    return ExperimentConfig("binary", variants)
-
-
-def _preset_aoi_voi(mu_independent: float) -> ExperimentConfig:
-    variants = tuple(
-        ("serve-all", Scenario(1.0, ExponentialValue(1.5), DependentService("identity"), _linear3(), d))
-        for d in DISCIPLINES
-    )
-    return ExperimentConfig("aoi-voi", variants)
-
-
-def _preset_mm12_closed(mu_independent: float) -> ExperimentConfig:
-    variants = (
-        ("serve-all", Scenario(1.0, ExponentialValue(1.5), DependentService("identity"), _linear3(), MG12)),
-    )
-    return ExperimentConfig(
-        "mm12-closed", variants, engines=("closed-form", "analytic", "simulate")
-    )
-
-
-PRESETS = {
-    "uniform-log": (_preset_uniform_log, "uniform values 0..10, log service map, all disciplines"),
-    "exponential": (_preset_exponential, "exponential values, dependent vs independent service"),
-    "binary": (_preset_binary, "two-class values, three admission policies, dep/ind service"),
-    "aoi-voi": (_preset_aoi_voi, "exponential-identity scenario, AoI and VoI, all disciplines"),
-    "mm12-closed": (_preset_mm12_closed, "one-buffer FCFS closed form vs quadrature vs simulation"),
 }
 
 
-def load_preset(name: str, mu_independent: float = 1.5) -> ExperimentConfig:
+def load_preset(name: str) -> ExperimentConfig:
     if name not in PRESETS:
         raise UsageError(f"unknown preset {name!r} (try: {', '.join(sorted(PRESETS))})")
-    try:
-        return PRESETS[name][0](mu_independent)
-    except ValueError as exc:
-        raise UsageError(f"preset {name!r}: {exc}") from exc
+    return PRESETS[name][0]
 
 
 # ---------------------------------------------------------------------------
@@ -194,64 +194,49 @@ def load_preset(name: str, mu_independent: float = 1.5) -> ExperimentConfig:
 
 _CALL_RE = re.compile(r"^([a-z\-]+)\s*(?:\(([^)]*)\))?$")
 
+# Model syntax: scenario key -> (what it names, {kind: (constructor, allowed
+# argument counts)}). Arguments are numbers, passed in order.
+_MODELS = {
+    "scenario.value_dist": ("value distribution", {
+        "uniform": (UniformValue, (2,)),
+        "exponential": (ExponentialValue, (1,)),
+        "binary": (BinaryValue, (3,)),
+    }),
+    "scenario.service": ("service model", {
+        "dependent-identity": (DependentService, (0,)),
+        "dependent-log-shift": (partial(DependentService, "log-shift"), (0, 1)),
+        "independent-exponential": (IndependentExponentialService, (1,)),
+        "independent-deterministic": (IndependentDeterministicService, (1,)),
+        "class-exponential": (ClassExponentialService, (0,)),
+    }),
+    "scenario.descend": ("descend function", {
+        "linear": (DescendFunction.linear, (1,)),
+        "power-concave": (DescendFunction.power_concave, (2,)),
+        "power-convex": (DescendFunction.power_convex, (2,)),
+    }),
+}
 
-def _parse_call(text: str, what: str) -> tuple[str, list[float]]:
+
+def _parse_model(key: str, text: str):
+    """The model that ``text``, written as ``kind`` or ``kind(a,b,...)``, names for ``key``."""
+    what, kinds = _MODELS[key]
     m = _CALL_RE.match(text.strip().lower())
     if not m:
         raise UsageError(f"cannot parse {what}: {text!r}")
-    args = []
-    if m.group(2):
-        try:
-            args = [float(x) for x in m.group(2).split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad numeric argument in {what}: {text!r}") from exc
-    return m.group(1), args
-
-
-def _parse_value_dist(text: str):
-    kind, args = _parse_call(text, "value distribution")
+    kind, arg_text = m.groups()
+    if kind not in kinds:
+        raise UsageError(f"unknown {what} {text!r} (choose from {', '.join(kinds)})")
+    make, counts = kinds[kind]
     try:
-        if kind == "uniform" and len(args) == 2:
-            return UniformValue(*args)
-        if kind == "exponential" and len(args) == 1:
-            return ExponentialValue(args[0])
-        if kind == "binary" and len(args) == 3:
-            return BinaryValue(*args)
+        args = [float(x) for x in arg_text.split(",")] if arg_text else []
+    except ValueError as exc:
+        raise UsageError(f"bad numeric argument in {what}: {text!r}") from exc
+    if len(args) not in counts:
+        raise UsageError(f"{what} {kind!r} takes {' or '.join(map(str, counts))} arguments, got {text!r}")
+    try:
+        return make(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown value distribution {text!r}")
-
-
-def _parse_service(text: str):
-    kind, args = _parse_call(text, "service model")
-    try:
-        if kind == "dependent-identity":
-            return DependentService("identity")
-        if kind == "dependent-log-shift":
-            return DependentService("log-shift", args[0] if args else 1.0)
-        if kind == "independent-exponential" and len(args) == 1:
-            return IndependentExponentialService(args[0])
-        if kind == "independent-deterministic" and len(args) == 1:
-            return IndependentDeterministicService(args[0])
-        if kind == "class-exponential":
-            return ClassExponentialService()
-    except (ValueError, IndexError) as exc:
-        raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown service model {text!r}")
-
-
-def _parse_descend(text: str):
-    kind, args = _parse_call(text, "descend function")
-    try:
-        if kind == "linear" and len(args) == 1:
-            return DescendFunction.linear(args[0])
-        if kind == "power-concave" and len(args) == 2:
-            return DescendFunction.power_concave(args[0], args[1])
-        if kind == "power-convex" and len(args) == 2:
-            return DescendFunction.power_convex(args[0], args[1])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown descend function {text!r}")
 
 
 def parse_lambda_grid(text: str) -> tuple[float, ...]:
@@ -275,14 +260,6 @@ def parse_lambda_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"cannot parse lambda grid {text!r}") from exc
 
 
-def _parse_number(text: str, key: str, kind: type = int):
-    """``int(text)`` or ``float(text)``, with a bad value reported as a usage error."""
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from exc
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), 1):
@@ -296,83 +273,54 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-_KNOWN_KEYS = {
-    "preset",
-    "name",
-    "lambda_grid",
-    "engines",
-    "n_packets",
-    "seed",
-    "out",
-    "jobs",
-    "mu_independent",
-    "scenario.value_dist",
-    "scenario.service",
-    "scenario.descend",
-    "scenario.discipline",
-    "scenario.admission",
+# Plain keys: each sets the ExperimentConfig field of its name to its parsed text.
+_FIELDS = {
+    "name": str,
+    "lambda_grid": parse_lambda_grid,
+    "engines": lambda text: tuple(e.strip() for e in text.split(",")),
+    "n_packets": int,
+    "seed": int,
+    "out": str,
+    "jobs": int,
 }
+_KNOWN_KEYS = {"preset", *_FIELDS, *_MODELS, "scenario.discipline", "scenario.admission"}
 
 
-def build_config(raw: dict[str, str], preset: str | None = None) -> ExperimentConfig:
+def build_config(raw: dict[str, str]) -> ExperimentConfig:
     """Assemble an ExperimentConfig from raw key/value pairs.
 
-    A preset (from ``raw['preset']`` or the ``preset`` argument) supplies the
-    base; explicit scenario.* keys replace its variants outright, other keys
-    override field by field.
+    ``raw['preset']`` supplies the base; explicit scenario.* keys replace its
+    variants outright, plain keys override field by field.
     """
     for key in raw:
         if key not in _KNOWN_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-    mu_independent = _parse_number(raw.get("mu_independent", "1.5"), "mu_independent", float)
-    preset_name = raw.get("preset", preset)
-    if preset_name is not None:
-        cfg = load_preset(preset_name, mu_independent)
-    else:
-        cfg = None
+    cfg = load_preset(raw["preset"]) if "preset" in raw else None
 
-    scenario_keys = [k for k in raw if k.startswith("scenario.")]
-    if scenario_keys or cfg is None:
+    if cfg is None or any(key.startswith("scenario.") for key in raw):
         if "scenario.value_dist" not in raw or "scenario.service" not in raw:
             raise UsageError("config must name a preset or define scenario.value_dist and scenario.service")
-        dist = _parse_value_dist(raw["scenario.value_dist"])
-        service = _parse_service(raw["scenario.service"])
-        descend = _parse_descend(raw.get("scenario.descend", "linear(3)"))
+        dist = _parse_model("scenario.value_dist", raw["scenario.value_dist"])
+        service = _parse_model("scenario.service", raw["scenario.service"])
+        descend = _parse_model("scenario.descend", raw.get("scenario.descend", "linear(3)"))
         admission = raw.get("scenario.admission", "serve-all")
-        if admission not in ADMISSIONS:
-            raise UsageError(f"unknown admission policy {admission!r}")
-        disciplines = [d.strip() for d in raw.get("scenario.discipline", MG11).split(",")]
-        for d in disciplines:
-            if d not in DISCIPLINES:
-                raise UsageError(f"unknown discipline {d!r} (choose from {DISCIPLINES})")
         try:
             variants = tuple(
-                (admission, Scenario(1.0, dist, service, descend, d, admission))
-                for d in disciplines
+                (admission, Scenario(1.0, dist, service, descend, d.strip(), admission))
+                for d in raw.get("scenario.discipline", MG11).split(",")
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        base_name = raw.get("name", preset_name or "custom")
-        cfg = ExperimentConfig(base_name, variants)
-        if preset_name is not None:
-            cfg = replace(cfg, engines=load_preset(preset_name, mu_independent).engines)
+        cfg = ExperimentConfig("custom", variants) if cfg is None else replace(cfg, variants=variants)
 
-    overrides: dict = {}
-    if "name" in raw:
-        overrides["name"] = raw["name"]
-    if "lambda_grid" in raw:
-        overrides["lambda_grid"] = parse_lambda_grid(raw["lambda_grid"])
-    if "engines" in raw:
-        overrides["engines"] = tuple(e.strip() for e in raw["engines"].split(","))
-    for key in ("n_packets", "seed", "jobs"):
+    fields = {}
+    for key, parse in _FIELDS.items():
         if key in raw:
-            overrides[key] = _parse_number(raw[key], key)
-    if "out" in raw:
-        overrides["out"] = raw["out"]
-    try:
-        return replace(cfg, **overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+            try:
+                fields[key] = parse(raw[key])
+            except ValueError as exc:
+                raise UsageError(f"{key}: {exc}") from exc
+    return replace(cfg, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +338,8 @@ def _fmt(x) -> str:
 def _run_row(task: tuple) -> dict[str, str]:
     lam, label, scenario, engine, n_packets, seed = task
     sc = replace(scenario, lam=lam)
-    row = {
-        "lambda": _fmt(lam),
-        "discipline": sc.discipline,
-        "policy": label,
-        "engine": engine,
-        "avg_voi": "",
-        "avg_aoi": "",
-        "stderr": "",
-        "p_idle": "",
-        "p_busy1": "",
-        "p_busy2": "",
-        "seed": str(seed),
-        "runtime_ms": "",
-    }
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update({"lambda": _fmt(lam), "discipline": sc.discipline, "policy": label, "engine": engine, "seed": str(seed)})
     start = time.perf_counter()
     if engine == "simulate":
         rep = simulate(SimConfig(sc, n_packets=n_packets, seed=seed))
@@ -597,6 +533,10 @@ def compare_engines(rows: list[dict[str, str]], sigma: float = 3.0) -> VerifySum
 # Entry point
 # ---------------------------------------------------------------------------
 
+# The ``run`` flags, by the config key each sets.
+_FLAG_KEYS = ("preset", "seed", "n_packets", "jobs", "out")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="voi-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -605,9 +545,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", metavar="PATH", help="flat key=value config file")
     run_p.add_argument("--preset", metavar="NAME", help="named preset experiment")
     run_p.add_argument("--out", metavar="PATH", help="CSV output path")
-    run_p.add_argument("--seed", metavar="N", type=int, help="RNG seed override")
-    run_p.add_argument("--packets", metavar="N", type=int, help="packets per simulation")
-    run_p.add_argument("--jobs", metavar="N", type=int, help="concurrent sweep workers")
+    run_p.add_argument("--seed", metavar="N", help="RNG seed override")
+    run_p.add_argument("--packets", metavar="N", dest="n_packets", help="packets per simulation")
+    run_p.add_argument("--jobs", metavar="N", help="concurrent sweep workers")
 
     verify_p = sub.add_parser("verify", help="check analytic rows against simulation rows")
     verify_p.add_argument("csv", metavar="CSV", help="sweep output to verify")
@@ -639,28 +579,17 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0 if summary.ok else 3
 
-        # run
+        # run: a flag beats the config file, which beats the preset.
+        if not args.config and not args.preset:
+            raise UsageError("run needs --preset or --config")
         raw: dict[str, str] = {}
         if args.config:
             with open(args.config) as fh:
                 raw = parse_config_text(fh.read())
-        if not args.config and not args.preset and "preset" not in raw:
-            raise UsageError("run needs --preset or --config")
-        config = build_config(raw, preset=args.preset)
-        overrides: dict = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        elif "seed" not in raw and SEED_ENV_VAR in os.environ:
-            overrides["seed"] = _parse_number(os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
-        if args.packets is not None:
-            overrides["n_packets"] = args.packets
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
-        if args.out is not None:
-            overrides["out"] = args.out
-        elif config.out is None and "out" not in raw:
-            overrides["out"] = f"{config.name}.csv"
-        config = replace(config, **overrides)
+        raw.update((key, value) for key in _FLAG_KEYS if (value := getattr(args, key)) is not None)
+        config = build_config(raw)
+        if config.out is None:
+            config = replace(config, out=f"{config.name}.csv")
         rows = run_experiment(config)
         print(f"wrote {len(rows)} rows to {config.out}")
         return 0

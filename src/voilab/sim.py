@@ -62,6 +62,8 @@ class SimConfig:
             raise ValueError("need at least one packet")
         if self.n_batches < 2:
             raise ValueError("batch-means standard errors need >= 2 batches")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.sample_voi_every is not None and not (0.0 < self.sample_voi_every < math.inf):
             raise ValueError("sampling interval must be finite and > 0")
 

@@ -3,7 +3,16 @@ import os
 
 import pytest
 
-from voilab.cli import MAX_GRID_POINTS, UsageError, main, parse_lambda_grid, worker_count
+from voilab.cli import (
+    MAX_GRID_POINTS,
+    PRESETS,
+    UsageError,
+    build_config,
+    load_preset,
+    main,
+    parse_lambda_grid,
+    worker_count,
+)
 
 
 def _run_config(tmp_path, text):
@@ -22,6 +31,9 @@ _BASE = "preset = binary\nengines = analytic\nlambda_grid = 1\n"
         "seed = 1.5",
         "jobs = x",
         "mu_independent = -1",
+        "mu_independent = 1.5",
+        "seed = -1",
+        "seed = 18446744073709551616",
         "n_packets = 0",
         "lambda_grid = -1",
     ],
@@ -55,6 +67,67 @@ def test_non_finite_model_parameter_is_a_usage_error(tmp_path, line, capsys):
     assert _run_config(tmp_path, _SCENARIO_BASE + line + "\n") == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "scenario.service = dependent-identity(5)",
+        "scenario.value_dist = binary(0.4,1.33,0.8)\nscenario.service = class-exponential(1,2,3)",
+        "scenario.service = dependent-log-shift(2,7)",
+    ],
+)
+def test_model_with_wrong_argument_count_is_a_usage_error(tmp_path, lines, capsys):
+    assert _run_config(tmp_path, _SCENARIO_BASE + lines + "\n") == 2
+    assert "arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_seed_range_ends_are_accepted():
+    for seed in (0, 2**64 - 1):
+        assert build_config({"preset": "binary", "seed": str(seed)}).seed == seed
+
+
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["run", "--preset", "binary", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _csv_text(path):
+    return path.read_text().splitlines()
+
+
+def test_flags_beat_the_config_file(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("preset = binary\nengines = analytic\nlambda_grid = 1\nseed = 5\nout = ignored.csv\n")
+    out = tmp_path / "out.csv"
+    argv = ["run", "--config", str(cfg), "--preset", "uniform-log", "--seed", "7", "--out", str(out)]
+    assert main(argv) == 0
+    head = [ln for ln in _csv_text(out) if ln.startswith("#")]
+    assert "# experiment = uniform-log" in head
+    assert "# seed = 7" in head
+    assert "# engines = analytic" in head
+    assert not (tmp_path / "ignored.csv").exists()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_process_pool_sweep_matches_serial_rows(tmp_path, name):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"preset = {name}\nlambda_grid = 0.5,2\n")
+    tables = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["run", "--config", str(cfg), "--packets", "300", "--jobs", jobs, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        for row in rows:
+            del row["runtime_ms"]
+        tables.append(([ln for ln in _csv_text(out) if ln.startswith("#")], rows))
+    assert tables[0] == tables[1]
+    preset = load_preset(name)
+    assert len(tables[0][1]) == 2 * len(preset.variants) * len(preset.engines)
 
 
 def test_worker_count_is_capped_by_cores_and_tasks():

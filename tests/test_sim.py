@@ -98,6 +98,10 @@ def test_config_validation():
             SimConfig(mm12(), sample_voi_every=bad)
     with pytest.raises(ValueError):
         SimConfig(mm12(), n_batches=1)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError):
+            SimConfig(mm12(), seed=bad)
+    assert SimConfig(mm12(), seed=2**64 - 1).seed == 2**64 - 1
 
 
 # ---------------------------------------------------------------------------
