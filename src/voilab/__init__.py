@@ -19,7 +19,6 @@ from .analytics import (
     residual_ccdf_mg12,
     stationary_mg11,
     stationary_mg12,
-    v_tilde,
 )
 from .model import (
     ADMISSIONS,
@@ -34,18 +33,14 @@ from .model import (
     MG11,
     MG12,
     MG12_STAR,
-    Packet,
     Scenario,
     UniformValue,
     effective_lambda,
     mean_service_time,
     mgf_service,
-    q_area,
-    service_time,
-    value_at,
 )
 from .quadrature import QuadratureError, QuadratureSpec, integrate
-from .sim import SimConfig, SimReport, delivered_packets, instantaneous_voi, simulate
+from .sim import SimConfig, SimReport, simulate
 
 __version__ = "0.1.0"
 
@@ -63,7 +58,6 @@ __all__ = [
     "MG11",
     "MG12",
     "MG12_STAR",
-    "Packet",
     "QuadratureError",
     "QuadratureSpec",
     "Scenario",
@@ -78,18 +72,12 @@ __all__ = [
     "closed_form_mg11_uniform_log",
     "closed_form_mm12_exp",
     "closed_form_report",
-    "delivered_packets",
     "effective_lambda",
-    "instantaneous_voi",
     "integrate",
     "mean_service_time",
     "mgf_service",
-    "q_area",
     "residual_ccdf_mg12",
-    "service_time",
     "simulate",
     "stationary_mg11",
     "stationary_mg12",
-    "v_tilde",
-    "value_at",
 ]

@@ -31,7 +31,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import (
-    BinaryValue,
     DependentService,
     ExponentialValue,
     Scenario,
@@ -92,24 +91,6 @@ def _require(scenario: Scenario, discipline: str) -> None:
         )
     if scenario.discipline != discipline:
         raise ValueError(f"scenario discipline is {scenario.discipline!r}, expected {discipline!r}")
-
-
-def v_tilde(scenario: Scenario) -> float:
-    """Largest initial value whose mapped service still beats the deadline.
-
-    Only meaningful for value-dependent service; capped at the upper end of a
-    bounded value support.
-    """
-    svc = scenario.service
-    if not isinstance(svc, DependentService):
-        raise UnsupportedAnalyticsError(
-            "value threshold is defined for value-dependent service only"
-        )
-    vt = float(svc.g_inv(scenario.descend.deadline))
-    dist = scenario.value_dist
-    if isinstance(dist, (UniformValue, BinaryValue)):
-        vt = min(vt, dist.support()[1])
-    return vt
 
 
 def _expect_value_kappa(

@@ -16,9 +16,11 @@ Config files are flat ``key = value`` text with dotted scenario keys, e.g.::
     scenario.discipline = M/GI/1/1,M/GI/1/2
     scenario.admission = serve-all
 
-Plain keys: preset, name, lambda_grid ('start:stop:step' inclusive, a comma
-list or one value), engines (comma list of analytic, closed-form, simulate),
-n_packets, seed (an integer in [0, 2**64)), out (default NAME.csv) and jobs.
+Plain keys: preset, name (a file name without a directory), lambda_grid
+('start:stop:step' inclusive, a comma list or one value), engines (comma list
+of analytic, closed-form, simulate), n_packets, seed (an integer in
+[0, 2**64)), out (default NAME.csv) and jobs. No lambda value, engine or
+discipline may repeat: ``verify`` pairs rows by them.
 Scenario keys, with ``[x]`` optional and defaults in braces::
 
     scenario.value_dist   uniform(v_min,v_max) | exponential(rate) | binary(v1,v2,p)
@@ -47,6 +49,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -99,6 +102,14 @@ class UsageError(ValueError):
     """Bad preset/config/flag input; maps to exit code 2."""
 
 
+def _fmt(x) -> str:
+    if x is None or x == "":
+        return ""
+    if isinstance(x, str):
+        return x
+    return format(float(x), ".10g")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -111,6 +122,9 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        # The name is the default output file, written in the working directory.
+        if not self.name or os.path.basename(self.name) != self.name:
+            raise UsageError(f"experiment name must be a non-empty file name, got {self.name!r}")
         if not self.lambda_grid:
             raise UsageError("lambda grid must not be empty")
         if not all(0.0 < lam < math.inf for lam in self.lambda_grid):
@@ -122,6 +136,16 @@ class ExperimentConfig:
                 raise UsageError(f"unknown engine {e!r} (choose from {ENGINES})")
         if not self.variants:
             raise UsageError("experiment needs at least one scenario variant")
+        # ``verify`` pairs rows by (lambda, discipline, policy, engine) as
+        # written to the CSV, so a repeat there would hide a row.
+        for what, keys in (
+            ("lambda grid value", [_fmt(lam) for lam in self.lambda_grid]),
+            ("engine", self.engines),
+            ("scenario variant", [f"{label} {sc.discipline}" for label, sc in self.variants]),
+        ):
+            repeats = [key for key, count in Counter(keys).items() if count > 1]
+            if repeats:
+                raise UsageError(f"repeated {what} {repeats[0]!r}")
         if self.jobs < 1:
             raise UsageError("--jobs must be >= 1")
         if self.n_packets < 1:
@@ -327,14 +351,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
 # Running an experiment
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if x is None or x == "":
-        return ""
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".10g")
-
-
 def _run_row(task: tuple) -> dict[str, str]:
     lam, label, scenario, engine, n_packets, seed = task
     sc = replace(scenario, lam=lam)
@@ -417,15 +433,20 @@ def read_csv(path: str) -> list[dict[str, str]]:
 
     A column that ``compare_engines`` reads and the header lacks, or a cell
     of a numeric one that holds neither a number nor its allowed text, is a
-    UsageError naming the line of the file and the column.
+    UsageError naming the line of the file and the column.  So is a second
+    row with the same key columns, which ``compare_engines`` would let
+    overwrite the first; that error names both lines.
     """
     with open(path, newline="") as fh:
         numbered = [(ln, text) for ln, text in enumerate(fh, 1) if not text.startswith("#")]
     reader = csv.DictReader(text for _, text in numbered)
 
-    def where() -> str:
+    def line() -> int:
         # The reader counts only the lines it was given.
-        return f"{path}, line {numbered[reader.line_num - 1][0]}"
+        return numbered[reader.line_num - 1][0]
+
+    def where() -> str:
+        return f"{path}, line {line()}"
 
     if reader.fieldnames is None:
         raise UsageError(f"{path}: no header line")
@@ -433,7 +454,12 @@ def read_csv(path: str) -> list[dict[str, str]]:
         if col not in reader.fieldnames:
             raise UsageError(f"{where()}: missing column {col!r}")
     rows = []
+    first_line: dict[tuple, int] = {}
     for row in reader:
+        key = tuple(row[col] for col in _VERIFY_KEY_COLUMNS)
+        if key in first_line:
+            raise UsageError(f"{where()}: repeats the {', '.join(_VERIFY_KEY_COLUMNS)} of line {first_line[key]}")
+        first_line[key] = line()
         for col, allowed in _VERIFY_NUMBER_COLUMNS.items():
             cell = row[col]
             if cell is None:

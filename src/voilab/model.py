@@ -108,31 +108,9 @@ class DescendFunction:
         return v * d * (r - (1.0 - (1.0 - r) ** k1) / k1)
 
 
-def value_at(descend: DescendFunction, v0: float, tau: float) -> float:
-    """Remaining value of a packet ``tau`` time units after generation
-    (``DescendFunction.value`` for one packet, with its inputs checked)."""
-    if v0 < 0.0:
-        raise ValueError("initial value must be >= 0")
-    if tau < 0.0:
-        raise ValueError("elapsed time must be >= 0")
-    return float(descend.value(v0, tau))
-
-
-def q_area(descend: DescendFunction, v0: float, t_sys: float) -> float:
-    """Value area a packet delivers: integral of value_at from t_sys to D.
-
-    ``t_sys`` is the packet's total generation-to-reception time; every
-    decay law is evaluated in closed form (``DescendFunction.area``).
-    """
-    if v0 < 0.0:
-        raise ValueError("initial value must be >= 0")
-    if t_sys < 0.0:
-        raise ValueError("system time must be >= 0")
-    return float(descend.area(v0, t_sys))
-
-
 def q_area_batch(descend: DescendFunction, v0: np.ndarray, t_sys: np.ndarray) -> np.ndarray:
-    """Vectorized q_area over whole packet arrays, closed form for every law."""
+    """Value area each packet delivers, ``DescendFunction.area`` over whole
+    packet arrays (perfbench's tracer patches this name)."""
     return descend.area(v0, t_sys)
 
 
@@ -292,28 +270,14 @@ ServiceModel = Union[
 ]
 
 
-def service_time(
-    service: ServiceModel,
-    v0: float,
-    cls: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """One service requirement for a packet with initial value ``v0``."""
-    if v0 < 0.0:
-        raise ValueError("initial value must be >= 0")
-    if cls not in (None, 1, 2):
-        raise ValueError("packet class must be 1 or 2")
-    classes = None if cls is None else np.array([cls])
-    return float(sample_service_times(service, np.array([float(v0)]), classes, rng)[0])
-
-
 def sample_service_times(
     service: ServiceModel,
     values: np.ndarray,
     classes: Optional[np.ndarray],
     rng: Optional[np.random.Generator],
 ) -> np.ndarray:
-    """Vectorized service_time for a whole packet stream."""
+    """Service requirement of every packet of a stream with initial values
+    ``values`` (and classes, for class-conditional service)."""
     n = len(values)
     if isinstance(service, DependentService):
         return service.g(values)
@@ -329,7 +293,7 @@ def sample_service_times(
 
 
 # ---------------------------------------------------------------------------
-# Scenario and packets
+# Scenario
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -371,26 +335,6 @@ def effective_lambda(scenario: Scenario) -> float:
         return scenario.lam
     p = scenario.value_dist.p
     return scenario.lam * (p if cls == 1 else 1.0 - p)
-
-
-@dataclass(frozen=True)
-class Packet:
-    """One status update as generated (and possibly delivered)."""
-
-    id: int
-    t_gen: float
-    v0: float
-    s: float
-    cls: Optional[int] = None
-    t_recv: Optional[float] = None
-    discarded: bool = False
-    q_area: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.t_recv is not None and self.t_recv < self.t_gen + self.s - 1e-9:
-            raise ValueError("reception cannot precede generation + service")
-        if self.discarded and self.q_area != 0.0:
-            raise ValueError("discarded packets collect no area")
 
 
 # ---------------------------------------------------------------------------

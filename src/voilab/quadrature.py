@@ -35,17 +35,14 @@ class QuadratureError(ArithmeticError):
 class QuadratureSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_depth: int = 50
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
     def split(self, levels: int) -> "QuadratureSpec":
         """Tolerance budget for one level of a nested integral."""
-        return QuadratureSpec(self.rel_tol / levels, self.abs_tol / levels, self.max_depth)
+        return QuadratureSpec(self.rel_tol / levels, self.abs_tol / levels)
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -111,9 +108,9 @@ def gauss_legendre(
     k doubles from GL_FIRST_ORDER until |I_2k - I_k| <= max(rel_tol * |I_2k|,
     abs_tol) holds on every interval (or sits at the rounding level of the
     integral of |f|); I_2k is returned.  Callers split the intervals at the
-    integrand's kinks.  More than ``spec.max_depth`` doublings, or more than
-    GL_MAX_ORDER points per panel or GL_MAX_POINTS per pass, raise
-    ``QuadratureError`` with the interval furthest from its tolerance.
+    integrand's kinks.  Doubling past GL_MAX_ORDER points per panel, or
+    past GL_MAX_POINTS per pass, raises ``QuadratureError`` with the
+    interval furthest from its tolerance.
     Scalar bounds give a float.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -125,11 +122,8 @@ def gauss_legendre(
     order = GL_FIRST_ORDER
     coarse, _ = _panel_sums(f, a, width, order)
     excess = np.full(a.shape, np.inf)
-    for _ in range(spec.max_depth):
+    while 2 * order <= GL_MAX_ORDER and 2 * order * a.size <= GL_MAX_POINTS:
         order *= 2
-        if order > GL_MAX_ORDER or order * a.size > GL_MAX_POINTS:
-            order //= 2
-            break
         fine, mass = _panel_sums(f, a, width, order)
         excess = np.abs(fine - coarse) / np.maximum(
             np.maximum(spec.rel_tol * np.abs(fine), spec.abs_tol), 1e-14 * mass

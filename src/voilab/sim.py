@@ -6,29 +6,21 @@ leaves.  Without a buffer, each served arrival hands the server on to the
 first arrival after its departure, so the served arrivals are the orbit of
 the first one under that map, expanded by pointer doubling.  With a buffer,
 one pass of Lindley's single-server recursion walks the admitted arrivals.
-VoI, age, state occupancies, the states arrivals find, their batch-means
-standard errors and the optional event trace all follow from those service
-intervals.  Identical config and seed give bit-identical reports.
+VoI, age, state occupancies, the states arrivals find and their batch-means
+standard errors all follow from those service intervals, as array
+operations over the whole run.  Identical config and seed give
+bit-identical reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .model import (
-    DescendFunction,
-    MG11,
-    MG12,
-    Packet,
-    Scenario,
-    q_area_batch,
-    sample_service_times,
-    value_at,
-)
+from .model import MG11, MG12, Scenario, q_area_batch, sample_service_times
 
 # Substream indices for the counter-based generator: the key is
 # (seed, stream), so arrivals, values and services stay decoupled no matter
@@ -43,7 +35,7 @@ _SAMPLE_PAIRS_PER_BLOCK = 1 << 16
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -54,8 +46,7 @@ class SimConfig:
     seed: int = 0
     sample_voi_every: Optional[float] = None
     n_batches: int = 100
-    trace: bool = False         # keep per-packet arrays, deliveries and service starts in ``detail``
-    event_trace: bool = False   # rebuild one (time, kind, id, state) tuple per arrival and completion
+    trace: bool = False   # keep the per-packet and per-delivery arrays in ``detail``
 
     def __post_init__(self) -> None:
         if self.n_packets < 1:
@@ -84,8 +75,7 @@ class SimReport:
     sampled_voi_mean: Optional[float]
     seed: int
     n_batches: int
-    # Debug payloads (trace / event_trace only); excluded from equality.
-    events: Optional[tuple] = field(default=None, compare=False)
+    # The run's arrays (trace only); excluded from equality.
     detail: Optional[dict] = field(default=None, compare=False)
 
 
@@ -171,18 +161,6 @@ def simulate(config: SimConfig) -> SimReport:
             sc.descend, t_gen, values, d_idx, d_t, t_sys, elapsed, config.sample_voi_every
         )
 
-    events = None
-    if config.event_trace:
-        # Arrivals first on equal times, then departures in service order.
-        times = np.concatenate((t_gen, d_t))
-        order = np.argsort(times, kind="stable")
-        kinds = np.repeat(np.array(["arrival", "completion"]), (n, d_t.size))
-        who = np.concatenate((np.arange(n), d_idx))
-        state = np.concatenate((seen, 1 + fills))
-        events = tuple(
-            zip(times[order].tolist(), kinds[order].tolist(), who[order].tolist(), state[order].tolist())
-        )
-
     detail = None
     if config.trace:
         detail = {
@@ -195,8 +173,11 @@ def simulate(config: SimConfig) -> SimReport:
             "delivered_times": d_t,
             "system_times": t_sys,
             "q_areas": q,
-            "service_start_ids": d_idx,
             "service_start_times": start,
+            # State each arrival finds, and state at each completion just
+            # before it (1 busy, 2 busy with a full buffer).
+            "arrival_states": seen,
+            "completion_states": 1 + fills,
         }
 
     return SimReport(
@@ -214,7 +195,6 @@ def simulate(config: SimConfig) -> SimReport:
         sampled_voi_mean=sampled,
         seed=config.seed,
         n_batches=n_batches,
-        events=events,
         detail=detail,
     )
 
@@ -360,44 +340,3 @@ def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):
         tau = samples[pair - ends[k] + hi[k]] - gen[k]
         total += float(descend.value(v0[k], tau).sum())
     return total / samples.size
-
-
-def instantaneous_voi(
-    descend: DescendFunction, receiver_log: Iterable[Packet], t: float
-) -> float:
-    """Sum of the current values of all packets delivered by time ``t``."""
-    total = 0.0
-    for p in receiver_log:
-        if p.t_recv is None or p.discarded or p.t_recv > t:
-            continue
-        total += value_at(descend, p.v0, t - p.t_gen)
-    return total
-
-
-def delivered_packets(report: SimReport) -> list[Packet]:
-    """Materialize the delivery log of a trace-enabled run as Packet records."""
-    if report.detail is None:
-        raise ValueError("run the simulation with trace=True to keep the delivery log")
-    d = report.detail
-    ids = d["delivered_ids"]
-    cls = d["classes"]
-    return [
-        Packet(
-            id=int(j),
-            t_gen=float(d["t_gen"][j]),
-            v0=float(d["values"][j]),
-            s=float(d["services"][j]),
-            cls=int(cls[j]) if cls is not None else None,
-            t_recv=float(t),
-            q_area=float(qa),
-        )
-        for j, t, qa in zip(ids, d["delivered_times"], d["q_areas"])
-    ]
-
-
-def format_events(events: Sequence[tuple]) -> str:
-    """Render an event trace one line per event: time, kind, packet, state."""
-    names = ("I", "B1", "B2")
-    return "\n".join(
-        f"{t:.9f}\t{kind}\t{pkt}\t{names[state]}" for t, kind, pkt, state in events
-    )

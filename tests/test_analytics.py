@@ -21,7 +21,6 @@ from voilab.analytics import (
     residual_ccdf_mg12,
     stationary_mg11,
     stationary_mg12,
-    v_tilde,
 )
 from voilab.model import (
     BinaryValue,
@@ -65,30 +64,6 @@ def expid(lam, disc):
 
 def uniflog(lam, disc=MG11):
     return Scenario(lam, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), LIN3, disc)
-
-
-# ---------------------------------------------------------------------------
-# v_tilde
-# ---------------------------------------------------------------------------
-
-def test_v_tilde_log_shift():
-    sc = Scenario(1.0, ExponentialValue(1.5), DependentService("log-shift", 1.0), LIN3, MG11)
-    assert v_tilde(sc) == pytest.approx(math.exp(3.0) - 1.0, rel=1e-12)
-
-
-def test_v_tilde_identity():
-    assert v_tilde(expid(1.0, MG11)) == pytest.approx(3.0)
-
-
-def test_v_tilde_capped_at_upper_support():
-    sc = Scenario(1.0, UniformValue(0, 10), DependentService("log-shift", 1.0), LIN3, MG11)
-    assert v_tilde(sc) == 10.0
-
-
-def test_v_tilde_rejects_independent_service():
-    sc = Scenario(1.0, UniformValue(0, 10), IndependentExponentialService(1.5), LIN3, MG11)
-    with pytest.raises(UnsupportedAnalyticsError):
-        v_tilde(sc)
 
 
 # ---------------------------------------------------------------------------

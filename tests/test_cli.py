@@ -211,3 +211,36 @@ def test_verify_malformed_csv_is_a_usage_error(tmp_path, capsys, old, new, where
 def test_verify_csv_without_header_is_a_usage_error(tmp_path, capsys):
     assert _verify_text(tmp_path, "# experiment = empty\n") == 2
     assert "no header line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, repeat",
+    [
+        ("lambda_grid = 1,1", "lambda grid value '1'"),
+        ("lambda_grid = 1,1.00000000001", "lambda grid value '1'"),
+        ("engines = analytic,simulate,analytic", "engine 'analytic'"),
+        ("scenario.discipline = M/GI/1/1,M/GI/1/1", "scenario variant 'serve-all M/GI/1/1'"),
+    ],
+)
+def test_repeated_sweep_row_key_is_a_usage_error(tmp_path, capsys, line, repeat):
+    # verify pairs rows by their key columns, so a repeat would drop a check.
+    assert _run_config(tmp_path, _SCENARIO_BASE + line + "\n") == 2
+    assert f"repeated {repeat}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["", "a/b"])
+def test_name_that_is_not_a_file_name_is_a_usage_error(tmp_path, monkeypatch, capsys, name):
+    # Without --out the name is the output file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(_BASE + f"name = {name}\n")
+    assert main(["run", "--config", "exp.cfg"]) == 2
+    assert "experiment name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_verify_repeated_row_is_a_usage_error(tmp_path, capsys):
+    last = _CSV.splitlines()[-1]
+    assert _verify_text(tmp_path, _CSV + last + "\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 5: repeats the lambda, discipline, policy, engine of line 4" in err

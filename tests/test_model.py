@@ -16,15 +16,12 @@ from voilab.model import (
     IndependentExponentialService,
     MG11,
     MG12,
-    Packet,
     Scenario,
     UniformValue,
     mean_service_time,
     mgf_service,
-    q_area,
     q_area_batch,
-    service_time,
-    value_at,
+    sample_service_times,
 )
 from voilab.sim import rng_stream
 
@@ -42,67 +39,60 @@ def descend_strategy():
 
 
 # ---------------------------------------------------------------------------
-# value_at
+# DescendFunction.value
 # ---------------------------------------------------------------------------
 
 def test_value_at_linear_midpoint():
-    assert value_at(LIN3, 10.0, 1.5) == pytest.approx(5.0)
+    assert LIN3.value(10.0, 1.5) == pytest.approx(5.0)
 
 
 def test_value_at_boundary_zero():
-    assert value_at(LIN3, 10.0, 3.0) == 0.0
-    assert value_at(LIN3, 10.0, 100.0) == 0.0
+    assert LIN3.value(10.0, 3.0) == 0.0
+    assert LIN3.value(10.0, 100.0) == 0.0
 
 
 def test_value_at_power_convex():
     d = DescendFunction.power_convex(2.0, 3.0)
-    assert value_at(d, 8.0, 1.5) == pytest.approx(2.0)
-
-
-def test_value_at_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        value_at(LIN3, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        value_at(LIN3, 1.0, -0.5)
+    assert d.value(8.0, 1.5) == pytest.approx(2.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(descend_strategy(), st.floats(0.0, 50.0))
 def test_value_at_non_increasing_and_vanishing(descend, v0):
     taus = np.sort(np.append(np.linspace(0.0, 1.5 * descend.deadline, 40), descend.deadline))
-    vals = [value_at(descend, v0, float(t)) for t in taus]
+    vals = [float(descend.value(v0, float(t))) for t in taus]
     assert vals[0] == pytest.approx(v0)
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
     assert all(v == 0.0 for v, t in zip(vals, taus) if t >= descend.deadline)
-    assert value_at(descend, 0.0, float(taus[3])) == 0.0
-    # The vectorised law is value_at elementwise, exactly 0 from the deadline
-    # on; numpy's array power may round x**shape (<= 1) differently from its
-    # scalar one, by an ulp of 1 scaled by v0.
+    assert descend.value(0.0, float(taus[3])) == 0.0
+    # The law over an array is the law at each point, exactly 0 from the
+    # deadline on; numpy's array power may round x**shape (<= 1) differently
+    # from its scalar one, by an ulp of 1 scaled by v0.
     vec = descend.value(np.full(taus.size, v0), taus)
     assert vec.tolist() == pytest.approx(vals, rel=0.0, abs=2.0 * np.finfo(float).eps * v0)
     assert (vec[taus >= descend.deadline] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
-# q_area
+# DescendFunction.area
 # ---------------------------------------------------------------------------
 
 def test_q_area_full_triangle():
-    assert q_area(LIN3, 10.0, 0.0) == pytest.approx(15.0)
+    assert LIN3.area(10.0, 0.0) == pytest.approx(15.0)
 
 
 def test_q_area_ultimate_staleness():
-    assert q_area(LIN3, 10.0, 3.0) == 0.0
+    assert LIN3.area(10.0, 3.0) == 0.0
 
 
 def test_q_area_midpoint():
-    assert q_area(LIN3, 10.0, 1.5) == pytest.approx(3.75)
+    assert LIN3.area(10.0, 1.5) == pytest.approx(3.75)
 
 
 def _value_integral(descend, v0, a, b):
-    """Oracle: scipy's adaptive quadrature of value_at over [a, b]."""
-    return quad(lambda tau: value_at(descend, v0, tau), a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+    """Oracle: scipy's adaptive quadrature of DescendFunction.value over [a, b]."""
+    return quad(lambda tau: float(descend.value(v0, tau)), a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,7 +100,7 @@ def _value_integral(descend, v0, a, b):
 def test_q_area_linear_quadrature_matches_closed_form(v0, deadline, frac):
     descend = DescendFunction.linear(deadline)
     t_sys = frac * deadline
-    closed = q_area(descend, v0, t_sys)
+    closed = float(descend.area(v0, t_sys))
     oracle = _value_integral(descend, v0, t_sys, deadline)
     assert oracle == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
@@ -140,7 +130,7 @@ def test_q_area_batch_matches_quadrature_oracle(descend, v0, fracs):
 @given(descend_strategy(), st.floats(0.1, 20.0))
 def test_q_area_decreases_with_system_time(descend, v0):
     grid = np.linspace(0.0, descend.deadline, 12)
-    areas = [q_area(descend, v0, float(t)) for t in grid]
+    areas = [float(descend.area(v0, float(t))) for t in grid]
     for a, b in zip(areas, areas[1:]):
         assert b <= a + 1e-9
     # full-area consistency: zero system time integrates the whole curve
@@ -149,17 +139,17 @@ def test_q_area_decreases_with_system_time(descend, v0):
 
 
 # ---------------------------------------------------------------------------
-# service_time
+# sample_service_times
 # ---------------------------------------------------------------------------
 
 def test_service_time_log_shift_inverse_point():
     svc = DependentService("log-shift", 1.0)
-    assert service_time(svc, math.e - 1.0) == pytest.approx(1.0)
+    assert sample_service_times(svc, np.array([math.e - 1.0]), None, None)[0] == pytest.approx(1.0)
     assert svc.g_inv(svc.g(4.2)) == pytest.approx(4.2)
 
 
 def test_service_time_identity():
-    assert service_time(DependentService("identity"), 2.0) == 2.0
+    assert sample_service_times(DependentService("identity"), np.array([2.0]), None, None)[0] == 2.0
 
 
 def test_service_time_class_exponential_monte_carlo():
@@ -170,18 +160,18 @@ def test_service_time_class_exponential_monte_carlo():
     draws = rng.standard_exponential(n) * 0.4
     se = draws.std(ddof=1) / math.sqrt(n)
     assert abs(draws.mean() - 0.4) <= 3.0 * se
-    one = service_time(ClassExponentialService(), 0.4, cls=1, rng=rng_stream(7, 2))
-    assert one >= 0.0
+    one = sample_service_times(ClassExponentialService(), np.array([0.4]), np.array([1]), rng_stream(7, 2))
+    assert one[0] >= 0.0
 
 
 def test_service_time_class_exponential_requires_class():
     with pytest.raises(ValueError):
-        service_time(ClassExponentialService(), 0.4, cls=None, rng=rng_stream(7, 2))
+        sample_service_times(ClassExponentialService(), np.array([0.4]), None, rng_stream(7, 2))
 
 
 def test_service_time_random_models_require_rng():
     with pytest.raises(ValueError):
-        service_time(IndependentExponentialService(1.5), 1.0)
+        sample_service_times(IndependentExponentialService(1.5), np.array([1.0]), None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +242,7 @@ def test_mean_service_time_class_exponential():
 
 
 # ---------------------------------------------------------------------------
-# Scenario / Packet validation
+# Scenario validation
 # ---------------------------------------------------------------------------
 
 def test_scenario_class_only_needs_binary_values():
@@ -303,18 +293,6 @@ def test_constructors_reject_non_finite_parameters(build, bad):
     # Construction only: an infinite service time would never let a run end.
     with pytest.raises(ValueError):
         build(bad)
-
-
-def test_packet_reception_after_service():
-    with pytest.raises(ValueError):
-        Packet(id=0, t_gen=1.0, v0=2.0, s=1.0, t_recv=1.5)
-    ok = Packet(id=0, t_gen=1.0, v0=2.0, s=1.0, t_recv=2.5, q_area=0.3)
-    assert ok.t_recv == 2.5
-
-
-def test_packet_discarded_collects_nothing():
-    with pytest.raises(ValueError):
-        Packet(id=0, t_gen=0.0, v0=1.0, s=0.5, discarded=True, q_area=0.1)
 
 
 def test_binary_sampling_matches_class_probability():

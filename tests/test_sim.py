@@ -21,20 +21,15 @@ from voilab.model import (
     MG11,
     MG12,
     MG12_STAR,
-    Packet,
     Scenario,
     UniformValue,
     mean_service_time,
     mgf_service,
-    value_at,
 )
 from voilab.sim import (
     SimConfig,
     _serve,
     _serve_bufferless,
-    delivered_packets,
-    format_events,
-    instantaneous_voi,
     simulate,
 )
 
@@ -129,7 +124,6 @@ def test_service_at_deadline_samples_no_value_and_served_on_arrival_keeps_exact_
         assert rep.sampled_voi_mean == 0.0
         d = rep.detail
         ids = d["delivered_ids"]
-        assert np.array_equal(d["service_start_ids"], ids)
         on_arrival = d["service_start_times"] == d["t_gen"][ids]
         assert on_arrival.any()
         t_sys = d["system_times"]
@@ -192,10 +186,7 @@ def test_doubling_packet_count_is_statistically_invariant():
 
 def _buffer_waits(report):
     d = report.detail
-    starts = dict(zip(d["service_start_ids"].tolist(), d["service_start_times"].tolist()))
-    gen = d["t_gen"]
-    waits = np.array([starts[int(j)] - gen[j] for j in d["delivered_ids"]])
-    return waits
+    return d["service_start_times"] - d["t_gen"][d["delivered_ids"]]
 
 
 def test_bufferless_discipline_never_queues():
@@ -228,11 +219,10 @@ def test_lcfs_delivered_buffered_packet_saw_no_arrival_while_waiting():
     star = Scenario(2.0, ExponentialValue(1.5), DependentService("identity"), LIN3, MG12_STAR)
     rep = simulate(SimConfig(star, n_packets=100_000, seed=SEED, trace=True))
     d = rep.detail
-    starts = dict(zip(d["service_start_ids"].tolist(), d["service_start_times"].tolist()))
     gen = d["t_gen"]
     checked = 0
-    for j in d["delivered_ids"].tolist():
-        t0, t1 = float(gen[j]), starts[int(j)]
+    for j, t1 in zip(d["delivered_ids"].tolist(), d["service_start_times"].tolist()):
+        t0 = float(gen[j])
         if t1 - t0 <= 1e-12:
             continue
         inside = np.searchsorted(gen, t1, side="left") - np.searchsorted(gen, t0, side="right")
@@ -253,44 +243,8 @@ def test_class_only_admission_serves_single_class():
 
 
 # ---------------------------------------------------------------------------
-# Instantaneous VoI
+# Sampled VoI
 # ---------------------------------------------------------------------------
-
-def test_instantaneous_voi_empty_log_is_zero():
-    assert instantaneous_voi(LIN3, [], 5.0) == 0.0
-
-
-def test_instantaneous_voi_at_ultimate_staleness():
-    p = Packet(id=0, t_gen=1.0, v0=10.0, s=0.5, t_recv=1.5)
-    assert instantaneous_voi(LIN3, [p], 4.0) == 0.0
-    assert instantaneous_voi(LIN3, [p], 2.5) == pytest.approx(5.0)
-    # not yet received
-    assert instantaneous_voi(LIN3, [p], 1.2) == 0.0
-
-
-def test_instantaneous_voi_is_additive():
-    log = [
-        Packet(id=0, t_gen=0.0, v0=6.0, s=0.5, t_recv=0.5),
-        Packet(id=1, t_gen=1.0, v0=3.0, s=0.5, t_recv=1.5),
-        Packet(id=2, t_gen=9.0, v0=4.0, s=0.5, t_recv=9.5),
-    ]
-    # At t=2: packet0 carries 6*(1-2/3)=2, packet1 carries 3*(1-1/3)=2.
-    assert instantaneous_voi(LIN3, log, 2.0) == pytest.approx(4.0)
-
-
-def test_instantaneous_voi_matches_report_log():
-    rep = simulate(SimConfig(mm12(1.0), n_packets=3000, seed=SEED, trace=True))
-    packets = delivered_packets(rep)
-    d = rep.detail
-    gen = d["t_gen"][d["delivered_ids"]]
-    v0 = d["values"][d["delivered_ids"]]
-    recv = d["delivered_times"]
-    for t in np.linspace(5.0, rep.elapsed - 5.0, 25):
-        direct = instantaneous_voi(LIN3, packets, float(t))
-        live = (recv <= t) & (t - gen < 3.0)
-        vec = float(np.sum(v0[live] * np.clip(1.0 - (t - gen[live]) / 3.0, 0.0, None)))
-        assert direct == pytest.approx(vec, rel=1e-9, abs=1e-9)
-
 
 def test_area_sum_matches_sampled_voi_curve():
     rep = simulate(SimConfig(mm12(1.0), n_packets=200_000, seed=SEED, sample_voi_every=0.1))
@@ -310,7 +264,7 @@ def test_sampled_voi_nonlinear_descend():
 
 
 def _sampled_voi_reference(rep, descend, step):
-    """Brute force: per sample t, the math.fsum of value_at over the delivered
+    """Brute force: per sample t, the math.fsum of the values over the delivered
     packets with t_on <= t < gen + D; then the exact mean over the samples."""
     d = rep.detail
     gen = d["t_gen"][d["delivered_ids"]]
@@ -319,7 +273,7 @@ def _sampled_voi_reference(rep, descend, step):
     samples = np.arange(0.0, rep.elapsed, step)
     per_sample = [
         math.fsum(
-            value_at(descend, float(v0[k]), t - float(gen[k]))
+            float(descend.value(float(v0[k]), t - float(gen[k])))
             for k in np.flatnonzero((t_on <= t) & (t < gen + descend.deadline))
         )
         for t in samples.tolist()
@@ -358,21 +312,18 @@ def test_convex_descend_collects_less_than_linear():
 
 
 # ---------------------------------------------------------------------------
-# Event trace
+# Server states in the trace
 # ---------------------------------------------------------------------------
 
 def test_event_trace_shape_and_rendering():
-    rep = simulate(SimConfig(mm12(1.0), n_packets=500, seed=SEED, event_trace=True))
-    events = rep.events
-    assert events is not None and len(events) >= 500
-    times = [e[0] for e in events]
-    assert times == sorted(times)
-    assert {e[1] for e in events} == {"arrival", "completion"}
-    assert all(e[3] in (0, 1, 2) for e in events)
-    text = format_events(events)
-    assert len(text.splitlines()) == len(events)
-    n_arr = sum(1 for e in events if e[1] == "arrival")
-    assert n_arr == 500
+    rep = simulate(SimConfig(mm12(1.0), n_packets=500, seed=SEED, trace=True))
+    d = rep.detail
+    arrivals, completions = d["arrival_states"], d["completion_states"]
+    assert arrivals.size == 500
+    assert completions.size == rep.n_delivered == d["delivered_times"].size
+    assert np.all(np.diff(d["delivered_times"]) >= 0.0)
+    assert set(arrivals.tolist()) == {0, 1, 2}
+    assert set(completions.tolist()) == {1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +334,18 @@ def _reference_run(t_gen, services, admitted, discipline):
     """Replay arrivals and completions one event at a time.
 
     Returns the delivered ids and times, the state each arrival finds, the
-    event tuples and a timeline of (time, state after the event).  States: 0
-    idle, 1 busy, 2 busy with a full buffer.  An arrival at a completion
-    instant is handled first.
+    state at each completion (before it) and a timeline of (time, state
+    after the event).  States: 0 idle, 1 busy, 2 busy with a full buffer.
+    An arrival at a completion instant is handled first.
     """
-    ids, times, seen, events, timeline = [], [], [0, 0, 0], [], [(0.0, 0)]
+    ids, times, arrival_states, completion_states, timeline = [], [], [], [], [(0.0, 0)]
     in_service, done, buffer = None, math.inf, None
     i = 0
     while i < len(t_gen) or in_service is not None:
         state = (in_service is not None) + (buffer is not None)
         if i < len(t_gen) and t_gen[i] <= done:
             t = t_gen[i]
-            seen[state] += 1
-            events.append((t, "arrival", i, state))
+            arrival_states.append(state)
             if admitted is None or admitted[i]:
                 if in_service is None:
                     in_service, done = i, t + services[i]
@@ -404,13 +354,13 @@ def _reference_run(t_gen, services, admitted, discipline):
             i += 1
         else:
             t = done
-            events.append((t, "completion", in_service, state))
+            completion_states.append(state)
             ids.append(in_service)
             times.append(t)
             in_service, buffer = buffer, None
             done = math.inf if in_service is None else t + services[in_service]
         timeline.append((t, (in_service is not None) + (buffer is not None)))
-    return ids, times, seen, events, timeline
+    return ids, times, arrival_states, completion_states, timeline
 
 
 def _state_time(timeline, a, b):
@@ -426,15 +376,16 @@ def _check_against_reference(cfg):
     d = rep.detail
     n, nb = rep.n_generated, rep.n_batches
     admitted = None if d["admitted"] is None else d["admitted"].tolist()
-    ids, times, seen, events, timeline = _reference_run(
+    ids, times, arrival_states, completion_states, timeline = _reference_run(
         d["t_gen"].tolist(), d["services"].tolist(), admitted, cfg.scenario.discipline
     )
     assert d["delivered_ids"].tolist() == ids
     # Deliveries leave in arrival order, so every delivery resets the age.
     assert (np.diff(d["delivered_ids"]) > 0).all()
     assert d["delivered_times"].tolist() == times
-    assert rep.arrival_seen == tuple((np.array(seen) / n).tolist())
-    assert rep.events == tuple(events)
+    assert rep.arrival_seen == tuple((np.bincount(arrival_states, minlength=3) / n).tolist())
+    assert d["arrival_states"].tolist() == arrival_states
+    assert d["completion_states"].tolist() == completion_states
     elapsed = timeline[-1][0]
     assert rep.elapsed == elapsed
     total = _state_time(timeline, 0.0, elapsed)
@@ -462,10 +413,10 @@ def test_simulation_matches_event_by_event_reference(disc, admission):
             sc = Scenario(lam, BinaryValue(0.4, 1.33, 0.5), service, LIN3, disc, admission)
             for seed in (1, 2):
                 _check_against_reference(
-                    SimConfig(sc, n_packets=400, n_batches=10, seed=seed, trace=True, event_trace=True)
+                    SimConfig(sc, n_packets=400, n_batches=10, seed=seed, trace=True)
                 )
             for seed in range(4):
-                _check_against_reference(SimConfig(sc, n_packets=1, seed=seed, trace=True, event_trace=True))
+                _check_against_reference(SimConfig(sc, n_packets=1, seed=seed, trace=True))
 
 
 def _integer_stream(n, seed):
@@ -516,7 +467,7 @@ def test_servers_match_event_by_event_reference(stream, disc):
 
 def test_run_without_an_admitted_packet_matches_reference():
     sc = Scenario(1.0, BinaryValue(0.4, 1.33, 0.9), ClassExponentialService(), LIN3, MG12, "class-only(2)")
-    rep = _check_against_reference(SimConfig(sc, n_packets=5, seed=0, trace=True, event_trace=True))
+    rep = _check_against_reference(SimConfig(sc, n_packets=5, seed=0, trace=True))
     assert not rep.detail["admitted"].any()
     assert rep.n_delivered == 0 and rep.occupancy == (1.0, 0.0, 0.0)
 
