@@ -10,9 +10,6 @@ from .analytics import (
     AnalyticReport,
     UnsupportedAnalyticsError,
     analyze,
-    avg_voi_mg11,
-    avg_voi_mg12,
-    avg_voi_mg12star,
     closed_form_mg11_uniform_log,
     closed_form_mm12_exp,
     closed_form_report,
@@ -66,9 +63,6 @@ __all__ = [
     "UniformValue",
     "UnsupportedAnalyticsError",
     "analyze",
-    "avg_voi_mg11",
-    "avg_voi_mg12",
-    "avg_voi_mg12star",
     "closed_form_mg11_uniform_log",
     "closed_form_mm12_exp",
     "closed_form_report",

@@ -1,32 +1,32 @@
 """Renewal-reward evaluation of the time-average value collected at the receiver.
 
-Each discipline's average VoI is assembled from three pieces: stationary
-server-state probabilities over a renewal cycle, the expected collected area
-of a packet that arrives in idle state, and the expected area of a packet
-that arrives in busy state (zero for the bufferless discipline).  Each piece
-is a weighted sum over the components of the admitted service law
-(``model.service_law``); the two classic parameter families (uniform value
-with log service, exponential value with identity service) also have closed
-forms, which ``analyze`` never calls, so that the two routes check each
-other.  Only the linear decay law is covered, since the FCFS busy-arrival
-fold (``model._wait_kernel``) is a closed form for that law alone.
+``analyze`` is the one entry point.  For every discipline it adds up the
+same three pieces: stationary server-state probabilities over a renewal
+cycle, the expected collected area of a packet that arrives in idle state,
+and that of a busy arrival that is served; only the busy-arrival rule
+differs between disciplines.  Each piece is a weighted sum over the
+components of the admitted service law (``model.service_law``), built once
+per call.  The two classic parameter families (uniform value with log
+service, exponential value with identity service) also have closed forms,
+which ``analyze`` never calls, so that the two routes check each other.
+Only the linear decay law is covered, since the FCFS busy-arrival fold
+(``model._wait_kernel``) is a closed form for that law alone.
 
 Expectations without a closed form use vectorised Gauss-Legendre panels
 (``quadrature.gauss_legendre``) split at the known kinks of each integrand.
 The busy-arrival area is one tensor-product rule: the outer service-time
 nodes are evaluated together, and the inner fold (M/GI/1/2) or residual
 integral (M/GI/1/2*) runs once over all of them, with every outer node's
-inner pieces cut at its own remaining time.
-
-Class-filtered admission is handled by Poisson thinning: the queue sees rate
-lam * P[class admitted] and the value distribution conditioned on admission.
+inner pieces cut at its own remaining time.  Class-filtered admission is
+Poisson thinning: the queue sees rate lam * P[class admitted] and the
+value distribution conditioned on admission.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .model import (
     UniformValue,
     MG11,
     MG12,
-    MG12_STAR,
     effective_lambda,
     mean_service_time,
     mgf_service,
@@ -70,40 +69,19 @@ class AnalyticReport:
     method: str
 
 
-class BufferedStationary(NamedTuple):
+class Stationary(NamedTuple):
+    """Server-state probabilities over a renewal cycle, with the service
+    transforms they were computed from."""
+
     p_idle: float
     p_busy: float
-    p_busy1: float
-    p_busy2: float
+    p_busy1: float    # busy with the buffer empty
+    p_busy2: float    # busy with the buffer full
     t_cycle: float
-    e_wait_b2: float
-
-
-# ---------------------------------------------------------------------------
-# Shared helpers
-# ---------------------------------------------------------------------------
-
-def _require(scenario: Scenario, discipline: str) -> None:
-    """Reject scenarios outside the analytic coverage or of another discipline."""
-    if scenario.descend.kind != "linear":
-        raise UnsupportedAnalyticsError(
-            "analytic VoI covers the linear descend law only; use the simulator"
-        )
-    if scenario.discipline != discipline:
-        raise ValueError(f"scenario discipline is {scenario.discipline!r}, expected {discipline!r}")
-
-
-def _expect_value_kappa(
-    scenario: Scenario, kappa: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec
-) -> float:
-    """E[V * kappa(D - S) * 1{S < D}] over the admitted joint value/service law.
-
-    All conditional expected areas share this shape; the bufferless idle case
-    uses kappa(d) = d**2, the buffered cases fold the waiting time into kappa.
-    ``kappa`` maps an array of remaining times to an array.
-    """
-    d = scenario.descend.deadline
-    return sum(c.weight * c.expect_value_kappa(d, kappa, spec) for c in service_law(scenario))
+    e_wait_b2: float  # mean time per service that the buffer holds a packet
+    e_s: float        # E[S]
+    mgf: float        # MGF_S(lam)
+    omm: float        # 1 - MGF_S(lam)
 
 
 def _fcfs_wait_integral(law, rem, lam: float, spec: QuadratureSpec):
@@ -120,15 +98,19 @@ def _fcfs_wait_integral(law, rem, lam: float, spec: QuadratureSpec):
 # Stationary probabilities
 # ---------------------------------------------------------------------------
 
-def stationary_mg11(scenario: Scenario) -> tuple[float, float, float]:
-    """(p_idle, p_busy, t_cycle) for the bufferless discipline."""
+def stationary_mg11(scenario: Scenario) -> Stationary:
+    """Server-state probabilities for the bufferless discipline, whose cycle
+    is an idle gap and one service.  Nothing here divides by 1 - MGF, so it
+    is taken as 1 - mgf."""
     lam = effective_lambda(scenario)
     e_s = mean_service_time(scenario)
+    mgf = mgf_service(scenario)
     t_cycle = 1.0 / lam + e_s
-    return 1.0 / (lam * t_cycle), e_s / t_cycle, t_cycle
+    p_busy = e_s / t_cycle
+    return Stationary(1.0 / (lam * t_cycle), p_busy, p_busy, 0.0, t_cycle, 0.0, e_s, mgf, 1.0 - mgf)
 
 
-def stationary_mg12(scenario: Scenario) -> BufferedStationary:
+def stationary_mg12(scenario: Scenario) -> Stationary:
     """Server-state probabilities for the one-buffer disciplines.
 
     The renewal cycle is an idle gap plus a busy stretch of geometrically
@@ -147,9 +129,10 @@ def stationary_mg12(scenario: Scenario) -> BufferedStationary:
     p_idle = mgf / (mgf + busy)
     p_busy = busy / (mgf + busy)
     t_cycle = 1.0 / lam + e_s / mgf if mgf > 0.0 else math.inf
-    e_wait_b2 = e_s - omm / lam
+    # The wait is >= 0; at small lam * S the difference cancels to rounding noise.
+    e_wait_b2 = max(e_s - omm / lam, 0.0)
     p_busy2 = p_busy * e_wait_b2 / e_s if e_s > 0.0 else 0.0
-    return BufferedStationary(p_idle, p_busy, p_busy - p_busy2, p_busy2, t_cycle, e_wait_b2)
+    return Stationary(p_idle, p_busy, p_busy - p_busy2, p_busy2, t_cycle, e_wait_b2, e_s, mgf, omm)
 
 
 def residual_ccdf_mg12(scenario: Scenario, w: float) -> float:
@@ -171,105 +154,87 @@ def residual_ccdf_mg12(scenario: Scenario, w: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Average VoI per discipline
+# Average VoI
 # ---------------------------------------------------------------------------
 
-def _report(
-    scenario: Scenario, st: BufferedStationary, p_collect: float, kappa: Callable | None = None
-) -> AnalyticReport:
-    """Assemble the report.  An idle arrival waits only for its own service;
-    the busy arrivals that are served (stationary fraction ``p_collect``)
-    collect E[V * kappa(D - S); S < D] / (2D), none without ``kappa``."""
-    two_d = 2.0 * scenario.descend.deadline
-    eqi = _expect_value_kappa(scenario, lambda rem: rem * rem, DEFAULT_SPEC) / two_d
-    eqb = 0.0 if kappa is None else _expect_value_kappa(scenario, kappa, DEFAULT_SPEC.split(2)) / two_d
-    eq = st.p_idle * eqi + p_collect * eqb
+def analyze(scenario: Scenario) -> AnalyticReport:
+    """Average VoI of the scenario by renewal reward and quadrature (never a
+    closed form).
+
+    avg_voi = lam * (p_idle * eq_idle + p_served * eq_busy).  An idle
+    arrival waits only for its own service and collects
+    eq_idle = E[V (D - S)^2; S < D] / (2D).  A busy arrival that is served
+    (stationary fraction p_served) collects eq_busy = E[V kappa(D - S); S < D]
+    / (2D), where kappa folds its wait into the remaining time:
+
+    - M/GI/1/1: busy arrivals are dropped, so p_served = 0.
+    - M/GI/1/2 (FCFS): a busy arrival is served only when it finds the
+      buffer empty (p_served = p_busy1); its system time adds the residual
+      W' of the in-progress service.  E[(d - W')^2; W' < d] is reduced by
+      parts to d^2 - 2 int_0^d (d - w) P[W' > w] dw, and the CCDF integral
+      is folded over the service law with a closed-form kernel, so no
+      density of W' is ever differentiated numerically.
+    - M/GI/1/2* (LCFS with replacement): every busy arrival enters the
+      buffer, replacing any occupant (p_served = p_busy), and is delivered
+      iff no further arrival lands during the residual service W, which
+      contributes the factor exp(-lam w).  W follows the stationary
+      residual-service density (1 - F_S(w)) / E[S] over busy periods.
+    """
+    if scenario.descend.kind != "linear":
+        raise UnsupportedAnalyticsError("analytic VoI covers the linear descend law only; use the simulator")
+    lam = effective_lambda(scenario)
+    law = service_law(scenario)
+    d = scenario.descend.deadline
+    level = DEFAULT_SPEC.split(2)
+    kappa = None
+    if scenario.discipline == MG11:
+        st = stationary_mg11(scenario)
+        p_served = 0.0
+    elif scenario.discipline == MG12:
+        st = stationary_mg12(scenario)
+        p_served = st.p_busy1
+        if st.omm > 0.0 and p_served > 0.0:
+
+            def kappa(rem):
+                t = _fcfs_wait_integral(law, rem, lam, level) / st.omm
+                return np.maximum(rem * rem - 2.0 * t, 0.0)
+
+    else:
+        st = stationary_mg12(scenario)
+        p_served = st.p_busy
+        if st.e_s > 0.0 and p_served > 0.0:
+            kinks = sorted({k for c in law for k in c.kinks if 0.0 < k < d})
+
+            def kappa(rem):
+                # One row of pieces per outer point: [0, rem] cut at every kink,
+                # each clipped to that point's [0, rem] (empty pieces add nothing).
+                cuts = np.stack([np.zeros_like(rem), *(np.clip(k, 0.0, rem) for k in kinks), rem])
+
+                def f(w):
+                    return (rem - w) ** 2 * np.exp(-lam * w) * sum(c.weight * c.ccdf(w) for c in law)
+
+                return gauss_legendre(f, cuts[:-1], cuts[1:], level).sum(axis=0) / st.e_s
+
+    def area(k, spec):
+        # E[V k(D - S); S < D] / (2D) over the admitted law.
+        return sum(c.weight * c.expect_value_kappa(d, k, spec) for c in law) / (2.0 * d)
+
+    eqi = area(lambda rem: rem * rem, DEFAULT_SPEC)
+    eqb = 0.0 if kappa is None else area(kappa, level)
+    eq = st.p_idle * eqi + p_served * eqb
     return AnalyticReport(
         p_idle=st.p_idle,
         p_busy=st.p_busy,
         p_busy1=st.p_busy1,
         p_busy2=st.p_busy2,
         t_cycle=st.t_cycle,
-        mgf=mgf_service(scenario),
+        mgf=st.mgf,
         eq_idle=eqi,
         eq_busy=eqb,
         eq=eq,
-        avg_voi=effective_lambda(scenario) * eq,
+        avg_voi=lam * eq,
         method="quadrature",
     )
-
-
-def avg_voi_mg11(scenario: Scenario) -> AnalyticReport:
-    """Average VoI for the bufferless discipline: only idle arrivals count."""
-    _require(scenario, MG11)
-    p_idle, p_busy, t_cycle = stationary_mg11(scenario)
-    return _report(scenario, BufferedStationary(p_idle, p_busy, p_busy, 0.0, t_cycle, 0.0), 0.0)
-
-
-def avg_voi_mg12(scenario: Scenario) -> AnalyticReport:
-    """Average VoI for the FCFS one-buffer discipline.
-
-    A busy arrival collects area only when it finds the buffer empty; its
-    system time adds the residual W' of the in-progress service.  E[(d-W')^2,
-    W'<d] is reduced by parts to d^2 - 2 int_0^d (d-w) P[W'>w] dw and the
-    CCDF integral is folded over the service law with a closed-form kernel,
-    so no density of W' is ever differentiated numerically.
-    """
-    _require(scenario, MG12)
-    lam = effective_lambda(scenario)
-    st = stationary_mg12(scenario)
-    level = DEFAULT_SPEC.split(2)
-    omm = one_minus_mgf_service(scenario)
-    if not (omm > 0.0 and st.p_busy1 > 0.0):
-        return _report(scenario, st, st.p_busy1)
-    law = service_law(scenario)
-
-    def kappa(rem):
-        t = _fcfs_wait_integral(law, rem, lam, level) / omm
-        return np.maximum(rem * rem - 2.0 * t, 0.0)
-
-    return _report(scenario, st, st.p_busy1, kappa)
-
-
-def avg_voi_mg12star(scenario: Scenario) -> AnalyticReport:
-    """Average VoI for the LCFS-with-replacement one-buffer discipline.
-
-    Every busy arrival enters the buffer (replacing any occupant) and is
-    delivered iff no further arrival lands during the residual service W,
-    which contributes the factor exp(-lam w).  W follows the stationary
-    residual-service density (1 - F_S(w)) / E[S] over busy periods.
-    """
-    _require(scenario, MG12_STAR)
-    lam = effective_lambda(scenario)
-    st = stationary_mg12(scenario)
-    level = DEFAULT_SPEC.split(2)
-    e_s = mean_service_time(scenario)
-    if not (e_s > 0.0 and st.p_busy > 0.0):
-        return _report(scenario, st, st.p_busy)
-    law = service_law(scenario)
-    d = scenario.descend.deadline
-    kinks = sorted({k for c in law for k in c.kinks if 0.0 < k < d})
-
-    def kappa(rem):
-        # One row of pieces per outer point: [0, rem] cut at every kink,
-        # each clipped to that point's [0, rem] (empty pieces add nothing).
-        cuts = np.stack([np.zeros_like(rem), *(np.clip(k, 0.0, rem) for k in kinks), rem])
-
-        def f(w):
-            return (rem - w) ** 2 * np.exp(-lam * w) * sum(c.weight * c.ccdf(w) for c in law)
-
-        return gauss_legendre(f, cuts[:-1], cuts[1:], level).sum(axis=0) / e_s
-
-    return _report(scenario, st, st.p_busy, kappa)
-
-
-def analyze(scenario: Scenario) -> AnalyticReport:
-    """Dispatch to the discipline's quadrature evaluation (never a closed form)."""
-    if scenario.discipline == MG11:
-        return avg_voi_mg11(scenario)
-    if scenario.discipline == MG12:
-        return avg_voi_mg12(scenario)
-    return avg_voi_mg12star(scenario)
 
 
 # ---------------------------------------------------------------------------

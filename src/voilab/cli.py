@@ -37,7 +37,8 @@ value_dist and service are then required. A ``run`` flag (--preset, --seed,
 preset. There is no mu_independent key: the presets fix the independent
 service rate at 1.5.
 
-Exit codes: 0 success, 2 usage error, 3 verification failure, 4 numeric failure.
+Exit codes: 0 success, 2 usage error (also when a run is out of memory: lower
+n_packets), 3 verification failure, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -433,7 +434,8 @@ def read_csv(path: str) -> list[dict[str, str]]:
 
     A column that ``compare_engines`` reads and the header lacks, or a cell
     of a numeric one that holds neither a number nor its allowed text, is a
-    UsageError naming the line of the file and the column.  So is a second
+    UsageError naming the line of the file and the column; only analytic
+    and closed-form rows may hold 'unsupported'.  So is a second
     row with the same key columns, which ``compare_engines`` would let
     overwrite the first; that error names both lines.
     """
@@ -469,6 +471,8 @@ def read_csv(path: str) -> list[dict[str, str]]:
                     float(cell)
                 except ValueError:
                     raise UsageError(f"{where()}: column {col!r}: {cell!r} is not a number") from None
+        if row["avg_voi"] == "unsupported" and row["engine"] not in ("analytic", "closed-form"):
+            raise UsageError(f"{where()}: column 'avg_voi': 'unsupported' on a {row['engine']!r} row")
         rows.append(row)
     return rows
 
@@ -493,7 +497,8 @@ def compare_engines(rows: list[dict[str, str]], sigma: float = 3.0) -> VerifySum
     """Pair analytic/closed-form rows with their simulation counterparts.
 
     Analytic vs simulation passes within ``sigma`` simulation standard
-    errors; closed form vs analytic passes at 1e-6 relative.
+    errors, and fails when the standard error is not a finite number >= 0;
+    closed form vs analytic passes at 1e-6 relative.
     """
     groups: dict[tuple[str, str, str], dict[str, dict]] = {}
     for row in rows:
@@ -524,22 +529,18 @@ def compare_engines(rows: list[dict[str, str]], sigma: float = 3.0) -> VerifySum
             s = float(sim["avg_voi"])
             se = float(sim["stderr"]) if sim["stderr"] else 0.0
             dev = abs(a - s)
-            rel = dev / max(abs(a), 1e-300)
-            if se > 0.0:
+            head = f"{describe(key)} {engine} vs simulate: {a:.6g} vs {s:.6g}"
+            if not 0.0 <= se < math.inf:  # also false for nan
+                ok = False
+                lines.append(f"{head}, stderr {sim['stderr']} is not a finite number >= 0 FAIL")
+            elif se > 0.0:
                 z = dev / se
                 ok = z <= sigma
-                verdict = "PASS" if ok else "FAIL"
-                lines.append(
-                    f"{describe(key)} {engine} vs simulate: {a:.6g} vs {s:.6g}±{se:.2g}"
-                    f" rel={rel:.3%} |z|={z:.2f} {verdict}"
-                )
+                rel = f" rel={dev / abs(a):.3%}" if a != 0.0 else ""
+                lines.append(f"{head}±{se:.2g}{rel} |z|={z:.2f} {'PASS' if ok else 'FAIL'}")
             else:
                 ok = dev <= 1e-12
-                verdict = "PASS" if ok else "FAIL"
-                lines.append(
-                    f"{describe(key)} {engine} vs simulate: {a:.6g} vs {s:.6g}"
-                    f" (zero spread) {verdict}"
-                )
+                lines.append(f"{head} (zero spread) {'PASS' if ok else 'FAIL'}")
             n_pass += ok
             n_fail += not ok
         cf, an = engines.get("closed-form"), engines.get("analytic")
@@ -616,7 +617,10 @@ def main(argv: list[str] | None = None) -> int:
         config = build_config(raw)
         if config.out is None:
             config = replace(config, out=f"{config.name}.csv")
-        rows = run_experiment(config)
+        try:
+            rows = run_experiment(config)
+        except MemoryError:
+            raise UsageError(f"out of memory at n_packets = {config.n_packets}; lower it (--packets)") from None
         print(f"wrote {len(rows)} rows to {config.out}")
         return 0
     except UsageError as exc:

@@ -33,6 +33,9 @@ _STREAM_SERVICES = 2
 # memory of one block, whatever the run length and sampling step.
 _SAMPLE_PAIRS_PER_BLOCK = 1 << 16
 
+# Batches of every batch-means standard error (one per packet in shorter runs).
+_N_BATCHES = 100
+
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed, stream], dtype=np.uint64)
@@ -45,14 +48,11 @@ class SimConfig:
     n_packets: int = 1_000_000
     seed: int = 0
     sample_voi_every: Optional[float] = None
-    n_batches: int = 100
     trace: bool = False   # keep the per-packet and per-delivery arrays in ``detail``
 
     def __post_init__(self) -> None:
         if self.n_packets < 1:
             raise ValueError("need at least one packet")
-        if self.n_batches < 2:
-            raise ValueError("batch-means standard errors need >= 2 batches")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.sample_voi_every is not None and not (0.0 < self.sample_voi_every < math.inf):
@@ -83,7 +83,7 @@ def simulate(config: SimConfig) -> SimReport:
     """Run one seeded simulation of the configured scenario."""
     sc = config.scenario
     n = config.n_packets
-    n_batches = min(config.n_batches, n)
+    n_batches = min(_N_BATCHES, n)
 
     rng_a = rng_stream(config.seed, _STREAM_ARRIVALS)
     rng_v = rng_stream(config.seed, _STREAM_VALUES)

@@ -12,9 +12,6 @@ from voilab.analytics import (
     UnsupportedAnalyticsError,
     _fcfs_wait_integral,
     analyze,
-    avg_voi_mg11,
-    avg_voi_mg12,
-    avg_voi_mg12star,
     closed_form_mg11_uniform_log,
     closed_form_mm12_exp,
     closed_form_report,
@@ -72,23 +69,22 @@ def uniflog(lam, disc=MG11):
 
 def test_stationary_mg11_symmetric_cycle():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(1.0), LIN3, MG11)
-    p_idle, p_busy, t_cycle = stationary_mg11(sc)
-    assert p_idle == pytest.approx(0.5)
-    assert p_busy == pytest.approx(0.5)
-    assert t_cycle == pytest.approx(2.0)
+    st = stationary_mg11(sc)
+    assert st.p_idle == pytest.approx(0.5)
+    assert st.p_busy == pytest.approx(0.5)
+    assert st.t_cycle == pytest.approx(2.0)
 
 
 def test_stationary_mg11_empty_system_limit():
     sc = Scenario(1e-9, UniformValue(0, 10), IndependentDeterministicService(2.0), LIN3, MG11)
-    p_idle, _, _ = stationary_mg11(sc)
-    assert p_idle == pytest.approx(1.0, abs=1e-8)
+    assert stationary_mg11(sc).p_idle == pytest.approx(1.0, abs=1e-8)
 
 
 def test_stationary_mg11_exponential_service():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentExponentialService(1.5), LIN3, MG11)
-    p_idle, p_busy, _ = stationary_mg11(sc)
-    assert p_idle == pytest.approx(0.6, rel=1e-12)
-    assert p_idle + p_busy == pytest.approx(1.0, abs=1e-12)
+    st = stationary_mg11(sc)
+    assert st.p_idle == pytest.approx(0.6, rel=1e-12)
+    assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stationary_mg12_reference_point():
@@ -107,10 +103,10 @@ def test_stationary_mg12_vanishing_buffer_at_low_rate():
 
 @pytest.mark.parametrize("lam", [0.1, 0.7, 1.0, 3.3, 5.0])
 def test_stationary_partitions_sum_to_one(lam):
-    p_idle, p_busy, _ = stationary_mg11(
+    st = stationary_mg11(
         Scenario(lam, UniformValue(0, 10), DependentService("log-shift", 1.0), LIN3, MG11)
     )
-    assert p_idle + p_busy == pytest.approx(1.0, abs=1e-12)
+    assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
     st = stationary_mg12(mm12(lam))
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
     assert st.p_busy1 + st.p_busy2 == pytest.approx(st.p_busy, abs=1e-12)
@@ -170,18 +166,18 @@ def test_residual_ccdf_rejects_negative_argument():
 
 def test_mg11_instant_service_full_triangle():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(0.0), LIN3, MG11)
-    rep = avg_voi_mg11(sc)
+    rep = analyze(sc)
     assert rep.avg_voi == pytest.approx(7.5, rel=1e-12)
     assert rep.p_idle == pytest.approx(1.0)
 
 
 def test_mg11_service_beyond_deadline_collects_nothing():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(3.0), LIN3, MG11)
-    assert avg_voi_mg11(sc).avg_voi == 0.0
+    assert analyze(sc).avg_voi == 0.0
 
 
 def test_mg11_exponential_identity_reference():
-    rep = avg_voi_mg11(expid(1.0, MG11))
+    rep = analyze(expid(1.0, MG11))
     assert rep.p_idle == pytest.approx(0.6, rel=1e-9)
     assert rep.eq_idle == pytest.approx(EQ_IDLE_MM, rel=1e-9)
     assert rep.avg_voi == pytest.approx(VOI_MG11_EXPID, rel=1e-8)
@@ -192,7 +188,7 @@ def test_mg11_rejects_nonlinear_descend():
         1.0, UniformValue(0, 10), DependentService(), DescendFunction.power_convex(2.0, 3.0), MG11
     )
     with pytest.raises(UnsupportedAnalyticsError):
-        avg_voi_mg11(sc)
+        analyze(sc)
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +197,21 @@ def test_mg11_rejects_nonlinear_descend():
 
 def test_mg12_matches_closed_form_triangle_points():
     for lam, expected in VOI_MM12.items():
-        rep = avg_voi_mg12(mm12(lam))
+        rep = analyze(mm12(lam))
         cf = closed_form_mm12_exp(1.5, lam, 3.0)
         assert rep.avg_voi == pytest.approx(cf.avg_voi, rel=1e-8)
         assert rep.avg_voi == pytest.approx(expected, rel=1e-8)
 
 
 def test_mg12_vanishes_with_arrival_rate():
-    rep = avg_voi_mg12(mm12(1e-6))
+    rep = analyze(mm12(1e-6))
     assert rep.avg_voi == pytest.approx(0.0, abs=1e-6)
     assert rep.avg_voi > 0.0
 
 
 def test_mg12_empty_region_when_service_exceeds_deadline():
     sc = Scenario(1.0, BinaryValue(5.0, 5.0, 0.5), DependentService("identity"), LIN3, MG12)
-    assert avg_voi_mg12(sc).avg_voi == 0.0
+    assert analyze(sc).avg_voi == 0.0
 
 
 def test_mg12_wait_integral_matches_literal_ccdf_route():
@@ -233,36 +229,31 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
             assert folded == pytest.approx(literal, rel=1e-4)
 
 
-def test_mg12_wrong_discipline_rejected():
-    with pytest.raises(ValueError):
-        avg_voi_mg12(expid(1.0, MG11))
-
-
 # ---------------------------------------------------------------------------
 # One-buffer LCFS with replacement
 # ---------------------------------------------------------------------------
 
 def test_mg12star_busy_area_reference_points():
     for lam, expected in EQ_BUSY_STAR_MM.items():
-        rep = avg_voi_mg12star(expid(lam, MG12_STAR))
+        rep = analyze(expid(lam, MG12_STAR))
         assert rep.eq_busy == pytest.approx(expected, rel=1e-7)
 
 
 def test_mg12star_beats_bufferless_on_exponential_identity():
     for lam in (0.5, 1.0, 2.0):
-        star = avg_voi_mg12star(expid(lam, MG12_STAR)).avg_voi
-        base = avg_voi_mg11(expid(lam, MG11)).avg_voi
+        star = analyze(expid(lam, MG12_STAR)).avg_voi
+        base = analyze(expid(lam, MG11)).avg_voi
         assert star > base
 
 
 def test_mg12star_vanishes_with_arrival_rate():
-    rep = avg_voi_mg12star(expid(1e-6, MG12_STAR))
+    rep = analyze(expid(1e-6, MG12_STAR))
     assert rep.avg_voi == pytest.approx(0.0, abs=1e-6)
 
 
 def test_mg12star_star_shares_stationary_probabilities_with_fcfs():
-    a = avg_voi_mg12(mm12(1.3))
-    b = avg_voi_mg12star(expid(1.3, MG12_STAR))
+    a = analyze(mm12(1.3))
+    b = analyze(expid(1.3, MG12_STAR))
     assert a.p_idle == pytest.approx(b.p_idle, rel=1e-12)
     assert a.p_busy2 == pytest.approx(b.p_busy2, rel=1e-12)
 
@@ -282,7 +273,7 @@ def test_uniform_log_mean_service_time_consistent_map():
 def test_uniform_log_closed_form_agrees_with_quadrature():
     for lam in (0.1, 0.5, 1.0, 2.7, 5.0):
         cf = closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, 3.0)
-        qd = avg_voi_mg11(uniflog(lam))
+        qd = analyze(uniflog(lam))
         assert cf.avg_voi == pytest.approx(qd.avg_voi, rel=1e-6)
         assert cf.mgf == pytest.approx(qd.mgf, rel=1e-8)
     assert closed_form_mg11_uniform_log(0.0, 10.0, 1.0, 1.0, 3.0).avg_voi == pytest.approx(
@@ -293,7 +284,7 @@ def test_uniform_log_closed_form_agrees_with_quadrature():
 def test_uniform_log_nonzero_lower_bound():
     cf = closed_form_mg11_uniform_log(2.0, 8.0, 0.7, 1.3, 3.0)
     sc = Scenario(1.3, UniformValue(2.0, 8.0), DependentService("log-shift", 0.7), LIN3, MG11)
-    assert cf.avg_voi == pytest.approx(avg_voi_mg11(sc).avg_voi, rel=1e-6)
+    assert cf.avg_voi == pytest.approx(analyze(sc).avg_voi, rel=1e-6)
 
 
 def test_uniform_log_empty_region_for_steep_map():
@@ -369,7 +360,7 @@ def test_class_only_admission_thins_rate_and_conditions_values(cls, frac, value)
         MG11,
         f"class-only({cls})",
     )
-    rep = avg_voi_mg11(sc)
+    rep = analyze(sc)
     lam_eff = lam * frac
     e_s = value
     p_idle = 1.0 / (1.0 + lam_eff * e_s)
@@ -380,7 +371,7 @@ def test_class_only_admission_thins_rate_and_conditions_values(cls, frac, value)
 
 def test_serve_all_class_service_mixture():
     sc = Scenario(1.0, BinaryValue(0.4, 1.33, 0.8), ClassExponentialService(), LIN3, MG11)
-    rep = avg_voi_mg11(sc)
+    rep = analyze(sc)
     eqi = 0.8 * 0.4 / 6.0 * _eds2(2.5, 3.0) + 0.2 * 1.33 / 6.0 * _eds2(1.0 / 1.33, 3.0)
     p_idle = 1.0 / (1.0 + 0.586)
     assert rep.avg_voi == pytest.approx(p_idle * eqi, rel=1e-8)
@@ -390,7 +381,7 @@ def test_independent_service_factorizes():
     # With service independent of value, the idle-state area is
     # E[V]/(2D) * E[(D-S)^2, S<D].
     sc = Scenario(1.0, ExponentialValue(1.5), IndependentExponentialService(1.5), LIN3, MG11)
-    rep = avg_voi_mg11(sc)
+    rep = analyze(sc)
     expected_eqi = (1.0 / 1.5) / 6.0 * _eds2(1.5, 3.0)
     assert rep.eq_idle == pytest.approx(expected_eqi, rel=1e-8)
 
@@ -475,6 +466,20 @@ def test_pinned_analytic_outputs(value, service, admission, discipline, expected
     rep = analyze(sc)
     got = (rep.avg_voi, rep.p_idle, rep.p_busy1, rep.p_busy2)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+
+# The 13 value x service pairs of the pinned table that form a scenario.
+_PIN_PAIRS = [(v, s) for v in _PIN_VALUES for s in _PIN_SERVICES if s != "cexp" or v == "bin"]
+
+
+@pytest.mark.parametrize("value, service", _PIN_PAIRS, ids=[f"{v}-{s}" for v, s in _PIN_PAIRS])
+def test_buffer_fraction_is_not_negative_at_vanishing_rate(value, service):
+    # E[S] - (1 - MGF)/lam, the mean buffer wait, cancels to rounding noise
+    # as lam -> 0, where it can fall below zero (-6.7e-316 at lam = 1e-300).
+    for lam in np.logspace(-300, -10, 59):
+        st = stationary_mg12(Scenario(float(lam), _PIN_VALUES[value], _PIN_SERVICES[service], LIN3, MG12))
+        assert 0.0 <= st.p_busy2
+        assert st.p_busy1 + st.p_busy2 == st.p_busy
 
 
 @pytest.mark.parametrize("discipline", [MG12, MG12_STAR])

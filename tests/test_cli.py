@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from voilab import cli
 from voilab.cli import (
     MAX_GRID_POINTS,
     PRESETS,
@@ -199,6 +200,7 @@ def test_verify_well_formed_csv_passes(tmp_path, capsys):
         (",0.01,", ",x,", "line 4: column 'stderr': 'x' is not a number"),
         (",0.5,,,", ",unsupported,,abc,", "line 3: column 'stderr': 'abc' is not a number"),
         ("serve-all,simulate,0.51,2.0,0.01,0.5,0.5,0,1,1", "serve-all,simulate,0.51", "line 4: column 'stderr': missing cell"),
+        (",0.51,", ",unsupported,", "line 4: column 'avg_voi': 'unsupported' on a 'simulate' row"),
     ],
 )
 def test_verify_malformed_csv_is_a_usage_error(tmp_path, capsys, old, new, where):
@@ -206,6 +208,35 @@ def test_verify_malformed_csv_is_a_usage_error(tmp_path, capsys, old, new, where
     assert _verify_text(tmp_path, _CSV.replace(old, new, 1)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
+
+
+@pytest.mark.parametrize("stderr", ["inf", "nan", "-0.01"])
+def test_verify_fails_a_row_whose_stderr_is_not_a_finite_non_negative_number(tmp_path, capsys, stderr):
+    assert _verify_text(tmp_path, _CSV.replace(",0.01,", f",{stderr},", 1)) == 3
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("lambda=1 M/GI/1/1 serve-all analytic vs simulate: ")
+    assert f"stderr {stderr} is not a finite number >= 0" in line and line.endswith(" FAIL")
+
+
+def test_verify_prints_rel_only_for_a_nonzero_analytic_value(tmp_path, capsys):
+    assert _verify_text(tmp_path, _CSV) == 0
+    assert " rel=2.000% |z|=1.00 PASS" in capsys.readouterr().out
+    assert _verify_text(tmp_path, _CSV.replace(",analytic,0.5,", ",analytic,0,", 1).replace(",0.51,", ",0.02,", 1)) == 0
+    out = capsys.readouterr().out
+    assert "0 vs 0.02±0.01 |z|=2.00 PASS" in out and "rel=" not in out
+
+
+def test_out_of_memory_run_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # The simulator is replaced, so nothing is allocated.
+    def out_of_memory(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "simulate", out_of_memory)
+    text = _BASE.replace("engines = analytic", "engines = simulate") + "n_packets = 1000000000000\n"
+    assert _run_config(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "n_packets" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_verify_csv_without_header_is_a_usage_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from voilab.analytics import (
-    avg_voi_mg11,
+    analyze,
     closed_form_mm12_exp,
     residual_ccdf_mg12,
     stationary_mg12,
@@ -91,8 +91,6 @@ def test_config_validation():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SimConfig(mm12(), sample_voi_every=bad)
-    with pytest.raises(ValueError):
-        SimConfig(mm12(), n_batches=1)
     for bad in (-1, 2**64):
         with pytest.raises(ValueError):
             SimConfig(mm12(), seed=bad)
@@ -168,7 +166,7 @@ def test_occupancy_matches_renewal_prediction_deterministic_service():
 def test_occupancy_matches_renewal_prediction_uniform_log(mm12_run):
     sc = uniflog(1.0)
     rep = simulate(SimConfig(sc, n_packets=300_000, seed=SEED + 3))
-    ana = avg_voi_mg11(sc)
+    ana = analyze(sc)
     assert _z(rep.occupancy[0], ana.p_idle, rep.occupancy_stderr[0]) <= 3.0
     assert rep.occupancy[2] == 0.0  # no buffer slot in the bufferless discipline
     assert _z(rep.avg_voi, ana.avg_voi, rep.stderr_voi) <= 3.0
@@ -413,7 +411,7 @@ def test_simulation_matches_event_by_event_reference(disc, admission):
             sc = Scenario(lam, BinaryValue(0.4, 1.33, 0.5), service, LIN3, disc, admission)
             for seed in (1, 2):
                 _check_against_reference(
-                    SimConfig(sc, n_packets=400, n_batches=10, seed=seed, trace=True)
+                    SimConfig(sc, n_packets=400, seed=seed, trace=True)
                 )
             for seed in range(4):
                 _check_against_reference(SimConfig(sc, n_packets=1, seed=seed, trace=True))
