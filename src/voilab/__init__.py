@@ -33,10 +33,8 @@ from .model import (
     Scenario,
     UniformValue,
     effective_lambda,
-    mean_service_time,
-    mgf_service,
 )
-from .quadrature import QuadratureError, QuadratureSpec, integrate
+from .quadrature import QuadratureError, QuadratureSpec
 from .sim import SimConfig, SimReport, simulate
 
 __version__ = "0.1.0"
@@ -67,9 +65,6 @@ __all__ = [
     "closed_form_mm12_exp",
     "closed_form_report",
     "effective_lambda",
-    "integrate",
-    "mean_service_time",
-    "mgf_service",
     "residual_ccdf_mg12",
     "simulate",
     "stationary_mg11",

@@ -98,20 +98,19 @@ def _fcfs_wait_integral(law, rem, lam: float, spec: QuadratureSpec):
 # Stationary probabilities
 # ---------------------------------------------------------------------------
 
-def stationary_mg11(scenario: Scenario) -> Stationary:
-    """Server-state probabilities for the bufferless discipline, whose cycle
-    is an idle gap and one service.  Nothing here divides by 1 - MGF, so it
-    is taken as 1 - mgf."""
-    lam = effective_lambda(scenario)
-    e_s = mean_service_time(scenario)
-    mgf = mgf_service(scenario)
+def stationary_mg11(law, lam: float) -> Stationary:
+    """Server-state probabilities of the bufferless discipline under the admitted
+    law ``law`` at rate ``lam``; the cycle is an idle gap and one service.
+    Nothing here divides by 1 - MGF, so it is taken as 1 - mgf."""
+    e_s = mean_service_time(law)
+    mgf = mgf_service(law, lam)
     t_cycle = 1.0 / lam + e_s
     p_busy = e_s / t_cycle
     return Stationary(1.0 / (lam * t_cycle), p_busy, p_busy, 0.0, t_cycle, 0.0, e_s, mgf, 1.0 - mgf)
 
 
-def stationary_mg12(scenario: Scenario) -> Stationary:
-    """Server-state probabilities for the one-buffer disciplines.
+def stationary_mg12(law, lam: float) -> Stationary:
+    """Server-state probabilities of the one-buffer disciplines under the admitted law ``law`` at rate ``lam``.
 
     The renewal cycle is an idle gap plus a busy stretch of geometrically
     many services (the stretch ends with the first service that sees no
@@ -119,10 +118,9 @@ def stationary_mg12(scenario: Scenario) -> Stationary:
     occupied from the first arrival of each service to that service's end,
     giving the B2 fraction through the expected buffer wait.
     """
-    lam = effective_lambda(scenario)
-    e_s = mean_service_time(scenario)
-    mgf = mgf_service(scenario)
-    omm = one_minus_mgf_service(scenario)
+    e_s = mean_service_time(law)
+    mgf = mgf_service(law, lam)
+    omm = one_minus_mgf_service(law, lam)
     # Scaled by MGF so that nothing divides by it: it underflows to 0 once
     # lam * S is large, when every service sees an arrival.
     busy = lam * e_s
@@ -135,8 +133,8 @@ def stationary_mg12(scenario: Scenario) -> Stationary:
     return Stationary(p_idle, p_busy, p_busy - p_busy2, p_busy2, t_cycle, e_wait_b2, e_s, mgf, omm)
 
 
-def residual_ccdf_mg12(scenario: Scenario, w: float) -> float:
-    """P[W' > w]: residual service seen by the first busy-period arrival.
+def residual_ccdf_mg12(law, lam: float, w: float) -> float:
+    """P[W' > w]: residual service seen by the first busy-period arrival under ``law``.
 
     W' = S - X conditioned on X < S with X exponential(lam).  Exponential
     components contribute their own CCDF (memorylessness), point masses a
@@ -146,11 +144,10 @@ def residual_ccdf_mg12(scenario: Scenario, w: float) -> float:
         raise ValueError("residual time must be >= 0")
     if w == 0.0:
         return 1.0
-    lam = effective_lambda(scenario)
-    omm = one_minus_mgf_service(scenario)
+    omm = one_minus_mgf_service(law, lam)
     if omm <= 0.0:
         raise ValueError("no busy-state arrivals exist under this service law")
-    return float(sum(c.weight * c.residual_num(lam, w) for c in service_law(scenario)) / omm)
+    return float(sum(c.weight * c.residual_num(lam, w) for c in law) / omm)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +185,10 @@ def analyze(scenario: Scenario) -> AnalyticReport:
     level = DEFAULT_SPEC.split(2)
     kappa = None
     if scenario.discipline == MG11:
-        st = stationary_mg11(scenario)
+        st = stationary_mg11(law, lam)
         p_served = 0.0
     elif scenario.discipline == MG12:
-        st = stationary_mg12(scenario)
+        st = stationary_mg12(law, lam)
         p_served = st.p_busy1
         if st.omm > 0.0 and p_served > 0.0:
 
@@ -200,10 +197,13 @@ def analyze(scenario: Scenario) -> AnalyticReport:
                 return np.maximum(rem * rem - 2.0 * t, 0.0)
 
     else:
-        st = stationary_mg12(scenario)
+        st = stationary_mg12(law, lam)
         p_served = st.p_busy
         if st.e_s > 0.0 and p_served > 0.0:
-            kinks = sorted({k for c in law for k in c.kinks if 0.0 < k < d})
+            # exp(-lam w) is a boundary layer of width 1/lam at w = 0: pieces also end at
+            # w = 16 * 2^k / lam, up to 1024 / lam, where exp(-lam w) has underflowed to 0.
+            cuts = [k for c in law for k in c.kinks] + [16.0 * 2.0**j / lam for j in range(7)]
+            kinks = sorted({k for k in cuts if 0.0 < k < d})
 
             def kappa(rem):
                 # One row of pieces per outer point: [0, rem] cut at every kink,

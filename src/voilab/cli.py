@@ -47,6 +47,7 @@ import argparse
 import csv
 import math
 import os
+import platform
 import re
 import sys
 import time
@@ -57,6 +58,7 @@ from functools import partial
 
 import numpy as np
 
+from . import __version__
 from .analytics import UnsupportedAnalyticsError, analyze, closed_form_report
 from .model import (
     BinaryValue,
@@ -422,6 +424,9 @@ def write_csv(config: ExperimentConfig, rows: list[dict[str, str]], path: str) -
         fh.write(f"# engines = {','.join(config.engines)}\n")
         fh.write(f"# n_packets = {config.n_packets}\n")
         fh.write(f"# seed = {config.seed}\n")
+        fh.write(f"# voilab = {__version__}\n")
+        fh.write(f"# numpy = {np.__version__}\n")
+        fh.write(f"# python = {platform.python_version()}\n")
         if any(isinstance(sc.service, ClassExponentialService) for _, sc in config.variants):
             fh.write("# service-interpretation = exponential with mean equal to the class value\n")
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)

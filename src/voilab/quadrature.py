@@ -5,8 +5,8 @@ evaluated through ``gauss_legendre``, so its error behaviour is pinned down:
 it integrates many intervals at once on numpy arrays, doubles the
 Gauss-Legendre order until successive estimates agree within the budget
 derived from ``QuadratureSpec``, and raises ``QuadratureError`` (carrying the
-worst interval) when the doubling bound is hit first.  ``integrate`` applies
-the same rule to a plain Python integrand of one float.
+worst interval) when the doubling bound is hit first.  ``integrate``, the
+same rule for a scalar integrand, stays only for perfbench's tracer.
 """
 
 from __future__ import annotations
@@ -145,5 +145,5 @@ def integrate(
     b: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """``gauss_legendre`` for a scalar integrand ``f`` over [a, b]."""
+    """``gauss_legendre`` for a scalar integrand ``f`` over [a, b]; nothing here calls it."""
     return gauss_legendre(np.vectorize(f, otypes=[float]), a, b, spec)

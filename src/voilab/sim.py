@@ -279,7 +279,9 @@ def _batch_stderr(batch_totals: np.ndarray, spans: np.ndarray) -> float:
     m = batch_totals[keep] / spans[keep]
     if m.size < 2:
         return 0.0
-    return float(m.std(ddof=1) / math.sqrt(m.size))
+    # Scaled into [-1, 1] by a power of two (exact), so that squares cannot overflow.
+    e = math.frexp(float(np.abs(m).max()))[1]
+    return math.ldexp(float(np.ldexp(m, -e).std(ddof=1) / math.sqrt(m.size)), e)
 
 
 def _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans):

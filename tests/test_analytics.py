@@ -32,6 +32,7 @@ from voilab.model import (
     MG12_STAR,
     Scenario,
     UniformValue,
+    effective_lambda,
     mean_service_time,
     one_minus_mgf_service,
     service_law,
@@ -63,13 +64,18 @@ def uniflog(lam, disc=MG11):
     return Scenario(lam, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), LIN3, disc)
 
 
+def _law(sc):
+    """The admitted service law and arrival rate that ``analyze`` builds from ``sc``."""
+    return service_law(sc), effective_lambda(sc)
+
+
 # ---------------------------------------------------------------------------
 # Stationary probabilities
 # ---------------------------------------------------------------------------
 
 def test_stationary_mg11_symmetric_cycle():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(1.0), LIN3, MG11)
-    st = stationary_mg11(sc)
+    st = stationary_mg11(*_law(sc))
     assert st.p_idle == pytest.approx(0.5)
     assert st.p_busy == pytest.approx(0.5)
     assert st.t_cycle == pytest.approx(2.0)
@@ -77,18 +83,18 @@ def test_stationary_mg11_symmetric_cycle():
 
 def test_stationary_mg11_empty_system_limit():
     sc = Scenario(1e-9, UniformValue(0, 10), IndependentDeterministicService(2.0), LIN3, MG11)
-    assert stationary_mg11(sc).p_idle == pytest.approx(1.0, abs=1e-8)
+    assert stationary_mg11(*_law(sc)).p_idle == pytest.approx(1.0, abs=1e-8)
 
 
 def test_stationary_mg11_exponential_service():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentExponentialService(1.5), LIN3, MG11)
-    st = stationary_mg11(sc)
+    st = stationary_mg11(*_law(sc))
     assert st.p_idle == pytest.approx(0.6, rel=1e-12)
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stationary_mg12_reference_point():
-    st = stationary_mg12(mm12(1.0))
+    st = stationary_mg12(*_law(mm12(1.0)))
     assert st.p_idle == pytest.approx(2.25 / 4.75, rel=1e-9)
     assert st.p_busy1 == pytest.approx(1.5 / 4.75, rel=1e-9)
     assert st.p_busy2 == pytest.approx(1.0 / 4.75, rel=1e-9)
@@ -96,7 +102,7 @@ def test_stationary_mg12_reference_point():
 
 
 def test_stationary_mg12_vanishing_buffer_at_low_rate():
-    st = stationary_mg12(mm12(1e-9))
+    st = stationary_mg12(*_law(mm12(1e-9)))
     assert st.p_busy2 <= 1e-15
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
 
@@ -104,10 +110,10 @@ def test_stationary_mg12_vanishing_buffer_at_low_rate():
 @pytest.mark.parametrize("lam", [0.1, 0.7, 1.0, 3.3, 5.0])
 def test_stationary_partitions_sum_to_one(lam):
     st = stationary_mg11(
-        Scenario(lam, UniformValue(0, 10), DependentService("log-shift", 1.0), LIN3, MG11)
+        *_law(Scenario(lam, UniformValue(0, 10), DependentService("log-shift", 1.0), LIN3, MG11))
     )
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
-    st = stationary_mg12(mm12(lam))
+    st = stationary_mg12(*_law(mm12(lam)))
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
     assert st.p_busy1 + st.p_busy2 == pytest.approx(st.p_busy, abs=1e-12)
 
@@ -118,12 +124,12 @@ def test_stationary_partitions_sum_to_one(lam):
 
 def test_residual_ccdf_memoryless_service():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentExponentialService(1.5), LIN3, MG12)
-    assert residual_ccdf_mg12(sc, 1.0) == pytest.approx(math.exp(-1.5), rel=1e-12)
+    assert residual_ccdf_mg12(*_law(sc), 1.0) == pytest.approx(math.exp(-1.5), rel=1e-12)
 
 
 def test_residual_ccdf_one_at_zero():
     for sc in (mm12(1.0), uniflog(1.0, MG12)):
-        assert residual_ccdf_mg12(sc, 0.0) == 1.0
+        assert residual_ccdf_mg12(*_law(sc), 0.0) == 1.0
 
 
 def test_residual_ccdf_dependent_identity_matches_memoryless():
@@ -131,7 +137,7 @@ def test_residual_ccdf_dependent_identity_matches_memoryless():
     # so the quadrature route must reproduce exp(-mu w).
     sc = mm12(1.0)
     for w in (0.3, 1.0, 2.4):
-        assert residual_ccdf_mg12(sc, w) == pytest.approx(math.exp(-1.5 * w), rel=1e-8)
+        assert residual_ccdf_mg12(*_law(sc), w) == pytest.approx(math.exp(-1.5 * w), rel=1e-8)
 
 
 def test_residual_ccdf_non_increasing_and_mean_bounded():
@@ -139,25 +145,26 @@ def test_residual_ccdf_non_increasing_and_mean_bounded():
     # integral runs at a looser tolerance than the inner one.
     outer = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
     for sc in (uniflog(1.0, MG12), mm12(0.7)):
+        law, lam = _law(sc)
         grid = np.linspace(0.0, 3.0, 25)
-        vals = [residual_ccdf_mg12(sc, float(w)) for w in grid]
+        vals = [residual_ccdf_mg12(law, lam, float(w)) for w in grid]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-10
         e_wait = quad(
-            lambda w: residual_ccdf_mg12(sc, w), 0.0, math.inf, epsabs=outer.abs_tol, epsrel=outer.rel_tol
+            lambda w: residual_ccdf_mg12(law, lam, w), 0.0, math.inf, epsabs=outer.abs_tol, epsrel=outer.rel_tol
         )[0]
-        assert e_wait <= mean_service_time(sc) + 1e-6
+        assert e_wait <= mean_service_time(law) + 1e-6
 
 
 def test_residual_ccdf_vanishes_beyond_the_longest_service():
     # Uniform(0, 10) values with log-shift service never need more than
     # log(11) ~ 2.4; a large rate must not overflow the empty integral.
-    assert residual_ccdf_mg12(uniflog(500.0, MG12), 5.0) == 0.0
+    assert residual_ccdf_mg12(*_law(uniflog(500.0, MG12)), 5.0) == 0.0
 
 
 def test_residual_ccdf_rejects_negative_argument():
     with pytest.raises(ValueError):
-        residual_ccdf_mg12(mm12(1.0), -0.1)
+        residual_ccdf_mg12(*_law(mm12(1.0)), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +227,13 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
     # its own quadrature noise, so the outer level stays looser.
     loose = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8)
     for sc in (mm12(1.0), uniflog(0.8, MG12)):
-        omm = one_minus_mgf_service(sc)
+        law, lam = _law(sc)
+        omm = one_minus_mgf_service(law, lam)
         for d in (0.5, 1.5, 2.9):
             literal = quad(
-                lambda w: (d - w) * residual_ccdf_mg12(sc, w), 0.0, d, epsabs=loose.abs_tol, epsrel=loose.rel_tol
+                lambda w: (d - w) * residual_ccdf_mg12(law, lam, w), 0.0, d, epsabs=loose.abs_tol, epsrel=loose.rel_tol
             )[0]
-            folded = _fcfs_wait_integral(service_law(sc), d, sc.lam, QuadratureSpec()) / omm
+            folded = _fcfs_wait_integral(law, d, lam, QuadratureSpec()) / omm
             assert folded == pytest.approx(literal, rel=1e-4)
 
 
@@ -267,7 +275,7 @@ def test_uniform_log_mean_service_time_consistent_map():
     e_s = rep.t_cycle - 1.0
     assert e_s == pytest.approx(ES_UNIFORM_LOG, rel=1e-12)
     # The same mean through the quadrature route.
-    assert mean_service_time(uniflog(1.0)) == pytest.approx(ES_UNIFORM_LOG, rel=1e-9)
+    assert mean_service_time(service_law(uniflog(1.0))) == pytest.approx(ES_UNIFORM_LOG, rel=1e-9)
 
 
 def test_uniform_log_closed_form_agrees_with_quadrature():
@@ -477,7 +485,7 @@ def test_buffer_fraction_is_not_negative_at_vanishing_rate(value, service):
     # E[S] - (1 - MGF)/lam, the mean buffer wait, cancels to rounding noise
     # as lam -> 0, where it can fall below zero (-6.7e-316 at lam = 1e-300).
     for lam in np.logspace(-300, -10, 59):
-        st = stationary_mg12(Scenario(float(lam), _PIN_VALUES[value], _PIN_SERVICES[service], LIN3, MG12))
+        st = stationary_mg12(*_law(Scenario(float(lam), _PIN_VALUES[value], _PIN_SERVICES[service], LIN3, MG12)))
         assert 0.0 <= st.p_busy2
         assert st.p_busy1 + st.p_busy2 == st.p_busy
 
@@ -486,13 +494,56 @@ def test_buffer_fraction_is_not_negative_at_vanishing_rate(value, service):
 def test_buffered_disciplines_survive_mgf_underflow(discipline):
     # lambda * s = 3e4: MGF_S(lambda) = exp(-3e4) underflows to 0.
     sc = Scenario(1e4, UniformValue(0.0, 10.0), IndependentDeterministicService(3.0), LIN3, discipline)
-    st = stationary_mg12(sc)
+    st = stationary_mg12(*_law(sc))
     probs = (st.p_idle, st.p_busy1, st.p_busy2)
     assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
     assert sum(probs) == pytest.approx(1.0, rel=1e-12)
     assert st.t_cycle == math.inf
     rep = analyze(sc)
     assert math.isfinite(rep.avg_voi) and rep.avg_voi >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# The whole arrival-rate range
+# ---------------------------------------------------------------------------
+
+_RANGE_FAMILIES = {
+    "unif-log": (UniformValue(0.0, 10.0), DependentService("log-shift", 1.0)),
+    "exp-id": (ExponentialValue(1.5), DependentService("identity")),
+    "unif-iexp": (UniformValue(0.0, 10.0), IndependentExponentialService(1.5)),
+    "bin-cexp": (BinaryValue(0.4, 1.33, 0.8), ClassExponentialService()),
+    "unif-idet": (UniformValue(0.0, 10.0), IndependentDeterministicService(0.8)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_RANGE_FAMILIES))
+def test_analyze_holds_over_the_whole_arrival_rate_range(family):
+    # The LCFS residual integrand carries exp(-lam w), a boundary layer of
+    # width 1/lam at w = 0.  As lam -> inf every busy arrival is replaced
+    # within ~1/lam, so M/GI/1/2* tends to the bufferless discipline.
+    for lam in np.logspace(-8, 8, 17):
+        reps = {d: analyze(Scenario(float(lam), *_RANGE_FAMILIES[family], LIN3, d)) for d in (MG11, MG12, MG12_STAR)}
+        for rep in reps.values():
+            assert all(math.isfinite(x) for x in (rep.p_idle, rep.p_busy1, rep.p_busy2, rep.eq, rep.avg_voi))
+        if lam >= 1e6:
+            assert reps[MG12_STAR].avg_voi == pytest.approx(reps[MG11].avg_voi, rel=1e-5), lam
+
+
+@pytest.mark.parametrize("discipline", [MG11, MG12, MG12_STAR])
+def test_analyze_builds_the_service_law_once(monkeypatch, discipline):
+    import voilab.analytics as analytics
+    import voilab.model as model
+
+    built = []
+
+    def counted(sc):
+        built.append(sc)
+        return service_law(sc)
+
+    for module in (model, analytics):
+        monkeypatch.setattr(module, "service_law", counted)
+    analyze(uniflog(0.9, discipline))
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -275,3 +275,38 @@ def test_verify_repeated_row_is_a_usage_error(tmp_path, capsys):
     assert _verify_text(tmp_path, _CSV + last + "\n") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 5: repeats the lambda, discipline, policy, engine of line 4" in err
+
+
+def test_lcfs_analytic_rows_hold_at_high_arrival_rates(tmp_path):
+    # The M/GI/1/2* residual integral has a boundary layer of width 1/lam, and
+    # exponential service puts no kink in it; as lam grows the discipline
+    # tends to the bufferless one.
+    text = (
+        "engines = analytic\n"
+        "lambda_grid = 1e5,1e7\n"
+        "scenario.value_dist = exponential(1.5)\n"
+        "scenario.service = dependent-identity\n"
+        "scenario.descend = linear(3)\n"
+        "scenario.discipline = M/GI/1/1,M/GI/1/2*\n"
+    )
+    assert _run_config(tmp_path, text) == 0
+    voi = {(r["lambda"], r["discipline"]): float(r["avg_voi"]) for r in cli.read_csv(str(tmp_path / "out.csv"))}
+    for lam in ("100000", "10000000"):
+        assert voi[lam, "M/GI/1/2*"] == pytest.approx(voi[lam, "M/GI/1/1"], rel=1e-4)
+
+
+def test_new_and_old_csv_files_both_verify(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(_SCENARIO_BASE.replace("analytic", "analytic,simulate") + "n_packets = 2000\n")
+    new = tmp_path / "new.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(new)]) == 0
+    lines = new.read_text().splitlines(True)
+    provenance = [ln for ln in lines if ln.startswith(("# voilab = ", "# numpy = ", "# python = "))]
+    assert len(provenance) == 3
+    # A file written before the version lines existed.
+    old = tmp_path / "old.csv"
+    old.write_text("".join(ln for ln in lines if ln not in provenance))
+    capsys.readouterr()
+    for path in (new, old):
+        assert main(["verify", str(path)]) == 0
+        assert "1 pass, 0 fail" in capsys.readouterr().out

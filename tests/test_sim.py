@@ -23,11 +23,11 @@ from voilab.model import (
     MG12_STAR,
     Scenario,
     UniformValue,
-    mean_service_time,
-    mgf_service,
+    service_law,
 )
 from voilab.sim import (
     SimConfig,
+    _batch_stderr,
     _serve,
     _serve_bufferless,
     simulate,
@@ -158,7 +158,7 @@ def test_pasta_arrivals_see_time_averages(mm12_run):
 def test_occupancy_matches_renewal_prediction_deterministic_service():
     sc = Scenario(0.9, UniformValue(0, 10), IndependentDeterministicService(0.8), LIN3, MG12)
     rep = simulate(SimConfig(sc, n_packets=300_000, seed=SEED + 2))
-    st = stationary_mg12(sc)
+    st = stationary_mg12(service_law(sc), sc.lam)
     for got, want, se in zip(rep.occupancy, (st.p_idle, st.p_busy1, st.p_busy2), rep.occupancy_stderr):
         assert _z(got, want, se) <= 3.0
 
@@ -207,7 +207,7 @@ def test_empirical_residual_ccdf_matches_analytic(uniflog_mg12_trace):
     m = waits.size
     for w in (0.25, 0.5, 1.0):
         emp = float((waits > w).mean())
-        ana = residual_ccdf_mg12(uniflog(1.0, MG12), w)
+        ana = residual_ccdf_mg12(service_law(uniflog(1.0, MG12)), 1.0, w)
         se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / m)
         assert _z(emp, ana, se) <= 3.0
 
@@ -478,3 +478,22 @@ def test_zero_length_last_batch_gives_finite_errors():
         rep = simulate(SimConfig(sc, n_packets=50, seed=seed))
         errors = (rep.stderr_voi, rep.stderr_aoi) + rep.occupancy_stderr
         assert all(math.isfinite(x) for x in errors), seed
+
+
+def test_batch_errors_stay_finite_at_an_extreme_rate():
+    # At lam = 1e200 the batches span ~1e-199 time units and the per-batch
+    # VoI means reach ~1e198, whose squares overflow a float.
+    sc = Scenario(1e200, UniformValue(0, 10), DependentService("log-shift", 1.0), LIN3, MG12)
+    rep = simulate(SimConfig(sc, n_packets=1000, seed=1))
+    errors = (rep.stderr_voi, rep.stderr_aoi) + rep.occupancy_stderr
+    assert all(math.isfinite(x) and x >= 0.0 for x in errors)
+    assert rep.stderr_voi > 0.0
+
+
+def test_batch_error_scaling_is_exact():
+    # Scaling by a power of two changes no bit of an ordinary error.
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        totals, spans = rng.exponential(3.0, 40), rng.uniform(0.0, 2.0, 40)
+        m = totals / spans
+        assert _batch_stderr(totals, spans) == float(m.std(ddof=1) / math.sqrt(m.size))
