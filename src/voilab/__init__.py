@@ -10,12 +10,7 @@ from .analytics import (
     AnalyticReport,
     UnsupportedAnalyticsError,
     analyze,
-    closed_form_mg11_uniform_log,
-    closed_form_mm12_exp,
     closed_form_report,
-    residual_ccdf_mg12,
-    stationary_mg11,
-    stationary_mg12,
 )
 from .model import (
     ADMISSIONS,
@@ -32,9 +27,8 @@ from .model import (
     MG12_STAR,
     Scenario,
     UniformValue,
-    effective_lambda,
 )
-from .quadrature import QuadratureError, QuadratureSpec
+from .quadrature import QuadratureError
 from .sim import SimConfig, SimReport, simulate
 
 __version__ = "0.1.0"
@@ -54,19 +48,12 @@ __all__ = [
     "MG12",
     "MG12_STAR",
     "QuadratureError",
-    "QuadratureSpec",
     "Scenario",
     "SimConfig",
     "SimReport",
     "UniformValue",
     "UnsupportedAnalyticsError",
     "analyze",
-    "closed_form_mg11_uniform_log",
-    "closed_form_mm12_exp",
     "closed_form_report",
-    "effective_lambda",
-    "residual_ccdf_mg12",
     "simulate",
-    "stationary_mg11",
-    "stationary_mg12",
 ]

@@ -37,14 +37,13 @@ from .model import (
     UniformValue,
     MG11,
     MG12,
-    effective_lambda,
     mean_service_time,
     mgf_service,
     one_minus_mgf_service,
     service_law,
 )
 # integrate is not called here; it stays bound for perfbench, whose tracer patches it by name.
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, gauss_legendre, integrate  # noqa: F401
+from .quadrature import DEFAULT_SPEC, gauss_legendre, integrate  # noqa: F401
 
 
 class UnsupportedAnalyticsError(ValueError):
@@ -73,25 +72,14 @@ class Stationary(NamedTuple):
     """Server-state probabilities over a renewal cycle, with the service
     transforms they were computed from."""
 
-    p_idle: float
-    p_busy: float
+    p_idle: float     # idle
+    p_busy: float     # busy, p_busy1 + p_busy2
     p_busy1: float    # busy with the buffer empty
-    p_busy2: float    # busy with the buffer full
-    t_cycle: float
-    e_wait_b2: float  # mean time per service that the buffer holds a packet
+    p_busy2: float    # busy with the buffer full (0 without a buffer)
+    t_cycle: float    # mean renewal cycle, inf once MGF_S(lam) underflows
     e_s: float        # E[S]
-    mgf: float        # MGF_S(lam)
-    omm: float        # 1 - MGF_S(lam)
-
-
-def _fcfs_wait_integral(law, rem, lam: float, spec: QuadratureSpec):
-    """(1 - MGF) * int_0^rem (rem - w) P[W' > w] dw, i.e. E_S[_wait_kernel(S, rem)],
-    elementwise over an array ``rem``.
-
-    Folding the residual CCDF over the service law (``service_law``) keeps a
-    single quadrature level.
-    """
-    return sum(c.weight * c.wait_fold(rem, lam, spec) for c in law)
+    mgf: float        # MGF_S(lam) = E[exp(-lam S)]
+    omm: float        # 1 - MGF_S(lam), without cancellation at small lam * S
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +92,9 @@ def stationary_mg11(law, lam: float) -> Stationary:
     Nothing here divides by 1 - MGF, so it is taken as 1 - mgf."""
     e_s = mean_service_time(law)
     mgf = mgf_service(law, lam)
-    t_cycle = 1.0 / lam + e_s
-    p_busy = e_s / t_cycle
-    return Stationary(1.0 / (lam * t_cycle), p_busy, p_busy, 0.0, t_cycle, 0.0, e_s, mgf, 1.0 - mgf)
+    busy = lam * e_s
+    p_busy = busy / (1.0 + busy)
+    return Stationary(1.0 / (1.0 + busy), p_busy, p_busy, 0.0, 1.0 / lam + e_s, e_s, mgf, 1.0 - mgf)
 
 
 def stationary_mg12(law, lam: float) -> Stationary:
@@ -114,9 +102,10 @@ def stationary_mg12(law, lam: float) -> Stationary:
 
     The renewal cycle is an idle gap plus a busy stretch of geometrically
     many services (the stretch ends with the first service that sees no
-    arrival, which happens with probability MGF_S(lam)).  The buffer is
-    occupied from the first arrival of each service to that service's end,
-    giving the B2 fraction through the expected buffer wait.
+    arrival, which happens with probability MGF_S(lam)).  The buffer of a
+    service stays empty until the first arrival X ~ exponential(lam) during
+    it, so the B1 share of busy time is E[min(X, S)] / E[S]
+    = (1 - MGF) / (lam E[S]), and B2 is the rest.
     """
     e_s = mean_service_time(law)
     mgf = mgf_service(law, lam)
@@ -127,10 +116,9 @@ def stationary_mg12(law, lam: float) -> Stationary:
     p_idle = mgf / (mgf + busy)
     p_busy = busy / (mgf + busy)
     t_cycle = 1.0 / lam + e_s / mgf if mgf > 0.0 else math.inf
-    # The wait is >= 0; at small lam * S the difference cancels to rounding noise.
-    e_wait_b2 = max(e_s - omm / lam, 0.0)
-    p_busy2 = p_busy * e_wait_b2 / e_s if e_s > 0.0 else 0.0
-    return Stationary(p_idle, p_busy, p_busy - p_busy2, p_busy2, t_cycle, e_wait_b2, e_s, mgf, omm)
+    # The B1 share is <= 1; at small lam * S rounding can put it just above.
+    p_busy1 = min(p_busy * (omm / busy), p_busy) if busy > 0.0 else 0.0
+    return Stationary(p_idle, p_busy, p_busy1, p_busy - p_busy1, t_cycle, e_s, mgf, omm)
 
 
 def residual_ccdf_mg12(law, lam: float, w: float) -> float:
@@ -179,8 +167,7 @@ def analyze(scenario: Scenario) -> AnalyticReport:
     """
     if scenario.descend.kind != "linear":
         raise UnsupportedAnalyticsError("analytic VoI covers the linear descend law only; use the simulator")
-    lam = effective_lambda(scenario)
-    law = service_law(scenario)
+    law, lam = service_law(scenario)
     d = scenario.descend.deadline
     level = DEFAULT_SPEC.split(2)
     kappa = None
@@ -193,7 +180,8 @@ def analyze(scenario: Scenario) -> AnalyticReport:
         if st.omm > 0.0 and p_served > 0.0:
 
             def kappa(rem):
-                t = _fcfs_wait_integral(law, rem, lam, level) / st.omm
+                # int_0^rem (rem - w) P[W' > w] dw, folded over the service law.
+                t = sum(c.weight * c.wait_fold(rem, lam, level) for c in law) / st.omm
                 return np.maximum(rem * rem - 2.0 * t, 0.0)
 
     else:

@@ -105,11 +105,7 @@ class UsageError(ValueError):
     """Bad preset/config/flag input; maps to exit code 2."""
 
 
-def _fmt(x) -> str:
-    if x is None or x == "":
-        return ""
-    if isinstance(x, str):
-        return x
+def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 

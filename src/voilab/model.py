@@ -188,9 +188,6 @@ class BinaryValue:
     def mean(self) -> float:
         return self.p * self.v1 + (1.0 - self.p) * self.v2
 
-    def support(self) -> tuple[float, float]:
-        return (min(self.v1, self.v2), max(self.v1, self.v2))
-
     def atoms(self) -> tuple[tuple[float, float, int], ...]:
         return ((self.v1, self.p, 1), (self.v2, 1.0 - self.p, 2))
 
@@ -328,15 +325,6 @@ class Scenario:
         return None
 
 
-def effective_lambda(scenario: Scenario) -> float:
-    """Arrival rate of the admitted (thinned) Poisson stream."""
-    cls = scenario.admitted_class()
-    if cls is None:
-        return scenario.lam
-    p = scenario.value_dist.p
-    return scenario.lam * (p if cls == 1 else 1.0 - p)
-
-
 # ---------------------------------------------------------------------------
 # Admitted service law
 # ---------------------------------------------------------------------------
@@ -370,7 +358,7 @@ def _expm1_quad(x):
         x,
         1e-2,
         lambda x: 0.5 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x / 720))),
-        lambda x: (np.expm1(-x) + x) / (x * x),
+        lambda x: (np.expm1(-x) + x) / x / x,
     )
 
 
@@ -382,7 +370,7 @@ def _expm1_cube(x):
         1e-1,
         # sum over n >= 3 of (-1)^(n+1) (n - 1)/n! x^(n-2), through n = 10
         lambda x: x * np.polyval([-1 / 403200, 1 / 45360, -1 / 5760, 1 / 840, -1 / 144, 1 / 30, -1 / 8, 1 / 3], x),
-        lambda x: 0.5 + (np.expm1(-x) + x * np.exp(-x)) / (x * x),
+        lambda x: 0.5 + (np.expm1(-x) + x * np.exp(-x)) / x / x,
     )
 
 
@@ -541,28 +529,34 @@ class ValueMapped:
 ServiceComponent = Union[PointMass, ExponentialComponent, ValueMapped]
 
 
-def service_law(scenario: Scenario) -> tuple[ServiceComponent, ...]:
-    """The admitted joint law of (V, S) as weighted components.
+def service_law(scenario: Scenario) -> tuple[tuple[ServiceComponent, ...], float]:
+    """The admitted joint law of (V, S) as weighted components, and the
+    arrival rate of the admitted stream.
 
-    Class-filtered admission keeps the admitted atom alone, with weight 1;
-    independent service pays the mean admitted value.
+    Class-filtered admission is Poisson thinning: it keeps the admitted atom
+    alone, with weight 1, and the rate shrinks by that atom's probability.
+    Independent service pays the mean admitted value.
     """
     svc = scenario.service
     dist = scenario.value_dist
+    lam = scenario.lam
     atoms = None
     if isinstance(dist, BinaryValue):
         keep = scenario.admitted_class()
-        atoms = [(v, pr if keep is None else 1.0) for v, pr, c in dist.atoms() if keep in (None, c)]
+        atoms = [(v, pr) for v, pr, c in dist.atoms() if keep in (None, c)]
+        if keep is not None:
+            ((v, pr),) = atoms
+            lam, atoms = lam * pr, [(v, 1.0)]
     if isinstance(svc, ClassExponentialService):
-        return tuple(ExponentialComponent(pr, v, v) for v, pr in atoms)
+        return tuple(ExponentialComponent(pr, v, v) for v, pr in atoms), lam
     if isinstance(svc, DependentService):
         if atoms is None:
-            return (ValueMapped(1.0, dist, svc),)
-        return tuple(PointMass(pr, v, float(svc.g(v))) for v, pr in atoms)
+            return (ValueMapped(1.0, dist, svc),), lam
+        return tuple(PointMass(pr, v, float(svc.g(v))) for v, pr in atoms), lam
     value = dist.mean() if atoms is None else sum(pr * v for v, pr in atoms)
     if isinstance(svc, IndependentExponentialService):
-        return (ExponentialComponent(1.0, value, 1.0 / svc.rate),)
-    return (PointMass(1.0, value, svc.s0),)
+        return (ExponentialComponent(1.0, value, 1.0 / svc.rate),), lam
+    return (PointMass(1.0, value, svc.s0),), lam
 
 
 # Transforms of an admitted law, named functions only because perfbench's tracer times them.

@@ -89,7 +89,10 @@ def simulate(config: SimConfig) -> SimReport:
     rng_v = rng_stream(config.seed, _STREAM_VALUES)
     rng_s = rng_stream(config.seed, _STREAM_SERVICES)
 
-    t_gen = np.cumsum(rng_a.exponential(1.0 / sc.lam, n))
+    with np.errstate(over="ignore"):
+        t_gen = np.cumsum(rng_a.exponential(1.0 / sc.lam, n))
+    if not math.isfinite(t_gen[-1]):
+        raise ArithmeticError(f"arrival times overflow at lambda = {sc.lam:g} over {n} packets")
     values, classes = sc.value_dist.sample(rng_v, n)
     services = sample_service_times(sc.service, values, classes, rng_s)
 
@@ -293,10 +296,14 @@ def _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans):
     """
     if d_idx.size == 0:
         return float(elapsed / 2.0), 0.0
+    # Times scaled into [0, 1] by a power of two (exact), so that their
+    # squares cannot overflow; the age integral scales back by 4^e.
+    e = math.frexp(elapsed)[1]
     # Segment k (starting at reset time r_k) has age t - u_k.
-    r = np.concatenate(([0.0], d_t))
-    u = np.concatenate(([0.0], t_gen[d_idx]))
-    seg_end = np.concatenate((r[1:], [elapsed]))
+    r = np.ldexp(np.concatenate(([0.0], d_t)), -e)
+    u = np.ldexp(np.concatenate(([0.0], t_gen[d_idx])), -e)
+    end = math.ldexp(elapsed, -e)
+    seg_end = np.concatenate((r[1:], [end]))
     seg_int = 0.5 * ((seg_end - u) ** 2 - (r - u) ** 2)
     cum = np.concatenate(([0.0], np.cumsum(seg_int)))
 
@@ -304,8 +311,8 @@ def _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans):
         k = np.clip(np.searchsorted(r, x, side="right") - 1, 0, r.size - 1)
         return cum[k] + 0.5 * ((x - u[k]) ** 2 - (r[k] - u[k]) ** 2)
 
-    at_edges = age_integral_at(edges_t)
-    return float(at_edges[-1]) / elapsed, _batch_stderr(np.diff(at_edges), spans)
+    at_edges = age_integral_at(np.ldexp(edges_t, -e))
+    return math.ldexp(float(at_edges[-1]) / end, e), math.ldexp(_batch_stderr(np.diff(at_edges), spans), 2 * e)
 
 
 def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):

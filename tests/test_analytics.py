@@ -10,7 +10,6 @@ from scipy.integrate import dblquad, quad
 from voilab import cli
 from voilab.analytics import (
     UnsupportedAnalyticsError,
-    _fcfs_wait_integral,
     analyze,
     closed_form_mg11_uniform_log,
     closed_form_mm12_exp,
@@ -24,6 +23,7 @@ from voilab.model import (
     ClassExponentialService,
     DependentService,
     DescendFunction,
+    DISCIPLINES,
     ExponentialValue,
     IndependentDeterministicService,
     IndependentExponentialService,
@@ -32,7 +32,6 @@ from voilab.model import (
     MG12_STAR,
     Scenario,
     UniformValue,
-    effective_lambda,
     mean_service_time,
     one_minus_mgf_service,
     service_law,
@@ -64,18 +63,13 @@ def uniflog(lam, disc=MG11):
     return Scenario(lam, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), LIN3, disc)
 
 
-def _law(sc):
-    """The admitted service law and arrival rate that ``analyze`` builds from ``sc``."""
-    return service_law(sc), effective_lambda(sc)
-
-
 # ---------------------------------------------------------------------------
 # Stationary probabilities
 # ---------------------------------------------------------------------------
 
 def test_stationary_mg11_symmetric_cycle():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(1.0), LIN3, MG11)
-    st = stationary_mg11(*_law(sc))
+    st = stationary_mg11(*service_law(sc))
     assert st.p_idle == pytest.approx(0.5)
     assert st.p_busy == pytest.approx(0.5)
     assert st.t_cycle == pytest.approx(2.0)
@@ -83,26 +77,25 @@ def test_stationary_mg11_symmetric_cycle():
 
 def test_stationary_mg11_empty_system_limit():
     sc = Scenario(1e-9, UniformValue(0, 10), IndependentDeterministicService(2.0), LIN3, MG11)
-    assert stationary_mg11(*_law(sc)).p_idle == pytest.approx(1.0, abs=1e-8)
+    assert stationary_mg11(*service_law(sc)).p_idle == pytest.approx(1.0, abs=1e-8)
 
 
 def test_stationary_mg11_exponential_service():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentExponentialService(1.5), LIN3, MG11)
-    st = stationary_mg11(*_law(sc))
+    st = stationary_mg11(*service_law(sc))
     assert st.p_idle == pytest.approx(0.6, rel=1e-12)
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stationary_mg12_reference_point():
-    st = stationary_mg12(*_law(mm12(1.0)))
+    st = stationary_mg12(*service_law(mm12(1.0)))
     assert st.p_idle == pytest.approx(2.25 / 4.75, rel=1e-9)
     assert st.p_busy1 == pytest.approx(1.5 / 4.75, rel=1e-9)
     assert st.p_busy2 == pytest.approx(1.0 / 4.75, rel=1e-9)
-    assert st.e_wait_b2 == pytest.approx(2.0 / 3.0 + 0.6 - 1.0, rel=1e-9)
 
 
 def test_stationary_mg12_vanishing_buffer_at_low_rate():
-    st = stationary_mg12(*_law(mm12(1e-9)))
+    st = stationary_mg12(*service_law(mm12(1e-9)))
     assert st.p_busy2 <= 1e-15
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
 
@@ -110,10 +103,10 @@ def test_stationary_mg12_vanishing_buffer_at_low_rate():
 @pytest.mark.parametrize("lam", [0.1, 0.7, 1.0, 3.3, 5.0])
 def test_stationary_partitions_sum_to_one(lam):
     st = stationary_mg11(
-        *_law(Scenario(lam, UniformValue(0, 10), DependentService("log-shift", 1.0), LIN3, MG11))
+        *service_law(Scenario(lam, UniformValue(0, 10), DependentService("log-shift", 1.0), LIN3, MG11))
     )
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
-    st = stationary_mg12(*_law(mm12(lam)))
+    st = stationary_mg12(*service_law(mm12(lam)))
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
     assert st.p_busy1 + st.p_busy2 == pytest.approx(st.p_busy, abs=1e-12)
 
@@ -124,12 +117,12 @@ def test_stationary_partitions_sum_to_one(lam):
 
 def test_residual_ccdf_memoryless_service():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentExponentialService(1.5), LIN3, MG12)
-    assert residual_ccdf_mg12(*_law(sc), 1.0) == pytest.approx(math.exp(-1.5), rel=1e-12)
+    assert residual_ccdf_mg12(*service_law(sc), 1.0) == pytest.approx(math.exp(-1.5), rel=1e-12)
 
 
 def test_residual_ccdf_one_at_zero():
     for sc in (mm12(1.0), uniflog(1.0, MG12)):
-        assert residual_ccdf_mg12(*_law(sc), 0.0) == 1.0
+        assert residual_ccdf_mg12(*service_law(sc), 0.0) == 1.0
 
 
 def test_residual_ccdf_dependent_identity_matches_memoryless():
@@ -137,7 +130,7 @@ def test_residual_ccdf_dependent_identity_matches_memoryless():
     # so the quadrature route must reproduce exp(-mu w).
     sc = mm12(1.0)
     for w in (0.3, 1.0, 2.4):
-        assert residual_ccdf_mg12(*_law(sc), w) == pytest.approx(math.exp(-1.5 * w), rel=1e-8)
+        assert residual_ccdf_mg12(*service_law(sc), w) == pytest.approx(math.exp(-1.5 * w), rel=1e-8)
 
 
 def test_residual_ccdf_non_increasing_and_mean_bounded():
@@ -145,7 +138,7 @@ def test_residual_ccdf_non_increasing_and_mean_bounded():
     # integral runs at a looser tolerance than the inner one.
     outer = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
     for sc in (uniflog(1.0, MG12), mm12(0.7)):
-        law, lam = _law(sc)
+        law, lam = service_law(sc)
         grid = np.linspace(0.0, 3.0, 25)
         vals = [residual_ccdf_mg12(law, lam, float(w)) for w in grid]
         for a, b in zip(vals, vals[1:]):
@@ -159,12 +152,43 @@ def test_residual_ccdf_non_increasing_and_mean_bounded():
 def test_residual_ccdf_vanishes_beyond_the_longest_service():
     # Uniform(0, 10) values with log-shift service never need more than
     # log(11) ~ 2.4; a large rate must not overflow the empty integral.
-    assert residual_ccdf_mg12(*_law(uniflog(500.0, MG12)), 5.0) == 0.0
+    assert residual_ccdf_mg12(*service_law(uniflog(500.0, MG12)), 5.0) == 0.0
 
 
 def test_residual_ccdf_rejects_negative_argument():
     with pytest.raises(ValueError):
-        residual_ccdf_mg12(*_law(mm12(1.0)), -0.1)
+        residual_ccdf_mg12(*service_law(mm12(1.0)), -0.1)
+
+
+def test_residual_ccdf_deterministic_service():
+    # W' = s - X given X < s: P[W' > w] = P[X < s - w] / P[X < s].
+    s, lam = 1.3, 0.7
+    law, _ = service_law(Scenario(lam, UniformValue(0, 10), IndependentDeterministicService(s), LIN3, MG12))
+    for w in (0.1, 0.65, 1.2):
+        want = math.expm1(-lam * (s - w)) / math.expm1(-lam * s)
+        assert residual_ccdf_mg12(law, lam, w) == pytest.approx(want, rel=1e-14)
+    for w in (s, 2.0):
+        assert residual_ccdf_mg12(law, lam, w) == 0.0
+
+
+def test_residual_ccdf_two_point_masses():
+    # Binary values through the identity map: the numerator and 1 - MGF are
+    # both mixtures over the two service times.
+    dist = BinaryValue(0.4, 1.33, 0.8)
+    lam = 0.9
+    law, _ = service_law(Scenario(lam, dist, DependentService("identity"), LIN3, MG12))
+    atoms = [(0.4, 0.8), (1.33, 0.2)]
+    omm = sum(p * -math.expm1(-lam * v) for v, p in atoms)
+    for w in (0.2, 0.4, 0.9, 1.5):
+        num = sum(p * -math.expm1(-lam * max(v - w, 0.0)) for v, p in atoms)
+        assert residual_ccdf_mg12(law, lam, w) == pytest.approx(num / omm, rel=1e-14)
+
+
+def test_residual_ccdf_needs_busy_arrivals():
+    # Zero service: no arrival ever finds the server busy.
+    sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(0.0), LIN3, MG12)
+    with pytest.raises(ValueError, match="no busy-state arrivals"):
+        residual_ccdf_mg12(*service_law(sc), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +251,13 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
     # its own quadrature noise, so the outer level stays looser.
     loose = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8)
     for sc in (mm12(1.0), uniflog(0.8, MG12)):
-        law, lam = _law(sc)
+        law, lam = service_law(sc)
         omm = one_minus_mgf_service(law, lam)
         for d in (0.5, 1.5, 2.9):
             literal = quad(
                 lambda w: (d - w) * residual_ccdf_mg12(law, lam, w), 0.0, d, epsabs=loose.abs_tol, epsrel=loose.rel_tol
             )[0]
-            folded = _fcfs_wait_integral(law, d, lam, QuadratureSpec()) / omm
+            folded = sum(c.weight * c.wait_fold(d, lam, QuadratureSpec()) for c in law) / omm
             assert folded == pytest.approx(literal, rel=1e-4)
 
 
@@ -275,7 +299,7 @@ def test_uniform_log_mean_service_time_consistent_map():
     e_s = rep.t_cycle - 1.0
     assert e_s == pytest.approx(ES_UNIFORM_LOG, rel=1e-12)
     # The same mean through the quadrature route.
-    assert mean_service_time(service_law(uniflog(1.0))) == pytest.approx(ES_UNIFORM_LOG, rel=1e-9)
+    assert mean_service_time(service_law(uniflog(1.0))[0]) == pytest.approx(ES_UNIFORM_LOG, rel=1e-9)
 
 
 def test_uniform_log_closed_form_agrees_with_quadrature():
@@ -485,7 +509,7 @@ def test_buffer_fraction_is_not_negative_at_vanishing_rate(value, service):
     # E[S] - (1 - MGF)/lam, the mean buffer wait, cancels to rounding noise
     # as lam -> 0, where it can fall below zero (-6.7e-316 at lam = 1e-300).
     for lam in np.logspace(-300, -10, 59):
-        st = stationary_mg12(*_law(Scenario(float(lam), _PIN_VALUES[value], _PIN_SERVICES[service], LIN3, MG12)))
+        st = stationary_mg12(*service_law(Scenario(float(lam), _PIN_VALUES[value], _PIN_SERVICES[service], LIN3, MG12)))
         assert 0.0 <= st.p_busy2
         assert st.p_busy1 + st.p_busy2 == st.p_busy
 
@@ -494,7 +518,7 @@ def test_buffer_fraction_is_not_negative_at_vanishing_rate(value, service):
 def test_buffered_disciplines_survive_mgf_underflow(discipline):
     # lambda * s = 3e4: MGF_S(lambda) = exp(-3e4) underflows to 0.
     sc = Scenario(1e4, UniformValue(0.0, 10.0), IndependentDeterministicService(3.0), LIN3, discipline)
-    st = stationary_mg12(*_law(sc))
+    st = stationary_mg12(*service_law(sc))
     probs = (st.p_idle, st.p_busy1, st.p_busy2)
     assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
     assert sum(probs) == pytest.approx(1.0, rel=1e-12)
@@ -518,13 +542,21 @@ _RANGE_FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(_RANGE_FAMILIES))
 def test_analyze_holds_over_the_whole_arrival_rate_range(family):
+    # Finite values and probabilities in [0, 1] summing to 1 from 1e-300 to
+    # 1e300, and every discipline at its heavy-traffic limit from 1e8 on.
     # The LCFS residual integrand carries exp(-lam w), a boundary layer of
     # width 1/lam at w = 0.  As lam -> inf every busy arrival is replaced
     # within ~1/lam, so M/GI/1/2* tends to the bufferless discipline.
-    for lam in np.logspace(-8, 8, 17):
-        reps = {d: analyze(Scenario(float(lam), *_RANGE_FAMILIES[family], LIN3, d)) for d in (MG11, MG12, MG12_STAR)}
-        for rep in reps.values():
-            assert all(math.isfinite(x) for x in (rep.p_idle, rep.p_busy1, rep.p_busy2, rep.eq, rep.avg_voi))
+    limit = {d: analyze(Scenario(1e8, *_RANGE_FAMILIES[family], LIN3, d)).avg_voi for d in DISCIPLINES}
+    for lam in sorted({*np.logspace(-8, 8, 17), *np.logspace(-300, 300, 61)}):
+        reps = {d: analyze(Scenario(float(lam), *_RANGE_FAMILIES[family], LIN3, d)) for d in DISCIPLINES}
+        for d, rep in reps.items():
+            probs = (rep.p_idle, rep.p_busy1, rep.p_busy2)
+            assert all(math.isfinite(x) for x in (*probs, rep.p_busy, rep.eq_idle, rep.eq_busy, rep.eq, rep.avg_voi))
+            assert all(0.0 <= p <= 1.0 for p in probs), (d, lam)
+            assert sum(probs) == pytest.approx(1.0, abs=1e-12), (d, lam)
+            if lam >= 1e8:
+                assert rep.avg_voi == pytest.approx(limit[d], rel=1e-6), (d, lam)
         if lam >= 1e6:
             assert reps[MG12_STAR].avg_voi == pytest.approx(reps[MG11].avg_voi, rel=1e-5), lam
 

@@ -310,3 +310,52 @@ def test_new_and_old_csv_files_both_verify(tmp_path, capsys):
     for path in (new, old):
         assert main(["verify", str(path)]) == 0
         assert "1 pass, 0 fail" in capsys.readouterr().out
+
+
+_TINY_RATE = (
+    "n_packets = 500\n"
+    "engines = simulate\n"
+    "scenario.value_dist = uniform(0,10)\n"
+    "scenario.service = dependent-log-shift(1.0)\n"
+    "scenario.discipline = M/GI/1/1,M/GI/1/2,M/GI/1/2*\n"
+)
+
+
+def test_simulated_age_stays_finite_at_a_tiny_rate(tmp_path):
+    # Arrival times of order n / lam = 5e302: their squares would overflow.
+    assert _run_config(tmp_path, _TINY_RATE + "lambda_grid = 1e-200,1e-300\n") == 0
+    rows = cli.read_csv(str(tmp_path / "out.csv"))
+    assert len(rows) == 6
+    for row in rows:
+        aoi = float(row["avg_aoi"])
+        assert 0.0 < aoi < float("inf")
+        assert aoi * float(row["lambda"]) == pytest.approx(1.0, rel=0.5)
+        assert 0.0 <= float(row["stderr"]) < float("inf")
+
+
+def test_arrival_time_overflow_is_a_numeric_failure(tmp_path, capsys):
+    assert _run_config(tmp_path, _TINY_RATE + "lambda_grid = 1e-307\n") == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: arrival times overflow")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_preset_list_names_every_preset(capsys):
+    assert main(["preset", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(PRESETS) == 5
+    assert [line.split()[0] for line in lines] == sorted(PRESETS)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run"], "run needs --preset or --config"),
+        (["run", "--preset", "no-such-preset"], "unknown preset 'no-such-preset'"),
+    ],
+)
+def test_run_without_a_known_experiment_is_a_usage_error(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out.csv").exists()

@@ -185,12 +185,12 @@ def _scenario(service, dist=None, lam=1.0):
 
 def test_mgf_exponential_closed_form():
     sc = _scenario(IndependentExponentialService(1.5))
-    assert mgf_service(service_law(sc), sc.lam) == pytest.approx(0.6)
+    assert mgf_service(*service_law(sc)) == pytest.approx(0.6)
 
 
 def test_mgf_deterministic_point_mass():
     sc = _scenario(IndependentDeterministicService(2.0))
-    assert mgf_service(service_law(sc), sc.lam) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert mgf_service(*service_law(sc)) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_mgf_dependent_log_uniform_vs_dense_grid_oracle():
@@ -202,17 +202,17 @@ def test_mgf_dependent_log_uniform_vs_dense_grid_oracle():
     # Composite trapezoid sum written out: np.trapz is gone in numpy 2 and
     # np.trapezoid is missing before it.
     oracle = float(np.sum(np.diff(v) * (f[1:] + f[:-1]) / 2.0))
-    assert mgf_service(service_law(sc), sc.lam) == pytest.approx(oracle, abs=1e-8)
+    assert mgf_service(*service_law(sc)) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_mgf_binary_atoms():
     dist = BinaryValue(0.4, 1.33, 0.8)
     sc = _scenario(DependentService("identity"), dist)
     expected = 0.8 * math.exp(-0.4) + 0.2 * math.exp(-1.33)
-    assert mgf_service(service_law(sc), sc.lam) == pytest.approx(expected, rel=1e-12)
+    assert mgf_service(*service_law(sc)) == pytest.approx(expected, rel=1e-12)
     sc2 = _scenario(ClassExponentialService(), dist)
     expected2 = 0.8 / 1.4 + 0.2 / 2.33
-    assert mgf_service(service_law(sc2), sc2.lam) == pytest.approx(expected2, rel=1e-12)
+    assert mgf_service(*service_law(sc2)) == pytest.approx(expected2, rel=1e-12)
 
 
 def test_mgf_in_unit_interval_and_non_increasing():
@@ -225,7 +225,7 @@ def test_mgf_in_unit_interval_and_non_increasing():
     ]
     lams = [0.05, 0.2, 0.7, 1.3, 2.9, 5.0]
     for sc in scenarios:
-        vals = [mgf_service(service_law(sc), lam) for lam in lams]
+        vals = [mgf_service(service_law(sc)[0], lam) for lam in lams]
         assert all(0.0 < v <= 1.0 for v in vals)
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
@@ -234,12 +234,12 @@ def test_mgf_in_unit_interval_and_non_increasing():
 def test_mean_service_time_uniform_log():
     sc = _scenario(DependentService("log-shift", 1.0))
     # exact: (11 ln 11 - 10) / 10
-    assert mean_service_time(service_law(sc)) == pytest.approx(1.6376848000782074, rel=1e-9)
+    assert mean_service_time(service_law(sc)[0]) == pytest.approx(1.6376848000782074, rel=1e-9)
 
 
 def test_mean_service_time_class_exponential():
     sc = _scenario(ClassExponentialService(), BinaryValue(0.4, 1.33, 0.8))
-    assert mean_service_time(service_law(sc)) == pytest.approx(0.8 * 0.4 + 0.2 * 1.33, rel=1e-12)
+    assert mean_service_time(service_law(sc)[0]) == pytest.approx(0.8 * 0.4 + 0.2 * 1.33, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

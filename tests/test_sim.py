@@ -158,7 +158,7 @@ def test_pasta_arrivals_see_time_averages(mm12_run):
 def test_occupancy_matches_renewal_prediction_deterministic_service():
     sc = Scenario(0.9, UniformValue(0, 10), IndependentDeterministicService(0.8), LIN3, MG12)
     rep = simulate(SimConfig(sc, n_packets=300_000, seed=SEED + 2))
-    st = stationary_mg12(service_law(sc), sc.lam)
+    st = stationary_mg12(*service_law(sc))
     for got, want, se in zip(rep.occupancy, (st.p_idle, st.p_busy1, st.p_busy2), rep.occupancy_stderr):
         assert _z(got, want, se) <= 3.0
 
@@ -207,7 +207,7 @@ def test_empirical_residual_ccdf_matches_analytic(uniflog_mg12_trace):
     m = waits.size
     for w in (0.25, 0.5, 1.0):
         emp = float((waits > w).mean())
-        ana = residual_ccdf_mg12(service_law(uniflog(1.0, MG12)), 1.0, w)
+        ana = residual_ccdf_mg12(*service_law(uniflog(1.0, MG12)), w)
         se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / m)
         assert _z(emp, ana, se) <= 3.0
 
