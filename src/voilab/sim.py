@@ -2,14 +2,14 @@
 
 One run draws the whole packet stream up front (Philox counter-based streams,
 one per random source).  The server then fixes who is served and when each
-leaves.  Without a buffer, each served arrival hands the server on to the
-first arrival after its departure, so the served arrivals are the orbit of
-the first one under that map, expanded by pointer doubling.  With a buffer,
-one pass of Lindley's single-server recursion walks the admitted arrivals.
-VoI, age, state occupancies, the states arrivals find and their batch-means
-standard errors all follow from those service intervals, as array
-operations over the whole run.  Identical config and seed give
-bit-identical reports.
+leaves; every discipline serves in arrival order.  Without a buffer, each
+served arrival hands the server on to the first arrival after its departure,
+so the served arrivals are the orbit of the first one under that map,
+expanded by pointer doubling.  With a buffer, one pass of Lindley's recursion
+writes each departure at its packet's arrival position.  VoI, age, state
+occupancies, the states arrivals find and their batch-means standard errors
+all follow from those service intervals, as array operations over the whole
+run.  Identical config and seed give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def simulate(config: SimConfig) -> SimReport:
     # wait + service, so a packet served on arrival gets exactly ``s`` and one
     # whose service reaches the deadline never keeps a rounding-sized area.
     gen = t_gen[d_idx]
-    d_prev = np.concatenate(([-np.inf], d_t[:-1]))
-    start = np.maximum(gen, d_prev)
+    start = gen.copy()
+    np.maximum(gen[1:], d_t[:-1], out=start[1:])
     t_sys = (start - gen) + services[d_idx]
     q = q_area_batch(sc.descend, values[d_idx], t_sys)
     n_expired = int(np.count_nonzero(t_sys >= sc.descend.deadline))
@@ -131,7 +131,7 @@ def simulate(config: SimConfig) -> SimReport:
     avg_voi = float(q.sum() / elapsed)
     stderr_voi = _batch_stderr(batch_sums, spans)
 
-    avg_aoi, stderr_aoi = _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans)
+    avg_aoi, stderr_aoi = _age_statistics(gen, d_t, elapsed, edges_t, spans)
 
     # Time busy cumulated up to each batch edge, and the state each arrival
     # finds: busy while a served packet that arrived earlier has not left.
@@ -146,9 +146,7 @@ def simulate(config: SimConfig) -> SimReport:
         # arrival after its service starts, if that arrives by its departure,
         # and stays full until the departure.  An arrival finds it full while
         # the service during which an earlier arrival filled it has not ended.
-        first = np.maximum(served + 1, np.searchsorted(t_adm, d_prev, side="right"))
-        t_next = np.where(first < t_adm.size, t_adm[np.minimum(first, t_adm.size - 1)], np.inf)
-        fills = t_next <= d_t
+        first, t_next, fills = _buffer_fills(t_adm, served, d_t, disc)
         full_at = _covered(np.where(fills, t_next, d_t), d_t, edges_t)
         fill_ids = first[fills] if pos is None else pos[first[fills]]
         seen += _found_open(fill_ids, d_t[fills], t_gen)
@@ -225,36 +223,54 @@ def _serve_bufferless(t_arr, s_arr):
 
 
 def _serve(t_arr, s_arr, disc):
-    """Positions served with a buffer, in service order, and their departure times.
+    """Positions served with a buffer and their departure times, both in arrival order.
 
     ``t_arr`` and ``s_arr`` are the admitted arrivals' times and service times;
     ``disc`` is 1 (FCFS buffer) or 2 (LCFS buffer with replacement).  One pass
     of Lindley's recursion: ``c`` is when the server next falls free and
     ``buf`` the buffered position (-1: none).  An arrival at the instant the
-    server falls free still finds it busy.  A buffered packet departs at a
-    running sum of services that decides which arrival is served next, so
-    this loop does not vectorise the way ``_serve_bufferless`` does.
+    server falls free still finds it busy.  A buffered packet arrived after
+    the one in service, so packets leave in arrival order: each departure is
+    written at its packet's arrival position, which is marked.  Departures
+    are running sums of services that decide who is served next, so this
+    loop does not vectorise the way ``_serve_bufferless`` does.
     """
-    served, departs = [], []
+    departs, mark = np.empty(t_arr.size), np.zeros(t_arr.size, dtype=bool)
+    dv, mv, sv = memoryview(departs), memoryview(mark), memoryview(s_arr)
     c = -math.inf
     buf = -1
-    sv = memoryview(s_arr)
     for i, t in enumerate(memoryview(t_arr)):
         if t > c and buf >= 0:
             c += sv[buf]
-            served.append(buf)
-            departs.append(c)
+            dv[buf] = c
+            mv[buf] = True
             buf = -1
         if t > c:
             c = t + sv[i]
-            served.append(i)
-            departs.append(c)
+            dv[i] = c
+            mv[i] = True
         elif disc == 2 or buf < 0:
             buf = i
     if buf >= 0:
-        served.append(buf)
-        departs.append(c + sv[buf])
-    return np.array(served, dtype=np.int64), np.array(departs)
+        dv[buf] = c + sv[buf]
+        mv[buf] = True
+    served = np.flatnonzero(mark)
+    return served, departs[served]
+
+
+def _buffer_fills(t_arr, served, d_t, disc):
+    """Per buffered service: the first admitted arrival after it starts (n:
+    none), its time (inf: none) and whether it comes by the departure.  An
+    arrival at a departure instant finds the server busy, so it belongs to the
+    service that ends there.  Under FCFS an arrival between two served
+    positions found the buffer holding the earlier one, so came no later than
+    that one's start: the first arrival after a start is served next.  Under
+    LCFS with replacement a packet leaves the buffer as the last arrival up to
+    then, so the first arrival after a start is ``served + 1``."""
+    n = t_arr.size
+    first = np.append(served, n)[1:] if disc == 1 else served + 1
+    t_next = np.where(first < n, t_arr[np.minimum(first, n - 1)], np.inf)
+    return first, t_next, t_next <= d_t
 
 
 def _found_open(first_ids, ends, t_gen):
@@ -269,11 +285,12 @@ def _found_open(first_ids, ends, t_gen):
 
 def _covered(lo, hi, x):
     """Length of the disjoint sorted intervals [lo, hi] that lies below each ``x >= 0``."""
-    lo = np.concatenate(([0.0], lo))
-    hi = np.concatenate(([0.0], hi))
-    cum = np.cumsum(hi - lo)
-    k = np.searchsorted(lo, x, side="right") - 1
-    return cum[k] - np.maximum(hi[k] - x, 0.0)
+    # Columns k = 0..m: the total length and the end of the first k intervals.
+    cum, top = np.zeros((2, lo.size + 1))
+    np.cumsum(np.subtract(hi, lo, out=cum[1:]), out=cum[1:])
+    top[1:] = hi
+    k = np.searchsorted(lo, x, side="right")
+    return cum[k] - np.maximum(top[k] - x, 0.0)
 
 
 def _batch_stderr(batch_totals: np.ndarray, spans: np.ndarray) -> float:
@@ -287,29 +304,32 @@ def _batch_stderr(batch_totals: np.ndarray, spans: np.ndarray) -> float:
     return math.ldexp(float(np.ldexp(m, -e).std(ddof=1) / math.sqrt(m.size)), e)
 
 
-def _age_statistics(t_gen, d_idx, d_t, elapsed, edges_t, spans):
+def _age_statistics(gen, d_t, elapsed, edges_t, spans):
     """Time-average age and its batch-means standard error.
 
     The age process starts at zero, grows with slope one, and drops to
     (delivery time - generation time) at every delivery: ``_serve`` serves
     admitted arrivals in arrival order, so each delivery is the freshest yet.
     """
-    if d_idx.size == 0:
+    if d_t.size == 0:
         return float(elapsed / 2.0), 0.0
     # Times scaled into [0, 1] by a power of two (exact), so that their
     # squares cannot overflow; the age integral scales back by 4^e.
     e = math.frexp(elapsed)[1]
-    # Segment k (starting at reset time r_k) has age t - u_k.
-    r = np.ldexp(np.concatenate(([0.0], d_t)), -e)
-    u = np.ldexp(np.concatenate(([0.0], t_gen[d_idx])), -e)
-    end = math.ldexp(elapsed, -e)
-    seg_end = np.concatenate((r[1:], [end]))
-    seg_int = 0.5 * ((seg_end - u) ** 2 - (r - u) ** 2)
-    cum = np.concatenate(([0.0], np.cumsum(seg_int)))
+    # Segment k runs from reset time r_k to the next (or the end) with age
+    # t - u_k.  Rows: r then the end, u, the integral up to r_k, (r_k - u_k)^2.
+    ru, u, cum, sq = np.zeros((4, d_t.size + 2))
+    end = ru[-1] = math.ldexp(elapsed, -e)
+    np.ldexp(d_t, -e, out=ru[1:-1])
+    np.ldexp(gen, -e, out=u[1:-1])
+    r, u, sq = ru[:-1], u[:-1], sq[:-1]
+    seg = np.square(np.subtract(ru[1:], u, out=cum[1:]), out=cum[1:])
+    np.square(np.subtract(r, u, out=sq), out=sq)
+    np.cumsum(np.multiply(np.subtract(seg, sq, out=seg), 0.5, out=seg), out=seg)
 
     def age_integral_at(x):
         k = np.clip(np.searchsorted(r, x, side="right") - 1, 0, r.size - 1)
-        return cum[k] + 0.5 * ((x - u[k]) ** 2 - (r[k] - u[k]) ** 2)
+        return cum[k] + 0.5 * ((x - u[k]) ** 2 - sq[k])
 
     at_edges = age_integral_at(np.ldexp(edges_t, -e))
     return math.ldexp(float(at_edges[-1]) / end, e), math.ldexp(_batch_stderr(np.diff(at_edges), spans), 2 * e)

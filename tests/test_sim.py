@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from voilab.model import (
 from voilab.sim import (
     SimConfig,
     _batch_stderr,
+    _buffer_fills,
     _serve,
     _serve_bufferless,
     simulate,
@@ -461,6 +463,58 @@ def test_servers_match_event_by_event_reference(stream, disc):
     assert departs.tolist() == times
     if stream == "exponential-2e4":
         assert len(ids) > 2**13
+
+
+@pytest.mark.parametrize("stream", sorted(_STREAMS))
+@pytest.mark.parametrize("disc", [MG12, MG12_STAR])
+def test_buffer_fills_match_event_by_event_reference(stream, disc):
+    t, s = _STREAMS[stream]
+    *_, completion_states, _ = _reference_run(t.tolist(), s.tolist(), None, disc)
+    code = 1 if disc == MG12 else 2
+    served, departs = _serve(t, s, code)
+    first, t_next, fills = _buffer_fills(t, served, departs, code)
+    assert (1 + fills).tolist() == completion_states
+    assert t_next[fills].tolist() == t[first[fills]].tolist()
+
+
+def _searched_fills(t, served, departs):
+    """First admitted arrival after each service starts, by a binary search of
+    every previous departure, whatever the discipline: the oracle for
+    ``_buffer_fills``."""
+    d_prev = np.concatenate(([-np.inf], departs[:-1]))
+    return np.maximum(served + 1, np.searchsorted(t, d_prev, side="right"))
+
+
+@pytest.mark.parametrize("disc", [1, 2])
+def test_buffer_fills_match_a_search_of_every_departure(disc):
+    # Integer gaps and services, zeros included: arrivals tie with each
+    # other, with service starts and with departures.
+    rng = np.random.default_rng(1300 + disc)
+    for _ in range(1000):
+        n, gap, work = rng.integers(1, 60), rng.integers(1, 4), rng.integers(1, 6)
+        t = np.cumsum(rng.integers(0, gap + 1, n)).astype(float)
+        s = rng.integers(0, work + 1, n).astype(float)
+        served, departs = _serve(t, s, disc)
+        first, t_next, fills = _buffer_fills(t, served, departs, disc)
+        assert first.tolist() == _searched_fills(t, served, departs).tolist()
+        assert fills.tolist() == [f < n and t[f] <= d for f, d in zip(first, departs)]
+
+
+@pytest.mark.parametrize("disc", [1, 2])
+def test_buffered_server_allocates_a_few_bytes_per_arrival(disc):
+    # Per arrival: a departure slot and a served mark, then the served
+    # positions and their departures (24.5 B at this load).  A Python object
+    # kept per served packet passes 40 B.
+    n = 200_000
+    rng = np.random.default_rng(20)
+    t, s = np.cumsum(rng.exponential(1 / 0.2, n)), rng.exponential(1.0, n)
+    tracemalloc.start()
+    try:
+        _serve(t, s, disc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 40
 
 
 def test_run_without_an_admitted_packet_matches_reference():
