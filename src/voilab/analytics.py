@@ -6,9 +6,13 @@ cycle, the expected collected area of a packet that arrives in idle state,
 and that of a busy arrival that is served; only the busy-arrival rule
 differs between disciplines.  Each piece is a weighted sum over the
 components of the admitted service law (``model.service_law``), built once
-per call.  The two classic parameter families (uniform value with log
-service, exponential value with identity service) also have closed forms,
-which ``analyze`` never calls, so that the two routes check each other.
+per call.  E[S] and the idle-arrival area depend on that law and the
+deadline alone, not on lam or the discipline, so they are computed once per
+law and shared by every point of a sweep (a bounded cache keyed by value on
+the frozen law tuple and D; nothing keyed on lam is cached).  The two
+classic parameter families (uniform value with log service, exponential
+value with identity service) also have closed forms, which ``analyze``
+never calls, so that the two routes check each other.
 Only the linear decay law is covered, since the FCFS busy-arrival fold
 (``model._wait_kernel``) is a closed form for that law alone.
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -83,21 +88,45 @@ class Stationary(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# Pieces of one admitted law
+# ---------------------------------------------------------------------------
+#
+# E[S] and eq_idle are cached per law (see the module docstring); the law
+# tuple and its components are frozen dataclasses, so keys compare by value.
+
+def _area(law, d: float, kappa, spec) -> float:
+    """E[V kappa(D - S); S < D] / (2D) over the admitted law."""
+    return sum(c.weight * c.expect_value_kappa(d, kappa, spec) for c in law) / (2.0 * d)
+
+
+@lru_cache(maxsize=64)
+def _mean_service(law) -> float:
+    return mean_service_time(law)
+
+
+@lru_cache(maxsize=64)
+def _eq_idle(law, d: float) -> float:
+    """E[V (D - S)^2; S < D] / (2D): what an idle arrival collects."""
+    return _area(law, d, lambda rem: rem * rem, DEFAULT_SPEC)
+
+
+# ---------------------------------------------------------------------------
 # Stationary probabilities
 # ---------------------------------------------------------------------------
 
-def stationary_mg11(law, lam: float) -> Stationary:
+def stationary_mg11(law, lam: float, layers=()) -> Stationary:
     """Server-state probabilities of the bufferless discipline under the admitted
     law ``law`` at rate ``lam``; the cycle is an idle gap and one service.
-    Nothing here divides by 1 - MGF, so it is taken as 1 - mgf."""
-    e_s = mean_service_time(law)
-    mgf = mgf_service(law, lam)
+    Nothing here divides by 1 - MGF, so it is taken as 1 - mgf.  ``layers``
+    as for ``model.mgf_service``."""
+    e_s = _mean_service(law)
+    mgf = mgf_service(law, lam, layers)
     busy = lam * e_s
     p_busy = busy / (1.0 + busy)
     return Stationary(1.0 / (1.0 + busy), p_busy, p_busy, 0.0, 1.0 / lam + e_s, e_s, mgf, 1.0 - mgf)
 
 
-def stationary_mg12(law, lam: float) -> Stationary:
+def stationary_mg12(law, lam: float, layers=()) -> Stationary:
     """Server-state probabilities of the one-buffer disciplines under the admitted law ``law`` at rate ``lam``.
 
     The renewal cycle is an idle gap plus a busy stretch of geometrically
@@ -105,11 +134,12 @@ def stationary_mg12(law, lam: float) -> Stationary:
     arrival, which happens with probability MGF_S(lam)).  The buffer of a
     service stays empty until the first arrival X ~ exponential(lam) during
     it, so the B1 share of busy time is E[min(X, S)] / E[S]
-    = (1 - MGF) / (lam E[S]), and B2 is the rest.
+    = (1 - MGF) / (lam E[S]), and B2 is the rest.  ``layers`` as for
+    ``model.mgf_service``.
     """
-    e_s = mean_service_time(law)
-    mgf = mgf_service(law, lam)
-    omm = one_minus_mgf_service(law, lam)
+    e_s = _mean_service(law)
+    mgf = mgf_service(law, lam, layers)
+    omm = one_minus_mgf_service(law, lam, layers)
     # Scaled by MGF so that nothing divides by it: it underflows to 0 once
     # lam * S is large, when every service sees an arrival.
     busy = lam * e_s
@@ -170,28 +200,33 @@ def analyze(scenario: Scenario) -> AnalyticReport:
     law, lam = service_law(scenario)
     d = scenario.descend.deadline
     level = DEFAULT_SPEC.split(2)
+    # Terms in exp(-lam t) are boundary layers of width 1/lam: exp(-lam S) at
+    # the smallest service time in the transforms, the FCFS fold's kernel at
+    # S = s_lo and S = rem, the LCFS residual at w = 0.  Their pieces also end
+    # 16 * 2^k / lam past the layer, k = 0..6, below D (exp(-lam t) is 0 from
+    # 1024 / lam on).  The nested FCFS fold stops at 64 / lam, past which its
+    # layers are below exp(-64) ~ 1.6e-28.
+    layers = [t for t in (16.0 * 2.0**k / lam for k in range(7)) if t < d]
     kappa = None
     if scenario.discipline == MG11:
-        st = stationary_mg11(law, lam)
+        st = stationary_mg11(law, lam, layers)
         p_served = 0.0
     elif scenario.discipline == MG12:
-        st = stationary_mg12(law, lam)
+        st = stationary_mg12(law, lam, layers)
         p_served = st.p_busy1
         if st.omm > 0.0 and p_served > 0.0:
 
             def kappa(rem):
                 # int_0^rem (rem - w) P[W' > w] dw, folded over the service law.
-                t = sum(c.weight * c.wait_fold(rem, lam, level) for c in law) / st.omm
+                t = sum(c.weight * c.wait_fold(rem, lam, level, layers[:3]) for c in law) / st.omm
                 return np.maximum(rem * rem - 2.0 * t, 0.0)
 
     else:
-        st = stationary_mg12(law, lam)
+        st = stationary_mg12(law, lam, layers)
         p_served = st.p_busy
         if st.e_s > 0.0 and p_served > 0.0:
-            # exp(-lam w) is a boundary layer of width 1/lam at w = 0: pieces also end at
-            # w = 16 * 2^k / lam, up to 1024 / lam, where exp(-lam w) has underflowed to 0.
-            cuts = [k for c in law for k in c.kinks] + [16.0 * 2.0**j / lam for j in range(7)]
-            kinks = sorted({k for k in cuts if 0.0 < k < d})
+            # The layer of exp(-lam w) sits at w = 0.
+            kinks = sorted({k for k in (*(k for c in law for k in c.kinks), *layers) if 0.0 < k < d})
 
             def kappa(rem):
                 # One row of pieces per outer point: [0, rem] cut at every kink,
@@ -203,12 +238,8 @@ def analyze(scenario: Scenario) -> AnalyticReport:
 
                 return gauss_legendre(f, cuts[:-1], cuts[1:], level).sum(axis=0) / st.e_s
 
-    def area(k, spec):
-        # E[V k(D - S); S < D] / (2D) over the admitted law.
-        return sum(c.weight * c.expect_value_kappa(d, k, spec) for c in law) / (2.0 * d)
-
-    eqi = area(lambda rem: rem * rem, DEFAULT_SPEC)
-    eqb = 0.0 if kappa is None else area(kappa, level)
+    eqi = _eq_idle(law, d)
+    eqb = 0.0 if kappa is None else _area(law, d, kappa, level)
     eq = st.p_idle * eqi + p_served * eqb
     return AnalyticReport(
         p_idle=st.p_idle,

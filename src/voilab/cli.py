@@ -488,6 +488,10 @@ class VerifySummary:
     n_fail: int
     n_skipped: int
     lines: tuple[str, ...]
+    # The largest |z| of an engine-vs-simulate check and the row it names, or
+    # None when no check has a positive standard error.  Kept out of ``lines``,
+    # which holds checks only.
+    worst: tuple[float, str] | None = None
 
     @property
     def ok(self) -> bool:
@@ -507,6 +511,7 @@ def compare_engines(rows: list[dict[str, str]], sigma: float = 3.0) -> VerifySum
         groups.setdefault(key, {})[row["engine"]] = row
     n_pass = n_fail = n_skipped = 0
     lines: list[str] = []
+    worst = None
 
     def describe(key) -> str:
         return f"lambda={key[0]} {key[1]} {key[2]}"
@@ -537,6 +542,8 @@ def compare_engines(rows: list[dict[str, str]], sigma: float = 3.0) -> VerifySum
             elif se > 0.0:
                 z = dev / se
                 ok = z <= sigma
+                if worst is None or z > worst[0]:
+                    worst = (z, f"{describe(key)} {engine}")
                 rel = f" rel={dev / abs(a):.3%}" if a != 0.0 else ""
                 lines.append(f"{head}±{se:.2g}{rel} |z|={z:.2f} {'PASS' if ok else 'FAIL'}")
             else:
@@ -554,7 +561,7 @@ def compare_engines(rows: list[dict[str, str]], sigma: float = 3.0) -> VerifySum
             lines.append(
                 f"{describe(key)} closed-form vs analytic: rel={rel:.3e} {'PASS' if ok else 'FAIL'}"
             )
-    return VerifySummary(n_pass, n_fail, n_skipped, tuple(lines))
+    return VerifySummary(n_pass, n_fail, n_skipped, tuple(lines), worst)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +612,10 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{summary.n_pass} pass, {summary.n_fail} fail, {summary.n_skipped} skipped"
             )
+            if summary.worst is None:
+                print("worst |z|: no check against a simulated standard error")
+            else:
+                print(f"worst |z| = {summary.worst[0]:.2f} at {summary.worst[1]}")
             return 0 if summary.ok else 3
 
         # run: a flag beats the config file, which beats the preset.

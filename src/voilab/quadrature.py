@@ -5,8 +5,12 @@ evaluated through ``gauss_legendre``, so its error behaviour is pinned down:
 it integrates many intervals at once on numpy arrays, doubles the
 Gauss-Legendre order until successive estimates agree within the budget
 derived from ``QuadratureSpec``, and raises ``QuadratureError`` (carrying the
-worst interval) when the doubling bound is hit first.  ``integrate``, the
-same rule for a scalar integrand, stays only for perfbench's tracer.
+worst interval) when the doubling bound is hit first.  Its first pass is
+fused: one integrand call at the 16- and 32-point nodes together yields the
+first two estimates, so a rule that converges at 32 points costs one call
+(per-call numpy overhead, not node count, dominates these small panels).
+``integrate``, the same rule for a scalar integrand, stays only for
+perfbench's tracer.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ DEFAULT_SPEC = QuadratureSpec()
 # geometrically in n.
 GL_FIRST_ORDER = 16
 GL_MAX_ORDER = 1024
-# Evaluation points one pass of ``gauss_legendre`` may ask for; doubling stops
-# with QuadratureError before the node arrays outgrow this.
+# Evaluation points one pass of ``gauss_legendre`` may ask for (its fused first
+# pass takes 48 per interval); it raises QuadratureError before the node
+# arrays outgrow this.
 GL_MAX_POINTS = 1 << 20
 
 
@@ -81,17 +86,35 @@ def _unit_panel(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_sums(f, a, width, order):
-    """(integral, integral of |f|) over every interval with one ``order``-point panel."""
-    nodes, weights = _unit_panel(order)
+@lru_cache(maxsize=None)
+def _fused_panel(orders: tuple[int, ...]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The nodes of every panel in ``orders``, concatenated, and each panel's weights."""
+    nodes = np.concatenate([_unit_panel(k)[0] for k in orders])
+    nodes.flags.writeable = False
+    return nodes, tuple(_unit_panel(k)[1] for k in orders)
+
+
+def _panel_sums(f, a, width, orders):
+    """One call of ``f`` at the nodes of every panel order in ``orders``.
+
+    Returns the integral over every interval for each order, and the
+    integral of |f| with the last (finest) order.  The first non-finite
+    value found names the node; the coarsest panel's nodes come first, so
+    that is the node a pass of that panel alone would name.
+    """
+    nodes, weights = _fused_panel(orders)
     x = a + width * nodes.reshape((-1,) + (1,) * a.ndim)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        y = np.broadcast_to(f(x), x.shape).reshape(order, -1)
+        y = np.broadcast_to(f(x), x.shape).reshape(len(nodes), -1)
     bad = ~np.isfinite(y)
     if bad.any():
-        at = float(x.reshape(order, -1)[bad][0])
+        at = float(x.reshape(len(nodes), -1)[bad][0])
         raise QuadratureError(f"integrand not finite at x={at!r}", (at, at))
-    return width * (weights @ y).reshape(a.shape), width * (weights @ np.abs(y)).reshape(a.shape)
+    sums, row = [], 0
+    for w in weights:
+        part, row = y[row : row + len(w)], row + len(w)
+        sums.append(width * (w @ part).reshape(a.shape))
+    return sums, width * (weights[-1] @ np.abs(part)).reshape(a.shape)
 
 
 def gauss_legendre(
@@ -108,8 +131,15 @@ def gauss_legendre(
     k doubles from GL_FIRST_ORDER until |I_2k - I_k| <= max(rel_tol * |I_2k|,
     abs_tol) holds on every interval (or sits at the rounding level of the
     integral of |f|); I_2k is returned.  Callers split the intervals at the
-    integrand's kinks.  Doubling past GL_MAX_ORDER points per panel, or
-    past GL_MAX_POINTS per pass, raises ``QuadratureError`` with the
+    integrand's kinks.
+
+    The first pass is fused: one call of ``f`` at the 16- and the 32-point
+    nodes together (48 per interval) gives I_16 and I_32, so a rule that
+    converges at 32 points calls ``f`` once.  Each later doubling is one
+    call.  No call asks for more than GL_MAX_POINTS nodes: more than
+    GL_MAX_POINTS / 48 intervals raise ``QuadratureError`` before ``f`` is
+    called.  Doubling past GL_MAX_ORDER points per panel, or past
+    GL_MAX_POINTS nodes per pass, raises ``QuadratureError`` with the
     interval furthest from its tolerance.
     Scalar bounds give a float.
     """
@@ -118,19 +148,24 @@ def gauss_legendre(
         raise ValueError("integration bounds must be finite")
     if (a > b).any():
         raise ValueError("require a <= b on every interval")
+    order = 2 * GL_FIRST_ORDER
+    if (order + GL_FIRST_ORDER) * a.size > GL_MAX_POINTS:
+        raise QuadratureError(
+            f"{a.size} intervals need more than GL_MAX_POINTS = {GL_MAX_POINTS} nodes in the first pass"
+        )
     width = b - a
-    order = GL_FIRST_ORDER
-    coarse, _ = _panel_sums(f, a, width, order)
-    excess = np.full(a.shape, np.inf)
-    while 2 * order <= GL_MAX_ORDER and 2 * order * a.size <= GL_MAX_POINTS:
-        order *= 2
-        fine, mass = _panel_sums(f, a, width, order)
+    (coarse, fine), mass = _panel_sums(f, a, width, (GL_FIRST_ORDER, order))
+    while True:
         excess = np.abs(fine - coarse) / np.maximum(
             np.maximum(spec.rel_tol * np.abs(fine), spec.abs_tol), 1e-14 * mass
         )
         if not (excess > 1.0).any():
             return fine if fine.ndim else float(fine)
+        if 2 * order > GL_MAX_ORDER or 2 * order * a.size > GL_MAX_POINTS:
+            break
+        order *= 2
         coarse = fine
+        (fine,), mass = _panel_sums(f, a, width, (order,))
     i = np.unravel_index(np.argmax(excess), excess.shape) if a.ndim else ()
     raise QuadratureError(
         f"no convergence with {order} points per panel on "

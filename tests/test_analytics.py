@@ -35,6 +35,7 @@ from voilab.model import (
     mean_service_time,
     one_minus_mgf_service,
     service_law,
+    _wait_kernel,
 )
 from voilab.quadrature import QuadratureError, QuadratureSpec
 
@@ -576,6 +577,128 @@ def test_analyze_builds_the_service_law_once(monkeypatch, discipline):
         monkeypatch.setattr(module, "service_law", counted)
     analyze(uniflog(0.9, discipline))
     assert len(built) == 1
+
+
+# Closed forms over the whole scan.  From lam ~ 1e2 on, the exp(-lam S) layer
+# at the smallest service time is narrower than a panel's node spacing: unless
+# the pieces end at it, 1 - MGF reads 1 and M/M/1/2 avg_voi is 0.26% off at
+# lam = 1e3.
+def test_analyze_matches_the_closed_forms_over_the_whole_arrival_rate_range():
+    for lam in map(float, np.logspace(-8, 8, 33)):
+        rep, cf = analyze(mm12(lam)), closed_form_mm12_exp(1.5, lam, 3.0)
+        for field in ("avg_voi", "p_idle", "p_busy1", "mgf", "eq_busy"):
+            assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9), (field, lam)
+        rep, cf = analyze(uniflog(lam)), closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, 3.0)
+        for field in ("avg_voi", "p_idle", "mgf"):
+            assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9), (field, lam)
+
+
+# ---------------------------------------------------------------------------
+# Cost of a point: integrand passes, panel orders and the per-law cache
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cold_law_cache():
+    """analytics with its per-law cache emptied before and after the test."""
+    import voilab.analytics as analytics
+
+    cached = (analytics._mean_service, analytics._eq_idle)
+    for fn in cached:
+        fn.cache_clear()
+    yield analytics
+    for fn in cached:
+        fn.cache_clear()
+
+
+def _panel_orders(monkeypatch):
+    """The highest panel order of every integrand pass made from now on."""
+    from voilab import quadrature
+
+    orders = []
+    panel_sums = quadrature._panel_sums
+
+    def counted(f, a, width, panel_orders):
+        orders.append(max(panel_orders))
+        return panel_sums(f, a, width, panel_orders)
+
+    monkeypatch.setattr(quadrature, "_panel_sums", counted)
+    return orders
+
+
+@pytest.mark.parametrize("discipline, passes", [(MG11, 1), (MG12, 4), (MG12_STAR, 4)])
+def test_integrand_passes_per_point_with_a_warm_cache(monkeypatch, discipline, passes):
+    # MGF (and 1 - MGF when buffered), then one outer and one inner pass of the
+    # nested busy-arrival rule: every rule converges on its fused first pass.
+    sc = uniflog(0.9, discipline)
+    analyze(sc)
+    orders = _panel_orders(monkeypatch)
+    analyze(sc)
+    assert len(orders) == passes
+
+
+def test_a_sweep_over_one_law_integrates_e_s_and_eq_idle_once(monkeypatch, cold_law_cache):
+    analytics = cold_law_cache
+    calls = []
+    mean_service_time = analytics.mean_service_time
+
+    def counted(law):
+        calls.append(law)
+        return mean_service_time(law)
+
+    monkeypatch.setattr(analytics, "mean_service_time", counted)
+    lams = np.arange(0.1, 5.0, 0.25)
+    assert len(lams) == 20
+    for lam in lams:
+        for discipline in DISCIPLINES:
+            analyze(uniflog(float(lam), discipline))
+    assert len(calls) == 1
+    info = analytics._eq_idle.cache_info()
+    assert (info.misses, info.hits) == (1, 59)
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+def test_a_cache_hit_gives_the_report_of_a_miss(cold_law_cache, discipline):
+    analytics = cold_law_cache
+    miss = analyze(uniflog(0.9, discipline))
+    # A law equal by value, built from new objects, is a hit.
+    hit = analyze(Scenario(0.9, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), LIN3, discipline))
+    assert analytics._eq_idle.cache_info().hits == 1
+    assert hit == miss and repr(hit) == repr(miss)
+
+
+@pytest.mark.parametrize(
+    "value, service, lam",
+    [
+        (ExponentialValue(1.5), DependentService("log-shift", 1.0), 1e4),
+        (ExponentialValue(1.5), DependentService("identity"), 10**3.5),
+        (UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), 1e3),
+    ],
+)
+def test_high_rate_fcfs_points_converge_on_the_first_pass(monkeypatch, value, service, lam):
+    # Unless the pieces end at the exp(-lam s) layers of the fold and of the
+    # transforms, these points double to 512-1024 points per panel.
+    sc = Scenario(lam, value, service, LIN3, MG12)
+    orders = _panel_orders(monkeypatch)
+    analyze(sc)
+    assert max(orders) == 32
+
+
+def _fold_oracle(lam, rem):
+    # E[_wait_kernel(S, rem, lam)] for S = log(1 + V), V ~ Uniform(0, 10), by
+    # scipy quad on pieces that step geometrically away from both layers.
+    s_hi = math.log(11.0)
+    steps = [j / lam for j in (0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)]
+    cuts = sorted({0.0, s_hi, *(p for base in (0.0, rem) for p in (base + t for t in steps) if 0.0 < p < s_hi)})
+    f = lambda s: math.exp(s) / 10.0 * float(_wait_kernel(s, rem, lam))
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0] for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e4, 1e7])
+def test_fcfs_fold_resolves_its_boundary_layers(lam):
+    ((c,), _) = service_law(uniflog(lam, MG12))
+    rem = np.array([1e-3, 0.3, 1.0, 2.9])
+    got = c.wait_fold(rem, lam, QuadratureSpec(), [16.0 * 2.0**k / lam for k in range(3)])
+    np.testing.assert_allclose(got, [_fold_oracle(lam, r) for r in rem], rtol=1e-11, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,38 @@ def test_verify_prints_rel_only_for_a_nonzero_analytic_value(tmp_path, capsys):
     assert "0 vs 0.02±0.01 |z|=2.00 PASS" in out and "rel=" not in out
 
 
+_MISS = (
+    "2,M/GI/1/1,serve-all,analytic,0.5,,,0.5,0.5,0,1,1\n"
+    "2,M/GI/1/1,serve-all,simulate,0.54,2.0,0.01,0.5,0.5,0,1,1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, code, totals, worst",
+    [
+        (_CSV + _MISS, 3, "1 pass, 1 fail, 0 skipped", "worst |z| = 4.00 at lambda=2 M/GI/1/1 serve-all analytic"),
+        (_CSV, 0, "1 pass, 0 fail, 0 skipped", "worst |z| = 1.00 at lambda=1 M/GI/1/1 serve-all analytic"),
+        (
+            _CSV.replace(",simulate,0.51,2.0,0.01,", ",closed-form,0.5,,,"),
+            0,
+            "1 pass, 0 fail, 2 skipped",
+            "worst |z|: no check against a simulated standard error",
+        ),
+    ],
+    ids=["misses", "no-misses", "no-simulate-rows"],
+)
+def test_verify_ends_with_the_worst_z_and_its_row(tmp_path, capsys, text, code, totals, worst):
+    assert _verify_text(tmp_path, text) == code
+    assert capsys.readouterr().out.splitlines()[-2:] == [totals, worst]
+    # The worst |z| is a field, not a check line: every line is a check or SKIPPED.
+    summary = cli.compare_engines(cli.read_csv(tmp_path / "sweep.csv"))
+    assert len(summary.lines) == summary.n_pass + summary.n_fail + summary.n_skipped
+    if summary.worst is None:
+        assert worst.startswith("worst |z|: no check")
+    else:
+        assert worst == f"worst |z| = {summary.worst[0]:.2f} at {summary.worst[1]}"
+
+
 def test_out_of_memory_run_is_a_usage_error(tmp_path, monkeypatch, capsys):
     # The simulator is replaced, so nothing is allocated.
     def out_of_memory(config):

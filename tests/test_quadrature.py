@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from voilab import quadrature
 from voilab.model import _wait_kernel
 from voilab.quadrature import (
+    GL_FIRST_ORDER,
+    GL_MAX_ORDER,
     QuadratureError,
     QuadratureSpec,
+    _unit_panel,
     gauss_legendre,
     integrate,
 )
@@ -148,6 +152,104 @@ def test_gauss_legendre_unsplit_kink_exhausts_the_order_cap():
     assert gauss_legendre(lambda x: np.abs(x - 0.3), np.array([0.0, 0.3]), np.array([0.3, 1.0]), spec).sum() == (
         pytest.approx(0.29, rel=1e-13)
     )
+
+
+def _two_pass_reference(f, a, b, spec=QuadratureSpec()):
+    """The rule with an unfused first pass: a 16-point pass, a 32-point pass,
+    then one pass per doubling, under the same test and the same bounds."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    width = b - a
+
+    def sums(order):
+        nodes, weights = _unit_panel(order)
+        x = a + width * nodes.reshape((-1,) + (1,) * a.ndim)
+        y = np.broadcast_to(f(x), x.shape).reshape(order, -1)
+        return width * (weights @ y).reshape(a.shape), width * (weights @ np.abs(y)).reshape(a.shape)
+
+    order = GL_FIRST_ORDER
+    coarse, _ = sums(order)
+    while 2 * order <= GL_MAX_ORDER and 2 * order * a.size <= quadrature.GL_MAX_POINTS:
+        order *= 2
+        fine, mass = sums(order)
+        excess = np.abs(fine - coarse) / np.maximum(
+            np.maximum(spec.rel_tol * np.abs(fine), spec.abs_tol), 1e-14 * mass
+        )
+        if not (excess > 1.0).any():
+            return fine if fine.ndim else float(fine), order
+        coarse = fine
+    i = np.unravel_index(np.argmax(excess), excess.shape) if a.ndim else ()
+    return (float(a[i]), float(b[i])), None
+
+
+def _passes(f):
+    """``f`` with a list of the nodes per interval of every call, and one of the nodes of every call."""
+    sizes, totals = [], []
+
+    def counted(x):
+        sizes.append(x.shape[0])
+        totals.append(x.size)
+        return f(x)
+
+    return counted, sizes, totals
+
+
+@pytest.mark.parametrize(
+    "f, a, b, order",
+    [
+        (np.exp, 0.0, 1.0, 32),
+        (lambda x: np.sin(3.0 * x) + x * x, np.zeros(3), np.array([0.5, 1.0, 2.0]), 32),
+        (lambda x: np.sin(40.0 * x), 0.0, 6.0, 256),
+        (lambda x: np.exp(-200.0 * x), np.zeros(2), np.array([1.0, 2.0]), 128),
+    ],
+)
+def test_fused_first_pass_equals_the_two_pass_rule(f, a, b, order):
+    want, want_order = _two_pass_reference(f, a, b)
+    assert want_order == order
+    counted, sizes, _ = _passes(f)
+    got = gauss_legendre(counted, a, b)
+    assert np.array_equal(got, want) and type(got) is type(want)
+    # One call at the 16- and 32-point nodes together, then one per doubling.
+    assert sizes == [48] + [2**k for k in range(6, order.bit_length())]
+
+
+def test_fused_first_pass_fails_on_the_interval_the_two_pass_rule_names():
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+    f = lambda x: np.sin(40.0 * x * x)
+    a, b = np.zeros(3), np.array([1.0, 10.0, 3.0])
+    want, order = _two_pass_reference(f, a, b, spec)
+    assert order is None and want == (0.0, 10.0)
+    with pytest.raises(QuadratureError) as err:
+        gauss_legendre(f, a, b, spec)
+    assert err.value.interval == want
+    assert str(err.value).startswith(f"no convergence with {GL_MAX_ORDER} points per panel on [0.0, 10.0]")
+
+
+def test_no_pass_asks_for_more_than_gl_max_points(monkeypatch):
+    # Four intervals: the fused pass holds 4 * 48 = 192 nodes, and doubling to
+    # 64 points (256 nodes) would outgrow the bound, so it stops at 32.
+    monkeypatch.setattr(quadrature, "GL_MAX_POINTS", 192)
+    a, b = np.zeros(4), np.arange(1.0, 5.0)
+    counted, _, totals = _passes(np.exp)
+    assert gauss_legendre(counted, a, b) == pytest.approx(np.expm1(b), rel=1e-14)
+    assert totals == [192]
+    counted, _, totals = _passes(lambda x: np.sin(40.0 * x))
+    with pytest.raises(QuadratureError, match="no convergence with 32 points"):
+        gauss_legendre(counted, a, b)
+    assert totals == [192]
+    # Five intervals would need 240 nodes in the first pass: nothing is evaluated.
+    counted, _, totals = _passes(np.exp)
+    with pytest.raises(QuadratureError, match="GL_MAX_POINTS"):
+        gauss_legendre(counted, np.zeros(5), np.ones(5))
+    assert totals == []
+
+
+def test_fused_first_pass_names_the_first_non_finite_node_of_the_coarse_panel():
+    # Both panels see the pole; the 16-point nodes come first, as a 16-point pass would name them.
+    f = lambda x: np.where(x > 0.5, np.inf, x)
+    nodes = _unit_panel(GL_FIRST_ORDER)[0]
+    with pytest.raises(QuadratureError) as err:
+        gauss_legendre(f, 0.0, 1.0)
+    assert err.value.interval[0] == float(nodes[nodes > 0.5][0])
 
 
 def _wait_kernel_oracle(s, d, lam):
