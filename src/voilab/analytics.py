@@ -42,6 +42,7 @@ from .model import (
     UniformValue,
     MG11,
     MG12,
+    layer_offsets,
     mean_service_time,
     mgf_service,
     one_minus_mgf_service,
@@ -114,19 +115,18 @@ def _eq_idle(law, d: float) -> float:
 # Stationary probabilities
 # ---------------------------------------------------------------------------
 
-def stationary_mg11(law, lam: float, layers=()) -> Stationary:
+def stationary_mg11(law, lam: float) -> Stationary:
     """Server-state probabilities of the bufferless discipline under the admitted
     law ``law`` at rate ``lam``; the cycle is an idle gap and one service.
-    Nothing here divides by 1 - MGF, so it is taken as 1 - mgf.  ``layers``
-    as for ``model.mgf_service``."""
+    Nothing here divides by 1 - MGF, so it is taken as 1 - mgf."""
     e_s = _mean_service(law)
-    mgf = mgf_service(law, lam, layers)
+    mgf = mgf_service(law, lam)
     busy = lam * e_s
     p_busy = busy / (1.0 + busy)
     return Stationary(1.0 / (1.0 + busy), p_busy, p_busy, 0.0, 1.0 / lam + e_s, e_s, mgf, 1.0 - mgf)
 
 
-def stationary_mg12(law, lam: float, layers=()) -> Stationary:
+def stationary_mg12(law, lam: float) -> Stationary:
     """Server-state probabilities of the one-buffer disciplines under the admitted law ``law`` at rate ``lam``.
 
     The renewal cycle is an idle gap plus a busy stretch of geometrically
@@ -134,12 +134,11 @@ def stationary_mg12(law, lam: float, layers=()) -> Stationary:
     arrival, which happens with probability MGF_S(lam)).  The buffer of a
     service stays empty until the first arrival X ~ exponential(lam) during
     it, so the B1 share of busy time is E[min(X, S)] / E[S]
-    = (1 - MGF) / (lam E[S]), and B2 is the rest.  ``layers`` as for
-    ``model.mgf_service``.
+    = (1 - MGF) / (lam E[S]), and B2 is the rest.
     """
     e_s = _mean_service(law)
-    mgf = mgf_service(law, lam, layers)
-    omm = one_minus_mgf_service(law, lam, layers)
+    mgf = mgf_service(law, lam)
+    omm = one_minus_mgf_service(law, lam)
     # Scaled by MGF so that nothing divides by it: it underflows to 0 once
     # lam * S is large, when every service sees an arrival.
     busy = lam * e_s
@@ -200,33 +199,26 @@ def analyze(scenario: Scenario) -> AnalyticReport:
     law, lam = service_law(scenario)
     d = scenario.descend.deadline
     level = DEFAULT_SPEC.split(2)
-    # Terms in exp(-lam t) are boundary layers of width 1/lam: exp(-lam S) at
-    # the smallest service time in the transforms, the FCFS fold's kernel at
-    # S = s_lo and S = rem, the LCFS residual at w = 0.  Their pieces also end
-    # 16 * 2^k / lam past the layer, k = 0..6, below D (exp(-lam t) is 0 from
-    # 1024 / lam on).  The nested FCFS fold stops at 64 / lam, past which its
-    # layers are below exp(-64) ~ 1.6e-28.
-    layers = [t for t in (16.0 * 2.0**k / lam for k in range(7)) if t < d]
     kappa = None
     if scenario.discipline == MG11:
-        st = stationary_mg11(law, lam, layers)
+        st = stationary_mg11(law, lam)
         p_served = 0.0
     elif scenario.discipline == MG12:
-        st = stationary_mg12(law, lam, layers)
+        st = stationary_mg12(law, lam)
         p_served = st.p_busy1
         if st.omm > 0.0 and p_served > 0.0:
 
             def kappa(rem):
                 # int_0^rem (rem - w) P[W' > w] dw, folded over the service law.
-                t = sum(c.weight * c.wait_fold(rem, lam, level, layers[:3]) for c in law) / st.omm
+                t = sum(c.weight * c.wait_fold(rem, lam, level) for c in law) / st.omm
                 return np.maximum(rem * rem - 2.0 * t, 0.0)
 
     else:
-        st = stationary_mg12(law, lam, layers)
+        st = stationary_mg12(law, lam)
         p_served = st.p_busy
         if st.e_s > 0.0 and p_served > 0.0:
-            # The layer of exp(-lam w) sits at w = 0.
-            kinks = sorted({k for k in (*(k for c in law for k in c.kinks), *layers) if 0.0 < k < d})
+            # The layer of exp(-lam w) sits at w = 0, and w < rem <= D.
+            kinks = sorted({k for k in (*(k for c in law for k in c.kinks), *layer_offsets(lam, d)) if 0.0 < k < d})
 
             def kappa(rem):
                 # One row of pieces per outer point: [0, rem] cut at every kink,
@@ -322,14 +314,22 @@ def closed_form_mg11_uniform_log(
 
 def closed_form_mm12_exp(mu: float, lam: float, deadline: float) -> AnalyticReport:
     """FCFS one-buffer average VoI for exponential(mu) values served through
-    the identity map (so service is exponential(mu) too), in closed form."""
+    the identity map (so service is exponential(mu) too), in closed form.
+    Both area numerators cancel as x = D mu -> 0, so below x = 3 they are
+    summed as their alternating Taylor series, through x^31."""
     if not (mu > 0.0 and lam > 0.0 and deadline > 0.0):
         raise ValueError("invalid closed-form parameters")
-    d = deadline
-    dm = d * mu
-    emu = math.exp(-dm)
-    eqi = (dm * dm - 4.0 * dm + 6.0 - emu * (2.0 * dm + 6.0)) / (2.0 * d * mu**3)
-    eqb = (12.0 + dm * dm - 6.0 * dm - emu * (6.0 * dm + dm * dm + 12.0)) / (2.0 * d * mu**3)
+    dm = deadline * mu
+    if dm < 3.0:
+        n = np.arange(4, 32)
+        terms = (-dm) ** n / np.array([math.factorial(k) for k in n], dtype=float)
+        num_i, num_b = 2.0 * ((n - 3) * terms).sum(), -((n - 3) * (n - 4) * terms).sum()
+    else:
+        emu = math.exp(-dm)
+        num_i = dm * dm - 4.0 * dm + 6.0 - emu * (2.0 * dm + 6.0)
+        num_b = 12.0 + dm * dm - 6.0 * dm - emu * (6.0 * dm + dm * dm + 12.0)
+    eqi = float(num_i) / (2.0 * deadline * mu**3)
+    eqb = float(num_b) / (2.0 * deadline * mu**3)
     denom = lam * lam + lam * mu + mu * mu
     p_idle = mu * mu / denom
     p_busy1 = lam * mu / denom

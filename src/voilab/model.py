@@ -332,15 +332,20 @@ class Scenario:
 # ``service_law`` writes the joint law of an admitted packet's value V and
 # service time S once, as weighted components, each carrying the value it
 # pays (the value distribution itself when S = g(V)).  Each provides, with
-# X ~ exponential(lam): mean(), mgf(lam, layers), one_minus_mgf(lam, layers)
-# (``layers`` as for ``mgf_service``); ccdf(w) = P[S > w]
-# and its kinks; residual_num(lam, w) = P[S - X > w, X < S];
+# X ~ exponential(lam): mean(), mgf(lam) and one_minus_mgf(lam); ccdf(w) =
+# P[S > w] and its kinks; residual_num(lam, w) = P[S - X > w, X < S];
 # expect_value_kappa(d, kappa, spec) = E[V kappa(d - S); S < d]; and
-# wait_fold(rem, lam, spec, layers) = E[_wait_kernel(S, rem, lam)], whose
-# quadrature pieces also end ``layers`` (offsets ~ 1/lam) past each boundary
-# layer of the kernel.  The arguments w and rem, and the argument and result
-# of kappa, are numpy arrays (elementwise); expectations without a closed
-# form go through ``gauss_legendre``.
+# wait_fold(rem, lam, spec) = E[_wait_kernel(S, rem, lam)].  The arguments w
+# and rem, and the argument and result of kappa, are numpy arrays
+# (elementwise); expectations without a closed form go through
+# ``gauss_legendre``, cut by the component itself at ``layer_offsets``.
+
+def layer_offsets(lam: float, width: float, count: int = 7) -> list[float]:
+    """The offsets 16 * 2^k / lam, k < count, shorter than ``width``, the span
+    a term in exp(-lam t) lives on: pieces that also end there resolve its
+    layer of width 1/lam at t = 0 (it is 0 from 1024 / lam on)."""
+    return [t / lam for t in (16.0 * 2.0**k for k in range(count)) if t < lam * width]
+
 
 def _series_or(x, small: float, series, direct):
     """``series(x)`` where x < small, else ``direct(x)``, elementwise; each
@@ -410,10 +415,10 @@ class PointMass:
     def mean(self) -> float:
         return self.s
 
-    def mgf(self, lam: float, layers=()) -> float:
+    def mgf(self, lam: float) -> float:
         return math.exp(-lam * self.s)
 
-    def one_minus_mgf(self, lam: float, layers=()) -> float:
+    def one_minus_mgf(self, lam: float) -> float:
         return -math.expm1(-lam * self.s)
 
     def ccdf(self, w):
@@ -425,7 +430,7 @@ class PointMass:
     def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
         return self.value * float(kappa(d - self.s)) if self.s < d else 0.0
 
-    def wait_fold(self, rem, lam: float, spec: QuadratureSpec, layers=()):
+    def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
         return _wait_kernel(self.s, rem, lam)
 
 
@@ -444,10 +449,10 @@ class ExponentialComponent:
     def mean(self) -> float:
         return self.m
 
-    def mgf(self, lam: float, layers=()) -> float:
+    def mgf(self, lam: float) -> float:
         return 1.0 / (1.0 + lam * self.m)
 
-    def one_minus_mgf(self, lam: float, layers=()) -> float:
+    def one_minus_mgf(self, lam: float) -> float:
         return lam * self.m / (1.0 + lam * self.m)
 
     def ccdf(self, w):
@@ -461,7 +466,7 @@ class ExponentialComponent:
         m = self.m
         return self.value * gauss_legendre(lambda s: np.exp(-s / m) / m * kappa(d - s), 0.0, d, spec)
 
-    def wait_fold(self, rem, lam: float, spec: QuadratureSpec, layers=()):
+    def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
         # (1 - MGF) * int_0^rem (rem - w) exp(-w/m) dw.
         return self.one_minus_mgf(lam) * rem * rem * _expm1_quad(rem / self.m)
 
@@ -496,18 +501,17 @@ class ValueMapped:
     def mean(self) -> float:
         return self._expect(lambda s: s)
 
-    def _from_lo(self, f, layers) -> float:
-        """E[f(S)] with the pieces also ending at s_lo + t for every t in
-        ``layers``: exp(-lam S) has a layer of width 1/lam at s_lo."""
+    def _from_lo(self, f, lam: float) -> float:
+        """E[f(S)] for f in exp(-lam S), whose layer at s_lo the pieces resolve."""
         s_lo, s_hi = self.kinks
-        cuts = [s_lo, *(s_lo + t for t in layers if s_lo + t < s_hi), s_hi]
+        cuts = [s_lo, *(s_lo + t for t in layer_offsets(lam, s_hi - s_lo)), s_hi]
         return float(self._expect(f, cuts[:-1], cuts[1:]).sum())
 
-    def mgf(self, lam: float, layers=()) -> float:
-        return self._from_lo(lambda s: np.exp(-lam * s), layers)
+    def mgf(self, lam: float) -> float:
+        return self._from_lo(lambda s: np.exp(-lam * s), lam)
 
-    def one_minus_mgf(self, lam: float, layers=()) -> float:
-        return self._from_lo(lambda s: -np.expm1(-lam * s), layers)
+    def one_minus_mgf(self, lam: float) -> float:
+        return self._from_lo(lambda s: -np.expm1(-lam * s), lam)
 
     def ccdf(self, w):
         return 1.0 - self.value.cdf(self.service.g_inv(w))
@@ -526,17 +530,17 @@ class ValueMapped:
         g_inv = self.service.g_inv
         return float(self._expect(lambda s: g_inv(s) * kappa(d - s), [s_lo, *cuts], [*cuts, top], spec).sum())
 
-    def wait_fold(self, rem, lam: float, spec: QuadratureSpec, layers=()):
-        # The kernel has a kink at S = rem, so the integration splits there,
-        # and layers of width 1/lam above S = s_lo (exp(-lam S)) and S = rem
-        # (exp(-lam (S - rem))), so the pieces also end at s_lo + t (up to
-        # rem) and rem + t for every t in ``layers``: all pieces in one call,
-        # one row per piece.
+    def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
+        # Pieces split at the kernel's kink S = rem and end past its layers of
+        # width 1/lam above S = s_lo and S = rem, at s_lo + t (up to rem) and
+        # rem + t for the first three offsets (exp(-64) ~ 1.6e-28 past them):
+        # all pieces in one call, one row per piece.
         s_lo, s_hi = self.kinks
         rem = np.asarray(rem, dtype=float)
+        offsets = layer_offsets(lam, s_hi - s_lo, 3)
         cuts = np.stack(
             np.broadcast_arrays(
-                s_lo, *(np.minimum(s_lo + t, rem) for t in layers), rem, *(rem + t for t in layers), s_hi
+                s_lo, *(np.minimum(s_lo + t, rem) for t in offsets), rem, *(rem + t for t in offsets), s_hi
             )
         )
         return self._expect(lambda s: _wait_kernel(s, rem, lam), cuts[:-1], cuts[1:], spec).sum(axis=0)
@@ -582,19 +586,14 @@ def mean_service_time(law: tuple[ServiceComponent, ...]) -> float:
     return sum(c.weight * c.mean() for c in law)
 
 
-def mgf_service(law: tuple[ServiceComponent, ...], lam: float, layers=()) -> float:
-    """E[exp(-lam * S)] of an admitted service law.
-
-    Quadrature pieces also end at s_lo + t for every offset t in ``layers``
-    (``analyze`` passes 16 * 2^k / lam below the deadline), which resolves
-    the layer of exp(-lam S) at the smallest service time s_lo.
-    """
+def mgf_service(law: tuple[ServiceComponent, ...], lam: float) -> float:
+    """E[exp(-lam * S)] of an admitted service law."""
     if lam < 0.0:
         raise ValueError("transform argument must be >= 0")
-    return sum(c.weight * c.mgf(lam, layers) for c in law)
+    return sum(c.weight * c.mgf(lam) for c in law)
 
 
-def one_minus_mgf_service(law: tuple[ServiceComponent, ...], lam: float, layers=()) -> float:
+def one_minus_mgf_service(law: tuple[ServiceComponent, ...], lam: float) -> float:
     """1 - MGF_S(lam) of an admitted service law, without cancellation for
-    small lam; ``layers`` as for ``mgf_service``."""
-    return sum(c.weight * c.one_minus_mgf(lam, layers) for c in law)
+    small lam."""
+    return sum(c.weight * c.one_minus_mgf(lam) for c in law)

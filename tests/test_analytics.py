@@ -37,7 +37,7 @@ from voilab.model import (
     service_law,
     _wait_kernel,
 )
-from voilab.quadrature import QuadratureError, QuadratureSpec
+from voilab.quadrature import QuadratureSpec
 
 LIN3 = DescendFunction.linear(3.0)
 
@@ -582,15 +582,49 @@ def test_analyze_builds_the_service_law_once(monkeypatch, discipline):
 # Closed forms over the whole scan.  From lam ~ 1e2 on, the exp(-lam S) layer
 # at the smallest service time is narrower than a panel's node spacing: unless
 # the pieces end at it, 1 - MGF reads 1 and M/M/1/2 avg_voi is 0.26% off at
-# lam = 1e3.
+# lam = 1e3.  That layer and the FCFS fold's lie on the service support, which
+# is far wider than a short deadline: cut only below D, M/M/1/2 eq_busy was
+# 46% off at D = 0.01, lam = 1e3.  The uniform-log closed form's eq_idle
+# cancels below D = 0.1 (1.1e-9 off at D = 0.01), so it is checked from 0.1.
 def test_analyze_matches_the_closed_forms_over_the_whole_arrival_rate_range():
-    for lam in map(float, np.logspace(-8, 8, 33)):
-        rep, cf = analyze(mm12(lam)), closed_form_mm12_exp(1.5, lam, 3.0)
-        for field in ("avg_voi", "p_idle", "p_busy1", "mgf", "eq_busy"):
-            assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9), (field, lam)
-        rep, cf = analyze(uniflog(lam)), closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, 3.0)
-        for field in ("avg_voi", "p_idle", "mgf"):
-            assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9), (field, lam)
+    for d in (0.001, 0.01, 0.1, 3.0, 30.0):
+        lin = DescendFunction.linear(d)
+        for lam in map(float, np.logspace(-8, 8, 33)):
+            rep, cf = analyze(replace(mm12(lam), descend=lin)), closed_form_mm12_exp(1.5, lam, d)
+            for field in ("avg_voi", "p_idle", "p_busy1", "mgf", "eq_busy"):
+                assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9, abs=0.0), (field, d, lam)
+            if d < 0.1:
+                continue
+            rep, cf = analyze(replace(uniflog(lam), descend=lin)), closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, d)
+            for field in ("avg_voi", "p_idle", "mgf"):
+                assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9, abs=0.0), (field, d, lam)
+
+
+def _mm12_numerators_exact(x, terms=80):
+    """The M/M/1/2 eq_idle and eq_busy numerators at the float x, as exact
+    sums of their Taylor series (the tail is far below double rounding for
+    x <= 5)."""
+    from fractions import Fraction
+
+    x, idle, busy, power, fact = Fraction(x), Fraction(0), Fraction(0), Fraction(1), 1
+    for n in range(terms):
+        if n:
+            power, fact = power * x, fact * n
+        term = (-1) ** n * power / fact
+        idle += 2 * (n - 3) * term if n >= 4 else 0
+        busy -= (n - 3) * (n - 4) * term if n >= 5 else 0
+    return idle, busy
+
+
+@pytest.mark.parametrize("d", [1e-4, 1e-3, 0.01, 0.1, 0.6, 1.9, 2.1, 3.3])
+def test_mm12_closed_form_has_no_cancellation_at_short_deadlines(d):
+    # The direct numerators are differences of O(1) terms: at D mu = 1.5e-3
+    # eq_busy was 100% off and eq_idle 6.2e-4.
+    mu = 1.5
+    cf = closed_form_mm12_exp(mu, 1.0, d)
+    idle, busy = _mm12_numerators_exact(d * mu)
+    assert cf.eq_idle == pytest.approx(float(idle) / (2.0 * d * mu**3), rel=1e-13, abs=0.0)
+    assert cf.eq_busy == pytest.approx(float(busy) / (2.0 * d * mu**3), rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +731,7 @@ def _fold_oracle(lam, rem):
 def test_fcfs_fold_resolves_its_boundary_layers(lam):
     ((c,), _) = service_law(uniflog(lam, MG12))
     rem = np.array([1e-3, 0.3, 1.0, 2.9])
-    got = c.wait_fold(rem, lam, QuadratureSpec(), [16.0 * 2.0**k / lam for k in range(3)])
+    got = c.wait_fold(rem, lam, QuadratureSpec())
     np.testing.assert_allclose(got, [_fold_oracle(lam, r) for r in rem], rtol=1e-11, atol=0.0)
 
 
@@ -782,11 +816,24 @@ _ORACLE_FAMILIES = {
 @pytest.mark.parametrize("lam", [0.3, 3.7])
 @pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
 def test_busy_area_matches_scipy_oracle(family, lam, discipline):
+    _check_busy_area(family, lam, 3.0, discipline)
+
+
+# Short deadlines at high rates: the exp(-lam s) layers of the transforms and
+# of the FCFS fold lie on the service support, not in [0, D].
+@pytest.mark.parametrize("discipline", [MG12, MG12_STAR])
+@pytest.mark.parametrize("lam, deadline", [(316.0, 0.01), (316.0, 0.1), (1000.0, 0.01), (1000.0, 0.1)])
+@pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
+def test_busy_area_matches_scipy_oracle_at_short_deadlines(family, lam, deadline, discipline):
+    _check_busy_area(family, lam, deadline, discipline)
+
+
+def _check_busy_area(family, lam, deadline, discipline):
     base, law = _ORACLE_FAMILIES[family]
-    sc = replace(base, lam=lam, discipline=discipline)
+    sc = replace(base, lam=lam, discipline=discipline, descend=DescendFunction.linear(deadline))
     lam_eff = lam * (0.8 if sc.admission == "class-only(1)" else 1.0)
-    want = _oracle_eq_busy(law, lam_eff, 3.0, discipline)
-    assert analyze(sc).eq_busy == pytest.approx(want, rel=1e-8)
+    want = _oracle_eq_busy(law, lam_eff, deadline, discipline)
+    assert analyze(sc).eq_busy == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -815,10 +862,10 @@ def _scenarios(draw):
     if binary:
         services.append(st.just(ClassExponentialService()))
     return Scenario(
-        draw(st.floats(0.05, 20.0)),
+        10.0 ** draw(st.floats(-8.0, 8.0)),
         dist,
         draw(st.one_of(services)),
-        DescendFunction.linear(draw(st.floats(0.5, 6.0))),
+        DescendFunction.linear(10.0 ** draw(st.floats(-3.0, 1.0))),
         draw(st.sampled_from([MG11, MG12, MG12_STAR])),
         draw(st.sampled_from(["serve-all", "class-only(1)", "class-only(2)"])) if binary else "serve-all",
     )
@@ -829,10 +876,8 @@ def _scenarios(draw):
 # Every service outlasts the deadline: no value is ever collected.
 @example(Scenario(1.0, UniformValue(1.0, 2.0), DependentService("identity"), DescendFunction.linear(0.5), MG12_STAR))
 def test_any_valid_scenario_gives_finite_normalised_report(sc):
-    try:
-        rep = analyze(sc)
-    except (UnsupportedAnalyticsError, QuadratureError):
-        return
+    # Linear decay over the whole arrival-rate range: every such scenario evaluates.
+    rep = analyze(sc)
     probs = (rep.p_idle, rep.p_busy1, rep.p_busy2)
     assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
     assert sum(probs) == pytest.approx(1.0, abs=1e-9)

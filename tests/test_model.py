@@ -20,6 +20,7 @@ from voilab.model import (
     UniformValue,
     mean_service_time,
     mgf_service,
+    one_minus_mgf_service,
     q_area_batch,
     sample_service_times,
     service_law,
@@ -213,6 +214,14 @@ def test_mgf_binary_atoms():
     sc2 = _scenario(ClassExponentialService(), dist)
     expected2 = 0.8 / 1.4 + 0.2 / 2.33
     assert mgf_service(*service_law(sc2)) == pytest.approx(expected2, rel=1e-12)
+
+
+def test_transforms_resolve_the_layer_at_the_shortest_service():
+    # exp(-lam S) has a layer of width 1/lam at S = 0, which the law's own
+    # quadrature pieces resolve: no caller passes cuts.
+    law, lam = service_law(_scenario(DependentService("identity"), ExponentialValue(1.5), lam=1e3))
+    assert mgf_service(law, lam) == pytest.approx(1.5 / (lam + 1.5), rel=1e-9, abs=0.0)
+    assert one_minus_mgf_service(law, lam) == pytest.approx(lam / (lam + 1.5), rel=1e-9, abs=0.0)
 
 
 def test_mgf_in_unit_interval_and_non_increasing():
