@@ -260,6 +260,22 @@ def _log1p_sq_antiderivatives(v: float) -> tuple[float, float]:
     return phi1, phi2
 
 
+def _uniform_log_area_series(v_lo: float, sigma: float, a: float, deadline: float) -> float:
+    """int v (D - a log(1+v))^2 dv from v_lo to v_lo + (1 + v_lo) sigma, as
+    its power series in sigma through sigma^64 (for sigma < 1/2 the terms
+    beyond fall below double rounding).  With 1 + v = (1 + v_lo)(1 + s), the
+    integrand is (1 + v_lo)(v_lo + (1 + v_lo) s)(c - a log1p(s))^2 with
+    c = D - a log1p(v_lo)."""
+    b = 1.0 + v_lo
+    k = np.arange(1, 64)
+    q = np.concatenate(([deadline - a * math.log1p(v_lo)], a * (-1.0) ** k / k))  # c - a log1p(s)
+    p = np.convolve(q, q)[:64]
+    r = v_lo * p
+    r[1:] += b * p[:-1]
+    n = np.arange(1, 65)
+    return b * float((r * sigma**n / n).sum())
+
+
 def closed_form_mg11_uniform_log(
     v_min: float, v_max: float, a: float, lam: float, deadline: float
 ) -> AnalyticReport:
@@ -269,7 +285,10 @@ def closed_form_mg11_uniform_log(
     The service map is applied consistently everywhere, i.e.
     E[S] = a/u * ((v_max+1) log(v_max+1) - (v_min+1) log(v_min+1)) - a
     (the exact integral of a*log(1+v)), and the area integral uses exact
-    antiderivatives of v log(1+v) and v log(1+v)^2.
+    antiderivatives of v log(1+v) and v log(1+v)^2.  Their difference
+    cancels when the integration range is short against 1 + v_min (2.4e-7
+    relative at v_min = 0, D = 0.001), so below half of it the area is
+    summed as a power series instead.
     """
     if not (0.0 <= v_min < v_max and a > 0.0 and lam > 0.0 and deadline > 0.0):
         raise ValueError("invalid closed-form parameters")
@@ -281,8 +300,11 @@ def closed_form_mg11_uniform_log(
     p_idle = 1.0 / (lam * t_cycle)
     p_busy = e_s / t_cycle
     v_up = min(math.expm1(deadline / a), v_max)
+    sigma = (v_up - v_min) / (1.0 + v_min)
     if v_up <= v_min:
         eqi = 0.0
+    elif sigma < 0.5:
+        eqi = _uniform_log_area_series(v_min, sigma, a, deadline) / (2.0 * deadline * u)
     else:
 
         def big_f(v: float) -> float:

@@ -9,7 +9,10 @@ expanded by pointer doubling.  With a buffer, one pass of Lindley's recursion
 writes each departure at its packet's arrival position.  VoI, age, state
 occupancies, the states arrivals find and their batch-means standard errors
 all follow from those service intervals, as array operations over the whole
-run.  Identical config and seed give bit-identical reports.
+run; the five standard errors are one row-wise reduction over a stack of
+batch totals.  Sampled VoI sums the alive packets' values on a time grid
+that is indexed, never built.  Identical config and seed give bit-identical
+reports.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ _STREAM_SERVICES = 2
 # Most (packet, sample) pairs ``_sampled_voi_mean`` evaluates at once: the
 # memory of one block, whatever the run length and sampling step.
 _SAMPLE_PAIRS_PER_BLOCK = 1 << 16
+
+# Most samples on a sampled-VoI grid: up to it a sample's rounding stays
+# within half a step, which ``_samples_below`` relies on to count exactly.
+_MAX_SAMPLES = 2.0**52
 
 # Batches of every batch-means standard error (one per packet in shorter runs).
 _N_BATCHES = 100
@@ -129,9 +136,8 @@ def simulate(config: SimConfig) -> SimReport:
     q_full[d_idx] = q
     batch_sums = np.add.reduceat(q_full, np.concatenate(([0], edges_idx)))
     avg_voi = float(q.sum() / elapsed)
-    stderr_voi = _batch_stderr(batch_sums, spans)
 
-    avg_aoi, stderr_aoi = _age_statistics(gen, d_t, elapsed, edges_t, spans)
+    avg_aoi, age_batches, e_age = _age_statistics(gen, d_t, elapsed, edges_t)
 
     # Time busy cumulated up to each batch edge, and the state each arrival
     # finds: busy while a served packet that arrived earlier has not left.
@@ -153,7 +159,11 @@ def simulate(config: SimConfig) -> SimReport:
     # Time spent idle, busy with an empty buffer and busy with a full buffer.
     occ_at = np.stack((edges_t - busy_at, busy_at - full_at, full_at))
     occupancy = tuple((occ_at[:, -1] / elapsed).tolist())
-    occupancy_stderr = tuple(_batch_stderr(row, spans) for row in np.diff(occ_at, axis=1))
+    # Rows: VoI, age (scaled by 2^-e_age, so its error scales back by 4^e_age)
+    # and the three occupancies.
+    errors = _batch_stderrs(np.vstack((batch_sums, age_batches, np.diff(occ_at, axis=1))), spans)
+    stderr_voi, stderr_age, *occupancy_stderr = errors.tolist()
+    stderr_aoi = math.ldexp(stderr_age, 2 * e_age)
     arrival_seen = tuple((np.bincount(seen, minlength=3) / n).tolist())
 
     sampled = None
@@ -191,7 +201,7 @@ def simulate(config: SimConfig) -> SimReport:
         avg_aoi=avg_aoi,
         stderr_aoi=stderr_aoi,
         occupancy=occupancy,
-        occupancy_stderr=occupancy_stderr,
+        occupancy_stderr=tuple(occupancy_stderr),
         arrival_seen=arrival_seen,
         sampled_voi_mean=sampled,
         seed=config.seed,
@@ -293,26 +303,32 @@ def _covered(lo, hi, x):
     return cum[k] - np.maximum(top[k] - x, 0.0)
 
 
-def _batch_stderr(batch_totals: np.ndarray, spans: np.ndarray) -> float:
-    """Batch-means standard error of a time average, over the batches of positive length."""
+def _batch_stderrs(batch_totals: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Batch-means standard error of the time average of each row of
+    ``batch_totals``, over the batches of positive length."""
     keep = spans > 0.0
-    m = batch_totals[keep] / spans[keep]
-    if m.size < 2:
-        return 0.0
-    # Scaled into [-1, 1] by a power of two (exact), so that squares cannot overflow.
-    e = math.frexp(float(np.abs(m).max()))[1]
-    return math.ldexp(float(np.ldexp(m, -e).std(ddof=1) / math.sqrt(m.size)), e)
+    # Boolean indexing along the columns yields a Fortran-ordered array, whose
+    # row reductions would sum in another order than a one-row ``std``.
+    m = np.ascontiguousarray(batch_totals[:, keep] / spans[keep])
+    if m.shape[1] < 2:
+        return np.zeros(m.shape[0])
+    # Each row is scaled into [-1, 1] by a power of two (exact), so that
+    # squares cannot overflow.
+    e = np.frexp(np.abs(m).max(axis=1))[1]
+    std = np.ldexp(m, -e[:, None]).std(ddof=1, axis=1)
+    return np.ldexp(std / math.sqrt(m.shape[1]), e)
 
 
-def _age_statistics(gen, d_t, elapsed, edges_t, spans):
-    """Time-average age and its batch-means standard error.
+def _age_statistics(gen, d_t, elapsed, edges_t):
+    """Time-average age, the age integral over each batch scaled by 4^-e,
+    and e.
 
     The age process starts at zero, grows with slope one, and drops to
     (delivery time - generation time) at every delivery: ``_serve`` serves
     admitted arrivals in arrival order, so each delivery is the freshest yet.
     """
     if d_t.size == 0:
-        return float(elapsed / 2.0), 0.0
+        return float(elapsed / 2.0), np.zeros(edges_t.size - 1), 0
     # Times scaled into [0, 1] by a power of two (exact), so that their
     # squares cannot overflow; the age integral scales back by 4^e.
     e = math.frexp(elapsed)[1]
@@ -332,7 +348,7 @@ def _age_statistics(gen, d_t, elapsed, edges_t, spans):
         return cum[k] + 0.5 * ((x - u[k]) ** 2 - sq[k])
 
     at_edges = age_integral_at(np.ldexp(edges_t, -e))
-    return math.ldexp(float(at_edges[-1]) / end, e), math.ldexp(_batch_stderr(np.diff(at_edges), spans), 2 * e)
+    return math.ldexp(float(at_edges[-1]) / end, e), np.diff(at_edges), e
 
 
 def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):
@@ -345,13 +361,19 @@ def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):
     contiguous run of sample indices.  The runs are expanded in blocks of at
     most _SAMPLE_PAIRS_PER_BLOCK (packet, sample) pairs, each evaluated with
     ``DescendFunction.value`` and summed.
+
+    The grid is never built.  It is ``np.arange(0.0, elapsed, step)``, whose
+    sample m is exactly ``m * step``, so a run's bounds are counts of
+    samples below a time (``_samples_below``) and a pair's sample is formed
+    from its index.  Memory is that of the alive packets and of one block,
+    however long the run and however fine the step.
     """
-    samples = np.arange(0.0, elapsed, step)
+    n_s = _grid_length(elapsed, step)
     alive = t_sys < descend.deadline
     gen = t_gen[d_idx][alive]
     v0 = values[d_idx][alive]
-    lo = np.searchsorted(samples, d_t[alive])
-    hi = np.searchsorted(samples, gen + descend.deadline)
+    lo = _samples_below(d_t[alive], step, n_s)
+    hi = _samples_below(gen + descend.deadline, step, n_s)
     runs = np.maximum(hi - lo, 0)
     ends = np.cumsum(runs)
     starts = ends - runs
@@ -366,6 +388,32 @@ def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):
         k0, k1 = np.searchsorted(ends, (first, last - 1), side="right")
         share = np.minimum(ends[k0 : k1 + 1], last) - np.maximum(starts[k0 : k1 + 1], first)
         k = np.repeat(np.arange(k0, k1 + 1), share)
-        tau = samples[pair - ends[k] + hi[k]] - gen[k]
+        tau = (pair - ends[k] + hi[k]) * step - gen[k]
         total += float(descend.value(v0[k], tau).sum())
-    return total / samples.size
+    return total / n_s
+
+
+def _grid_length(elapsed, step):
+    """Length of ``np.arange(0.0, elapsed, step)`` for ``elapsed > 0``:
+    ``ceil(elapsed / step)``, or one sample when that quotient underflows."""
+    ratio = elapsed / step
+    if not ratio < _MAX_SAMPLES:
+        raise ValueError(f"sampling grid of {ratio:g} points exceeds {_MAX_SAMPLES:g}")
+    return max(math.ceil(ratio), 1)
+
+
+def _samples_below(x, step, n_s):
+    """Number of samples ``m * step``, 0 <= m < n_s, below each ``x``: what
+    ``np.searchsorted(np.arange(0.0, elapsed, step), x)`` returns.
+
+    The samples are nondecreasing in m, so the count is the first m with
+    ``m * step >= x``, capped at n_s.  ``x / step`` and ``m * step`` are
+    each rounded once, by at most a relative 2^-53; up to 2^52 samples (hence
+    ``_MAX_SAMPLES``) that moves either by at most half a sample, so
+    ``ceil(x / step)``, clipped to [0, n_s], is within one of the count,
+    and one test each way settles it.
+    """
+    m = np.clip(np.ceil(x / step), 0.0, n_s)
+    m -= (m > 0.0) & ((m - 1.0) * step >= x)
+    m += (m < n_s) & (m * step < x)
+    return m.astype(np.int64)

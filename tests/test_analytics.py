@@ -84,15 +84,15 @@ def test_stationary_mg11_empty_system_limit():
 def test_stationary_mg11_exponential_service():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentExponentialService(1.5), LIN3, MG11)
     st = stationary_mg11(*service_law(sc))
-    assert st.p_idle == pytest.approx(0.6, rel=1e-12)
+    assert st.p_idle == pytest.approx(0.6, rel=1e-12, abs=0.0)
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stationary_mg12_reference_point():
     st = stationary_mg12(*service_law(mm12(1.0)))
-    assert st.p_idle == pytest.approx(2.25 / 4.75, rel=1e-9)
-    assert st.p_busy1 == pytest.approx(1.5 / 4.75, rel=1e-9)
-    assert st.p_busy2 == pytest.approx(1.0 / 4.75, rel=1e-9)
+    assert st.p_idle == pytest.approx(2.25 / 4.75, rel=1e-9, abs=0.0)
+    assert st.p_busy1 == pytest.approx(1.5 / 4.75, rel=1e-9, abs=0.0)
+    assert st.p_busy2 == pytest.approx(1.0 / 4.75, rel=1e-9, abs=0.0)
 
 
 def test_stationary_mg12_vanishing_buffer_at_low_rate():
@@ -118,7 +118,7 @@ def test_stationary_partitions_sum_to_one(lam):
 
 def test_residual_ccdf_memoryless_service():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentExponentialService(1.5), LIN3, MG12)
-    assert residual_ccdf_mg12(*service_law(sc), 1.0) == pytest.approx(math.exp(-1.5), rel=1e-12)
+    assert residual_ccdf_mg12(*service_law(sc), 1.0) == pytest.approx(math.exp(-1.5), rel=1e-12, abs=0.0)
 
 
 def test_residual_ccdf_one_at_zero():
@@ -131,7 +131,7 @@ def test_residual_ccdf_dependent_identity_matches_memoryless():
     # so the quadrature route must reproduce exp(-mu w).
     sc = mm12(1.0)
     for w in (0.3, 1.0, 2.4):
-        assert residual_ccdf_mg12(*service_law(sc), w) == pytest.approx(math.exp(-1.5 * w), rel=1e-8)
+        assert residual_ccdf_mg12(*service_law(sc), w) == pytest.approx(math.exp(-1.5 * w), rel=1e-8, abs=0.0)
 
 
 def test_residual_ccdf_non_increasing_and_mean_bounded():
@@ -167,7 +167,7 @@ def test_residual_ccdf_deterministic_service():
     law, _ = service_law(Scenario(lam, UniformValue(0, 10), IndependentDeterministicService(s), LIN3, MG12))
     for w in (0.1, 0.65, 1.2):
         want = math.expm1(-lam * (s - w)) / math.expm1(-lam * s)
-        assert residual_ccdf_mg12(law, lam, w) == pytest.approx(want, rel=1e-14)
+        assert residual_ccdf_mg12(law, lam, w) == pytest.approx(want, rel=1e-14, abs=0.0)
     for w in (s, 2.0):
         assert residual_ccdf_mg12(law, lam, w) == 0.0
 
@@ -182,7 +182,7 @@ def test_residual_ccdf_two_point_masses():
     omm = sum(p * -math.expm1(-lam * v) for v, p in atoms)
     for w in (0.2, 0.4, 0.9, 1.5):
         num = sum(p * -math.expm1(-lam * max(v - w, 0.0)) for v, p in atoms)
-        assert residual_ccdf_mg12(law, lam, w) == pytest.approx(num / omm, rel=1e-14)
+        assert residual_ccdf_mg12(law, lam, w) == pytest.approx(num / omm, rel=1e-14, abs=0.0)
 
 
 def test_residual_ccdf_needs_busy_arrivals():
@@ -199,7 +199,7 @@ def test_residual_ccdf_needs_busy_arrivals():
 def test_mg11_instant_service_full_triangle():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(0.0), LIN3, MG11)
     rep = analyze(sc)
-    assert rep.avg_voi == pytest.approx(7.5, rel=1e-12)
+    assert rep.avg_voi == pytest.approx(7.5, rel=1e-12, abs=0.0)
     assert rep.p_idle == pytest.approx(1.0)
 
 
@@ -210,9 +210,9 @@ def test_mg11_service_beyond_deadline_collects_nothing():
 
 def test_mg11_exponential_identity_reference():
     rep = analyze(expid(1.0, MG11))
-    assert rep.p_idle == pytest.approx(0.6, rel=1e-9)
-    assert rep.eq_idle == pytest.approx(EQ_IDLE_MM, rel=1e-9)
-    assert rep.avg_voi == pytest.approx(VOI_MG11_EXPID, rel=1e-8)
+    assert rep.p_idle == pytest.approx(0.6, rel=1e-9, abs=0.0)
+    assert rep.eq_idle == pytest.approx(EQ_IDLE_MM, rel=1e-9, abs=0.0)
+    assert rep.avg_voi == pytest.approx(VOI_MG11_EXPID, rel=1e-8, abs=0.0)
 
 
 def test_mg11_rejects_nonlinear_descend():
@@ -231,8 +231,8 @@ def test_mg12_matches_closed_form_triangle_points():
     for lam, expected in VOI_MM12.items():
         rep = analyze(mm12(lam))
         cf = closed_form_mm12_exp(1.5, lam, 3.0)
-        assert rep.avg_voi == pytest.approx(cf.avg_voi, rel=1e-8)
-        assert rep.avg_voi == pytest.approx(expected, rel=1e-8)
+        assert rep.avg_voi == pytest.approx(cf.avg_voi, rel=1e-8, abs=0.0)
+        assert rep.avg_voi == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 def test_mg12_vanishes_with_arrival_rate():
@@ -259,7 +259,7 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
                 lambda w: (d - w) * residual_ccdf_mg12(law, lam, w), 0.0, d, epsabs=loose.abs_tol, epsrel=loose.rel_tol
             )[0]
             folded = sum(c.weight * c.wait_fold(d, lam, QuadratureSpec()) for c in law) / omm
-            assert folded == pytest.approx(literal, rel=1e-4)
+            assert folded == pytest.approx(literal, rel=1e-4, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
 def test_mg12star_busy_area_reference_points():
     for lam, expected in EQ_BUSY_STAR_MM.items():
         rep = analyze(expid(lam, MG12_STAR))
-        assert rep.eq_busy == pytest.approx(expected, rel=1e-7)
+        assert rep.eq_busy == pytest.approx(expected, rel=1e-7, abs=0.0)
 
 
 def test_mg12star_beats_bufferless_on_exponential_identity():
@@ -287,8 +287,8 @@ def test_mg12star_vanishes_with_arrival_rate():
 def test_mg12star_star_shares_stationary_probabilities_with_fcfs():
     a = analyze(mm12(1.3))
     b = analyze(expid(1.3, MG12_STAR))
-    assert a.p_idle == pytest.approx(b.p_idle, rel=1e-12)
-    assert a.p_busy2 == pytest.approx(b.p_busy2, rel=1e-12)
+    assert a.p_idle == pytest.approx(b.p_idle, rel=1e-12, abs=0.0)
+    assert a.p_busy2 == pytest.approx(b.p_busy2, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +298,39 @@ def test_mg12star_star_shares_stationary_probabilities_with_fcfs():
 def test_uniform_log_mean_service_time_consistent_map():
     rep = closed_form_mg11_uniform_log(0.0, 10.0, 1.0, 1.0, 3.0)
     e_s = rep.t_cycle - 1.0
-    assert e_s == pytest.approx(ES_UNIFORM_LOG, rel=1e-12)
+    assert e_s == pytest.approx(ES_UNIFORM_LOG, rel=1e-12, abs=0.0)
     # The same mean through the quadrature route.
-    assert mean_service_time(service_law(uniflog(1.0))[0]) == pytest.approx(ES_UNIFORM_LOG, rel=1e-9)
+    assert mean_service_time(service_law(uniflog(1.0))[0]) == pytest.approx(ES_UNIFORM_LOG, rel=1e-9, abs=0.0)
 
 
 def test_uniform_log_closed_form_agrees_with_quadrature():
     for lam in (0.1, 0.5, 1.0, 2.7, 5.0):
         cf = closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, 3.0)
         qd = analyze(uniflog(lam))
-        assert cf.avg_voi == pytest.approx(qd.avg_voi, rel=1e-6)
-        assert cf.mgf == pytest.approx(qd.mgf, rel=1e-8)
+        assert cf.avg_voi == pytest.approx(qd.avg_voi, rel=1e-6, abs=0.0)
+        assert cf.mgf == pytest.approx(qd.mgf, rel=1e-8, abs=0.0)
     assert closed_form_mg11_uniform_log(0.0, 10.0, 1.0, 1.0, 3.0).avg_voi == pytest.approx(
-        VOI_UNIFLOG, rel=1e-9
+        VOI_UNIFLOG, rel=1e-9, abs=0.0
     )
 
 
 def test_uniform_log_nonzero_lower_bound():
     cf = closed_form_mg11_uniform_log(2.0, 8.0, 0.7, 1.3, 3.0)
     sc = Scenario(1.3, UniformValue(2.0, 8.0), DependentService("log-shift", 0.7), LIN3, MG11)
-    assert cf.avg_voi == pytest.approx(analyze(sc).avg_voi, rel=1e-6)
+    assert cf.avg_voi == pytest.approx(analyze(sc).avg_voi, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("v_min,v_max,a", [(0.0, 10.0, 1.0), (2.0, 8.0, 0.7)])
+@pytest.mark.parametrize("gap", [1e-4, 3e-4, 1e-3, 0.01, 0.1, 0.3, 0.45, 0.6, 3.0])
+def test_uniform_log_idle_area_matches_scipy_oracle_at_short_deadlines(v_min, v_max, a, gap):
+    # The deadline sits ``gap`` above the service time of v_min.  The
+    # difference of antiderivatives cancelled there: at v_min = 0 it was
+    # 2.4e-7 off at D = 0.001 and 1.8e-3 at D = 1e-4.
+    deadline = a * math.log1p(v_min) + gap
+    v_up = min(math.expm1(deadline / a), v_max)
+    area, _ = quad(lambda v: v * (deadline - a * math.log1p(v)) ** 2, v_min, v_up, epsabs=0.0, epsrel=1e-13)
+    cf = closed_form_mg11_uniform_log(v_min, v_max, a, 1.0, deadline)
+    assert cf.eq_idle == pytest.approx(area / (2.0 * deadline * (v_max - v_min)), rel=1e-9, abs=0.0)
 
 
 def test_uniform_log_empty_region_for_steep_map():
@@ -328,11 +341,11 @@ def test_uniform_log_empty_region_for_steep_map():
 
 def test_mm12_closed_form_reference_values():
     cf = closed_form_mm12_exp(1.5, 1.0, 3.0)
-    assert cf.eq_idle == pytest.approx(EQ_IDLE_MM, rel=1e-12)
-    assert cf.eq_busy == pytest.approx(EQ_BUSY_MM, rel=1e-9)
-    assert cf.avg_voi == pytest.approx(VOI_MM12[1.0], rel=1e-12)
-    assert cf.p_idle == pytest.approx(0.47368421052631576, rel=1e-12)
-    assert cf.p_busy1 == pytest.approx(0.3157894736842105, rel=1e-12)
+    assert cf.eq_idle == pytest.approx(EQ_IDLE_MM, rel=1e-12, abs=0.0)
+    assert cf.eq_busy == pytest.approx(EQ_BUSY_MM, rel=1e-9, abs=0.0)
+    assert cf.avg_voi == pytest.approx(VOI_MM12[1.0], rel=1e-12, abs=0.0)
+    assert cf.p_idle == pytest.approx(0.47368421052631576, rel=1e-12, abs=0.0)
+    assert cf.p_busy1 == pytest.approx(0.3157894736842105, rel=1e-12, abs=0.0)
 
 
 def test_mm12_closed_form_vanishing_deadline():
@@ -358,7 +371,7 @@ def test_mm12_busy_area_against_nested_quadrature():
         epsabs=spec.abs_tol,
         epsrel=spec.rel_tol,
     )
-    assert got == pytest.approx(EQ_BUSY_MM, rel=1e-8)
+    assert got == pytest.approx(EQ_BUSY_MM, rel=1e-8, abs=0.0)
 
 
 def test_closed_form_report_dispatch():
@@ -398,8 +411,8 @@ def test_class_only_admission_thins_rate_and_conditions_values(cls, frac, value)
     e_s = value
     p_idle = 1.0 / (1.0 + lam_eff * e_s)
     expected = lam_eff * p_idle * value / (2.0 * 3.0) * _eds2(1.0 / value, 3.0)
-    assert rep.avg_voi == pytest.approx(expected, rel=1e-8)
-    assert rep.p_idle == pytest.approx(p_idle, rel=1e-12)
+    assert rep.avg_voi == pytest.approx(expected, rel=1e-8, abs=0.0)
+    assert rep.p_idle == pytest.approx(p_idle, rel=1e-12, abs=0.0)
 
 
 def test_serve_all_class_service_mixture():
@@ -407,7 +420,7 @@ def test_serve_all_class_service_mixture():
     rep = analyze(sc)
     eqi = 0.8 * 0.4 / 6.0 * _eds2(2.5, 3.0) + 0.2 * 1.33 / 6.0 * _eds2(1.0 / 1.33, 3.0)
     p_idle = 1.0 / (1.0 + 0.586)
-    assert rep.avg_voi == pytest.approx(p_idle * eqi, rel=1e-8)
+    assert rep.avg_voi == pytest.approx(p_idle * eqi, rel=1e-8, abs=0.0)
 
 
 def test_independent_service_factorizes():
@@ -416,12 +429,12 @@ def test_independent_service_factorizes():
     sc = Scenario(1.0, ExponentialValue(1.5), IndependentExponentialService(1.5), LIN3, MG11)
     rep = analyze(sc)
     expected_eqi = (1.0 / 1.5) / 6.0 * _eds2(1.5, 3.0)
-    assert rep.eq_idle == pytest.approx(expected_eqi, rel=1e-8)
+    assert rep.eq_idle == pytest.approx(expected_eqi, rel=1e-8, abs=0.0)
 
 
 def test_analyze_dispatch():
-    assert analyze(expid(1.0, MG11)).avg_voi == pytest.approx(VOI_MG11_EXPID, rel=1e-8)
-    assert analyze(mm12(1.0)).avg_voi == pytest.approx(VOI_MM12[1.0], rel=1e-8)
+    assert analyze(expid(1.0, MG11)).avg_voi == pytest.approx(VOI_MG11_EXPID, rel=1e-8, abs=0.0)
+    assert analyze(mm12(1.0)).avg_voi == pytest.approx(VOI_MM12[1.0], rel=1e-8, abs=0.0)
     assert analyze(expid(1.0, MG12_STAR)).avg_voi > VOI_MG11_EXPID
 
 
@@ -522,7 +535,7 @@ def test_buffered_disciplines_survive_mgf_underflow(discipline):
     st = stationary_mg12(*service_law(sc))
     probs = (st.p_idle, st.p_busy1, st.p_busy2)
     assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
-    assert sum(probs) == pytest.approx(1.0, rel=1e-12)
+    assert sum(probs) == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert st.t_cycle == math.inf
     rep = analyze(sc)
     assert math.isfinite(rep.avg_voi) and rep.avg_voi >= 0.0
@@ -557,9 +570,9 @@ def test_analyze_holds_over_the_whole_arrival_rate_range(family):
             assert all(0.0 <= p <= 1.0 for p in probs), (d, lam)
             assert sum(probs) == pytest.approx(1.0, abs=1e-12), (d, lam)
             if lam >= 1e8:
-                assert rep.avg_voi == pytest.approx(limit[d], rel=1e-6), (d, lam)
+                assert rep.avg_voi == pytest.approx(limit[d], rel=1e-6, abs=0.0), (d, lam)
         if lam >= 1e6:
-            assert reps[MG12_STAR].avg_voi == pytest.approx(reps[MG11].avg_voi, rel=1e-5), lam
+            assert reps[MG12_STAR].avg_voi == pytest.approx(reps[MG11].avg_voi, rel=1e-5, abs=0.0), lam
 
 
 @pytest.mark.parametrize("discipline", [MG11, MG12, MG12_STAR])
@@ -584,8 +597,7 @@ def test_analyze_builds_the_service_law_once(monkeypatch, discipline):
 # the pieces end at it, 1 - MGF reads 1 and M/M/1/2 avg_voi is 0.26% off at
 # lam = 1e3.  That layer and the FCFS fold's lie on the service support, which
 # is far wider than a short deadline: cut only below D, M/M/1/2 eq_busy was
-# 46% off at D = 0.01, lam = 1e3.  The uniform-log closed form's eq_idle
-# cancels below D = 0.1 (1.1e-9 off at D = 0.01), so it is checked from 0.1.
+# 46% off at D = 0.01, lam = 1e3.
 def test_analyze_matches_the_closed_forms_over_the_whole_arrival_rate_range():
     for d in (0.001, 0.01, 0.1, 3.0, 30.0):
         lin = DescendFunction.linear(d)
@@ -593,8 +605,6 @@ def test_analyze_matches_the_closed_forms_over_the_whole_arrival_rate_range():
             rep, cf = analyze(replace(mm12(lam), descend=lin)), closed_form_mm12_exp(1.5, lam, d)
             for field in ("avg_voi", "p_idle", "p_busy1", "mgf", "eq_busy"):
                 assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9, abs=0.0), (field, d, lam)
-            if d < 0.1:
-                continue
             rep, cf = analyze(replace(uniflog(lam), descend=lin)), closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, d)
             for field in ("avg_voi", "p_idle", "mgf"):
                 assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9, abs=0.0), (field, d, lam)
@@ -910,5 +920,5 @@ def test_analyze_never_calls_a_closed_form(monkeypatch):
 
     for name in ("closed_form_mg11_uniform_log", "closed_form_mm12_exp", "closed_form_report"):
         monkeypatch.setattr(analytics, name, called)
-    assert analyze(mm12(1.0)).avg_voi == pytest.approx(VOI_MM12[1.0], rel=1e-8)
-    assert analyze(uniflog(1.0)).avg_voi == pytest.approx(VOI_UNIFLOG, rel=1e-6)
+    assert analyze(mm12(1.0)).avg_voi == pytest.approx(VOI_MM12[1.0], rel=1e-8, abs=0.0)
+    assert analyze(uniflog(1.0)).avg_voi == pytest.approx(VOI_UNIFLOG, rel=1e-6, abs=0.0)

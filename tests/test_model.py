@@ -191,7 +191,7 @@ def test_mgf_exponential_closed_form():
 
 def test_mgf_deterministic_point_mass():
     sc = _scenario(IndependentDeterministicService(2.0))
-    assert mgf_service(*service_law(sc)) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert mgf_service(*service_law(sc)) == pytest.approx(math.exp(-2.0), rel=1e-12, abs=0.0)
 
 
 def test_mgf_dependent_log_uniform_vs_dense_grid_oracle():
@@ -210,10 +210,10 @@ def test_mgf_binary_atoms():
     dist = BinaryValue(0.4, 1.33, 0.8)
     sc = _scenario(DependentService("identity"), dist)
     expected = 0.8 * math.exp(-0.4) + 0.2 * math.exp(-1.33)
-    assert mgf_service(*service_law(sc)) == pytest.approx(expected, rel=1e-12)
+    assert mgf_service(*service_law(sc)) == pytest.approx(expected, rel=1e-12, abs=0.0)
     sc2 = _scenario(ClassExponentialService(), dist)
     expected2 = 0.8 / 1.4 + 0.2 / 2.33
-    assert mgf_service(*service_law(sc2)) == pytest.approx(expected2, rel=1e-12)
+    assert mgf_service(*service_law(sc2)) == pytest.approx(expected2, rel=1e-12, abs=0.0)
 
 
 def test_transforms_resolve_the_layer_at_the_shortest_service():
@@ -243,12 +243,12 @@ def test_mgf_in_unit_interval_and_non_increasing():
 def test_mean_service_time_uniform_log():
     sc = _scenario(DependentService("log-shift", 1.0))
     # exact: (11 ln 11 - 10) / 10
-    assert mean_service_time(service_law(sc)[0]) == pytest.approx(1.6376848000782074, rel=1e-9)
+    assert mean_service_time(service_law(sc)[0]) == pytest.approx(1.6376848000782074, rel=1e-9, abs=0.0)
 
 
 def test_mean_service_time_class_exponential():
     sc = _scenario(ClassExponentialService(), BinaryValue(0.4, 1.33, 0.8))
-    assert mean_service_time(service_law(sc)[0]) == pytest.approx(0.8 * 0.4 + 0.2 * 1.33, rel=1e-12)
+    assert mean_service_time(service_law(sc)[0]) == pytest.approx(0.8 * 0.4 + 0.2 * 1.33, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

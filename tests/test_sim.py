@@ -28,8 +28,10 @@ from voilab.model import (
 )
 from voilab.sim import (
     SimConfig,
-    _batch_stderr,
+    _batch_stderrs,
     _buffer_fills,
+    _grid_length,
+    _samples_below,
     _serve,
     _serve_bufferless,
     simulate,
@@ -248,7 +250,7 @@ def test_class_only_admission_serves_single_class():
 
 def test_area_sum_matches_sampled_voi_curve():
     rep = simulate(SimConfig(mm12(1.0), n_packets=200_000, seed=SEED, sample_voi_every=0.1))
-    assert rep.sampled_voi_mean == pytest.approx(rep.avg_voi, rel=5e-3)
+    assert rep.sampled_voi_mean == pytest.approx(rep.avg_voi, rel=5e-3, abs=0.0)
 
 
 def test_sampled_voi_nonlinear_descend():
@@ -260,7 +262,7 @@ def test_sampled_voi_nonlinear_descend():
         MG12,
     )
     rep = simulate(SimConfig(sc, n_packets=4000, seed=SEED, sample_voi_every=0.2))
-    assert rep.sampled_voi_mean == pytest.approx(rep.avg_voi, rel=2e-2)
+    assert rep.sampled_voi_mean == pytest.approx(rep.avg_voi, rel=2e-2, abs=0.0)
 
 
 def _sampled_voi_reference(rep, descend, step):
@@ -281,6 +283,53 @@ def _sampled_voi_reference(rep, descend, step):
     return math.fsum(per_sample) / samples.size
 
 
+@pytest.mark.parametrize("step", [0.1, 0.2, 1 / 3, 0.75])
+@pytest.mark.parametrize("elapsed", [0.05, 3.0, 7.3, 1234.567, 1e5])
+def test_sample_counts_match_a_search_of_the_grid(step, elapsed):
+    # The oracle is numpy's own grid: its length and fill rule are what the
+    # sampled VoI relies on.  At step 0.1, elapsed 3.0 the grid holds 31
+    # samples, the last just above elapsed; 1e5 / 0.1 gives 1e6 samples.
+    grid = np.arange(0.0, elapsed, step)
+    assert _grid_length(elapsed, step) == grid.size
+    x = np.concatenate(
+        (
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+            [-1.0, -0.0, np.nextafter(elapsed, 0.0), elapsed, np.nextafter(elapsed, np.inf), 2.0 * elapsed, 1e300],
+            np.random.default_rng(4).uniform(-step, elapsed + step, 1000),
+        )
+    )
+    assert np.array_equal(_samples_below(x, step, grid.size), np.searchsorted(grid, x))
+
+
+def test_grid_length_matches_numpy_when_the_quotient_underflows():
+    assert _grid_length(1e-20, 1e308) == np.arange(0.0, 1e-20, 1e308).size == 1
+
+
+def test_sampled_voi_memory_does_not_grow_with_the_grid():
+    # Sparse traffic over a long run: a grid of ~4e6 samples (32 MB as an
+    # array), but ~1.2e5 (packet, sample) pairs.
+    cfg = SimConfig(uniflog(0.01), n_packets=400, seed=SEED, sample_voi_every=0.01)
+    tracemalloc.start()
+    try:
+        rep = simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.elapsed / 0.01 > 3.5e6
+    assert peak < 8e6
+
+
+def test_oversized_sampling_grid_raises_value_error():
+    # No grid is allocated: the length is checked first.
+    cfg = SimConfig(uniflog(1.0), n_packets=10, seed=SEED)
+    elapsed = simulate(cfg).elapsed
+    for step in (elapsed / 2.0**53, elapsed / 2.0**60, 5e-324):
+        with pytest.raises(ValueError, match="sampling grid"):
+            simulate(replace(cfg, sample_voi_every=step))
+
+
 _DECAYS = (LIN3, DescendFunction.power_convex(1.5, 3.0), DescendFunction.power_concave(2.5, 3.0))
 
 
@@ -295,7 +344,7 @@ _DECAYS = (LIN3, DescendFunction.power_convex(1.5, 3.0), DescendFunction.power_c
 def test_sampled_voi_matches_brute_force_reference(descend, disc, lam, n, step):
     sc = replace(uniflog(lam, disc), descend=descend)
     rep = simulate(SimConfig(sc, n_packets=n, seed=SEED, sample_voi_every=step, trace=True))
-    assert rep.sampled_voi_mean == pytest.approx(_sampled_voi_reference(rep, descend, step), rel=1e-12)
+    assert rep.sampled_voi_mean == pytest.approx(_sampled_voi_reference(rep, descend, step), rel=1e-12, abs=0.0)
 
 
 def test_convex_descend_collects_less_than_linear():
@@ -550,4 +599,31 @@ def test_batch_error_scaling_is_exact():
     for _ in range(50):
         totals, spans = rng.exponential(3.0, 40), rng.uniform(0.0, 2.0, 40)
         m = totals / spans
-        assert _batch_stderr(totals, spans) == float(m.std(ddof=1) / math.sqrt(m.size))
+        assert _batch_stderrs(totals[None], spans)[0] == float(m.std(ddof=1) / math.sqrt(m.size))
+
+
+def _one_row_batch_stderr(totals, spans):
+    """The batch-means error of one row of totals, by a one-row ``std``."""
+    keep = spans > 0.0
+    m = totals[keep] / spans[keep]
+    if m.size < 2:
+        return 0.0
+    e = math.frexp(float(np.abs(m).max()))[1]
+    return math.ldexp(float(np.ldexp(m, -e).std(ddof=1) / math.sqrt(m.size)), e)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_stacked_batch_errors_equal_one_row_errors(order):
+    # Row reductions over a Fortran-ordered array sum in another order, which
+    # moves the last bit of some of these errors.
+    rng = np.random.default_rng(8)
+    for trial in range(40):
+        scale = rng.choice([1e-300, 1e-3, 1.0, 1e200], size=(5, 1))
+        totals = np.array(rng.normal(1.0, 1.0, (5, 100)) * scale, order=order)
+        spans = rng.uniform(0.0, 2.0, 100)
+        if trial % 2:
+            spans[-1] = 0.0  # a run ending on an unserved arrival
+        got = _batch_stderrs(totals, spans)
+        assert got.tolist() == [_one_row_batch_stderr(row, spans) for row in totals]
+    # Fewer than two batches of positive length: no error.
+    assert _batch_stderrs(np.ones((5, 3)), np.array([0.0, 1.0, 0.0])).tolist() == [0.0] * 5
