@@ -150,23 +150,6 @@ def stationary_mg12(law, lam: float) -> Stationary:
     return Stationary(p_idle, p_busy, p_busy1, p_busy - p_busy1, t_cycle, e_s, mgf, omm)
 
 
-def residual_ccdf_mg12(law, lam: float, w: float) -> float:
-    """P[W' > w]: residual service seen by the first busy-period arrival under ``law``.
-
-    W' = S - X conditioned on X < S with X exponential(lam).  Exponential
-    components contribute their own CCDF (memorylessness), point masses a
-    closed form and a value-mapped density a quadrature.
-    """
-    if w < 0.0:
-        raise ValueError("residual time must be >= 0")
-    if w == 0.0:
-        return 1.0
-    omm = one_minus_mgf_service(law, lam)
-    if omm <= 0.0:
-        raise ValueError("no busy-state arrivals exist under this service law")
-    return float(sum(c.weight * c.residual_num(lam, w) for c in law) / omm)
-
-
 # ---------------------------------------------------------------------------
 # Average VoI
 # ---------------------------------------------------------------------------

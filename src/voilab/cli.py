@@ -438,43 +438,50 @@ def read_csv(path: str) -> list[dict[str, str]]:
     UsageError naming the line of the file and the column; only analytic
     and closed-form rows may hold 'unsupported'.  So is a second
     row with the same key columns, which ``compare_engines`` would let
-    overwrite the first; that error names both lines.
+    overwrite the first; that error names both lines.  So are bytes that do
+    not decode (naming the file) and a line the csv module rejects.
     """
-    with open(path, newline="") as fh:
-        numbered = [(ln, text) for ln, text in enumerate(fh, 1) if not text.startswith("#")]
+    try:
+        with open(path, newline="") as fh:
+            numbered = [(ln, text) for ln, text in enumerate(fh, 1) if not text.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     reader = csv.DictReader(text for _, text in numbered)
 
     def line() -> int:
-        # The reader counts only the lines it was given.
-        return numbered[reader.line_num - 1][0]
+        # The csv reader counts only the lines it was given, one it rejects included.
+        return numbered[reader.reader.line_num - 1][0]
 
     def where() -> str:
         return f"{path}, line {line()}"
 
-    if reader.fieldnames is None:
-        raise UsageError(f"{path}: no header line")
-    for col in (*_VERIFY_KEY_COLUMNS, *_VERIFY_NUMBER_COLUMNS):
-        if col not in reader.fieldnames:
-            raise UsageError(f"{where()}: missing column {col!r}")
     rows = []
     first_line: dict[tuple, int] = {}
-    for row in reader:
-        key = tuple(row[col] for col in _VERIFY_KEY_COLUMNS)
-        if key in first_line:
-            raise UsageError(f"{where()}: repeats the {', '.join(_VERIFY_KEY_COLUMNS)} of line {first_line[key]}")
-        first_line[key] = line()
-        for col, allowed in _VERIFY_NUMBER_COLUMNS.items():
-            cell = row[col]
-            if cell is None:
-                raise UsageError(f"{where()}: column {col!r}: missing cell")
-            if cell != allowed:
-                try:
-                    float(cell)
-                except ValueError:
-                    raise UsageError(f"{where()}: column {col!r}: {cell!r} is not a number") from None
-        if row["avg_voi"] == "unsupported" and row["engine"] not in ("analytic", "closed-form"):
-            raise UsageError(f"{where()}: column 'avg_voi': 'unsupported' on a {row['engine']!r} row")
-        rows.append(row)
+    try:
+        if reader.fieldnames is None:
+            raise UsageError(f"{path}: no header line")
+        for col in (*_VERIFY_KEY_COLUMNS, *_VERIFY_NUMBER_COLUMNS):
+            if col not in reader.fieldnames:
+                raise UsageError(f"{where()}: missing column {col!r}")
+        for row in reader:
+            key = tuple(row[col] for col in _VERIFY_KEY_COLUMNS)
+            if key in first_line:
+                raise UsageError(f"{where()}: repeats the {', '.join(_VERIFY_KEY_COLUMNS)} of line {first_line[key]}")
+            first_line[key] = line()
+            for col, allowed in _VERIFY_NUMBER_COLUMNS.items():
+                cell = row[col]
+                if cell is None:
+                    raise UsageError(f"{where()}: column {col!r}: missing cell")
+                if cell != allowed:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise UsageError(f"{where()}: column {col!r}: {cell!r} is not a number") from None
+            if row["avg_voi"] == "unsupported" and row["engine"] not in ("analytic", "closed-form"):
+                raise UsageError(f"{where()}: column 'avg_voi': 'unsupported' on a {row['engine']!r} row")
+            rows.append(row)
+    except csv.Error as exc:
+        raise UsageError(f"{where()}: {exc}") from None
     return rows
 
 
@@ -624,7 +631,10 @@ def main(argv: list[str] | None = None) -> int:
         raw: dict[str, str] = {}
         if args.config:
             with open(args.config) as fh:
-                raw = parse_config_text(fh.read())
+                try:
+                    raw = parse_config_text(fh.read())
+                except UnicodeDecodeError as exc:
+                    raise UsageError(f"{args.config}: {exc}") from None
         raw.update((key, value) for key in _FLAG_KEYS if (value := getattr(args, key)) is not None)
         config = build_config(raw)
         if config.out is None:
@@ -635,15 +645,12 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"out of memory at n_packets = {config.n_packets}; lower it (--packets)") from None
         print(f"wrote {len(rows)} rows to {config.out}")
         return 0
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -331,9 +331,9 @@ class Scenario:
 #
 # ``service_law`` writes the joint law of an admitted packet's value V and
 # service time S once, as weighted components, each carrying the value it
-# pays (the value distribution itself when S = g(V)).  Each provides, with
-# X ~ exponential(lam): mean(), mgf(lam) and one_minus_mgf(lam); ccdf(w) =
-# P[S > w] and its kinks; residual_num(lam, w) = P[S - X > w, X < S];
+# pays (the value distribution itself when S = g(V)).  Each provides the
+# seven members ``analyze`` uses: its kinks (where its integrands bend);
+# mean(), mgf(lam) and one_minus_mgf(lam); ccdf(w) = P[S > w];
 # expect_value_kappa(d, kappa, spec) = E[V kappa(d - S); S < d]; and
 # wait_fold(rem, lam, spec) = E[_wait_kernel(S, rem, lam)].  The arguments w
 # and rem, and the argument and result of kappa, are numpy arrays
@@ -424,9 +424,6 @@ class PointMass:
     def ccdf(self, w):
         return np.where(w < self.s, 1.0, 0.0)
 
-    def residual_num(self, lam: float, w):
-        return -np.expm1(-lam * np.maximum(self.s - w, 0.0))
-
     def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
         return self.value * float(kappa(d - self.s)) if self.s < d else 0.0
 
@@ -458,10 +455,6 @@ class ExponentialComponent:
     def ccdf(self, w):
         return np.exp(-w / self.m)
 
-    def residual_num(self, lam: float, w):
-        # Memoryless: the residual of an interrupted service is S itself.
-        return self.ccdf(w) * self.one_minus_mgf(lam)
-
     def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
         m = self.m
         return self.value * gauss_legendre(lambda s: np.exp(-s / m) / m * kappa(d - s), 0.0, d, spec)
@@ -490,16 +483,16 @@ class ValueMapped:
         lo, hi = self.value.support()
         return (float(self.service.g(lo)), float(self.service.g(hi)))
 
-    def _expect(self, f, lo=None, hi=None, spec: QuadratureSpec = DEFAULT_SPEC):
+    def _expect(self, f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC):
         """E[f(S); lo < S < hi] over the service support, for array bounds."""
         s_lo, s_hi = self.kinks
-        lo = s_lo if lo is None else np.clip(lo, s_lo, s_hi)
-        hi = s_hi if hi is None else np.clip(hi, lo, s_hi)
+        lo = np.clip(lo, s_lo, s_hi)
+        hi = np.clip(hi, lo, s_hi)
         pdf, g_inv, slope = self.value.pdf, self.service.g_inv, self.service.g_inv_slope
         return gauss_legendre(lambda s: pdf(g_inv(s)) * slope(s) * f(s), lo, hi, spec)
 
     def mean(self) -> float:
-        return self._expect(lambda s: s)
+        return self._expect(lambda s: s, *self.kinks)
 
     def _from_lo(self, f, lam: float) -> float:
         """E[f(S)] for f in exp(-lam S), whose layer at s_lo the pieces resolve."""
@@ -515,9 +508,6 @@ class ValueMapped:
 
     def ccdf(self, w):
         return 1.0 - self.value.cdf(self.service.g_inv(w))
-
-    def residual_num(self, lam: float, w):
-        return self._expect(lambda s: -np.expm1(-lam * np.maximum(s - w, 0.0)), lo=w)
 
     def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
         # The buffered kappas bend where d - S crosses a kink of the service

@@ -14,7 +14,6 @@ from voilab.analytics import (
     closed_form_mg11_uniform_log,
     closed_form_mm12_exp,
     closed_form_report,
-    residual_ccdf_mg12,
     stationary_mg11,
     stationary_mg12,
 )
@@ -24,12 +23,14 @@ from voilab.model import (
     DependentService,
     DescendFunction,
     DISCIPLINES,
+    ExponentialComponent,
     ExponentialValue,
     IndependentDeterministicService,
     IndependentExponentialService,
     MG11,
     MG12,
     MG12_STAR,
+    PointMass,
     Scenario,
     UniformValue,
     mean_service_time,
@@ -71,9 +72,10 @@ def uniflog(lam, disc=MG11):
 def test_stationary_mg11_symmetric_cycle():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(1.0), LIN3, MG11)
     st = stationary_mg11(*service_law(sc))
-    assert st.p_idle == pytest.approx(0.5)
-    assert st.p_busy == pytest.approx(0.5)
-    assert st.t_cycle == pytest.approx(2.0)
+    # lam E[S] = 1 exactly, so every probability and the cycle are exact.
+    assert st.p_idle == 0.5
+    assert st.p_busy == 0.5
+    assert st.t_cycle == 2.0
 
 
 def test_stationary_mg11_empty_system_limit():
@@ -113,17 +115,46 @@ def test_stationary_partitions_sum_to_one(lam):
 
 
 # ---------------------------------------------------------------------------
-# Residual service CCDF
+# Residual service CCDF, a test oracle
 # ---------------------------------------------------------------------------
+#
+# The first busy-period arrival of M/GI/1/2 waits the residual W' = S - X of
+# the service in progress, X ~ exponential(lam), given X < S.  ``analyze``
+# never forms P[W' > w]: it folds the wait over the service law with
+# ``wait_fold``.  The oracle forms it per component of the admitted law:
+# point masses and exponential components in closed form, value-mapped
+# densities by scipy ``quad`` through ``_Law`` (the numerator is the tail of
+# the residual density that ``_oracle_eq_busy`` weighs by).  The tests below
+# check the oracle itself.
+
+def residual_ccdf_oracle(law, lam, w):
+    """P[W' > w] under the admitted service law ``law`` at rate ``lam``."""
+    num = omm = 0.0
+    for c in law:
+        if isinstance(c, PointMass):
+            n, o = -math.expm1(-lam * max(c.s - w, 0.0)), -math.expm1(-lam * c.s)
+        elif isinstance(c, ExponentialComponent):
+            # Memoryless: the residual of an interrupted service is S itself.
+            o = lam * c.m / (1.0 + lam * c.m)
+            n = math.exp(-w / c.m) * o
+        else:
+            x = _Law(c.value.pdf, *c.value.support(), c.service.g, c.service.g_inv, None)
+            o = x.expect(lambda v: -math.expm1(-lam * x.g(v)))
+            # No service outlasts g(hi), where g_inv(w) may overflow.
+            n = x.expect(lambda v: -math.expm1(-lam * (x.g(v) - w)), lo=x.g_inv(w)) if w < x.g(x.hi) else 0.0
+        num += c.weight * n
+        omm += c.weight * o
+    return num / omm
+
 
 def test_residual_ccdf_memoryless_service():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentExponentialService(1.5), LIN3, MG12)
-    assert residual_ccdf_mg12(*service_law(sc), 1.0) == pytest.approx(math.exp(-1.5), rel=1e-12, abs=0.0)
+    assert residual_ccdf_oracle(*service_law(sc), 1.0) == pytest.approx(math.exp(-1.5), rel=1e-12, abs=0.0)
 
 
 def test_residual_ccdf_one_at_zero():
     for sc in (mm12(1.0), uniflog(1.0, MG12)):
-        assert residual_ccdf_mg12(*service_law(sc), 0.0) == 1.0
+        assert residual_ccdf_oracle(*service_law(sc), 0.0) == 1.0
 
 
 def test_residual_ccdf_dependent_identity_matches_memoryless():
@@ -131,21 +162,21 @@ def test_residual_ccdf_dependent_identity_matches_memoryless():
     # so the quadrature route must reproduce exp(-mu w).
     sc = mm12(1.0)
     for w in (0.3, 1.0, 2.4):
-        assert residual_ccdf_mg12(*service_law(sc), w) == pytest.approx(math.exp(-1.5 * w), rel=1e-8, abs=0.0)
+        assert residual_ccdf_oracle(*service_law(sc), w) == pytest.approx(math.exp(-1.5 * w), rel=1e-8, abs=0.0)
 
 
 def test_residual_ccdf_non_increasing_and_mean_bounded():
-    # The CCDF values themselves carry ~1e-9 quadrature noise, so the outer
+    # The CCDF values themselves carry quadrature noise, so the outer
     # integral runs at a looser tolerance than the inner one.
     outer = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
     for sc in (uniflog(1.0, MG12), mm12(0.7)):
         law, lam = service_law(sc)
         grid = np.linspace(0.0, 3.0, 25)
-        vals = [residual_ccdf_mg12(law, lam, float(w)) for w in grid]
+        vals = [residual_ccdf_oracle(law, lam, float(w)) for w in grid]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-10
         e_wait = quad(
-            lambda w: residual_ccdf_mg12(law, lam, w), 0.0, math.inf, epsabs=outer.abs_tol, epsrel=outer.rel_tol
+            lambda w: residual_ccdf_oracle(law, lam, w), 0.0, math.inf, epsabs=outer.abs_tol, epsrel=outer.rel_tol
         )[0]
         assert e_wait <= mean_service_time(law) + 1e-6
 
@@ -153,12 +184,7 @@ def test_residual_ccdf_non_increasing_and_mean_bounded():
 def test_residual_ccdf_vanishes_beyond_the_longest_service():
     # Uniform(0, 10) values with log-shift service never need more than
     # log(11) ~ 2.4; a large rate must not overflow the empty integral.
-    assert residual_ccdf_mg12(*service_law(uniflog(500.0, MG12)), 5.0) == 0.0
-
-
-def test_residual_ccdf_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        residual_ccdf_mg12(*service_law(mm12(1.0)), -0.1)
+    assert residual_ccdf_oracle(*service_law(uniflog(500.0, MG12)), 5.0) == 0.0
 
 
 def test_residual_ccdf_deterministic_service():
@@ -167,9 +193,9 @@ def test_residual_ccdf_deterministic_service():
     law, _ = service_law(Scenario(lam, UniformValue(0, 10), IndependentDeterministicService(s), LIN3, MG12))
     for w in (0.1, 0.65, 1.2):
         want = math.expm1(-lam * (s - w)) / math.expm1(-lam * s)
-        assert residual_ccdf_mg12(law, lam, w) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert residual_ccdf_oracle(law, lam, w) == pytest.approx(want, rel=1e-14, abs=0.0)
     for w in (s, 2.0):
-        assert residual_ccdf_mg12(law, lam, w) == 0.0
+        assert residual_ccdf_oracle(law, lam, w) == 0.0
 
 
 def test_residual_ccdf_two_point_masses():
@@ -182,14 +208,7 @@ def test_residual_ccdf_two_point_masses():
     omm = sum(p * -math.expm1(-lam * v) for v, p in atoms)
     for w in (0.2, 0.4, 0.9, 1.5):
         num = sum(p * -math.expm1(-lam * max(v - w, 0.0)) for v, p in atoms)
-        assert residual_ccdf_mg12(law, lam, w) == pytest.approx(num / omm, rel=1e-14, abs=0.0)
-
-
-def test_residual_ccdf_needs_busy_arrivals():
-    # Zero service: no arrival ever finds the server busy.
-    sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(0.0), LIN3, MG12)
-    with pytest.raises(ValueError, match="no busy-state arrivals"):
-        residual_ccdf_mg12(*service_law(sc), 0.5)
+        assert residual_ccdf_oracle(law, lam, w) == pytest.approx(num / omm, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +219,7 @@ def test_mg11_instant_service_full_triangle():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(0.0), LIN3, MG11)
     rep = analyze(sc)
     assert rep.avg_voi == pytest.approx(7.5, rel=1e-12, abs=0.0)
-    assert rep.p_idle == pytest.approx(1.0)
+    assert rep.p_idle == 1.0
 
 
 def test_mg11_service_beyond_deadline_collects_nothing():
@@ -256,7 +275,7 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
         omm = one_minus_mgf_service(law, lam)
         for d in (0.5, 1.5, 2.9):
             literal = quad(
-                lambda w: (d - w) * residual_ccdf_mg12(law, lam, w), 0.0, d, epsabs=loose.abs_tol, epsrel=loose.rel_tol
+                lambda w: (d - w) * residual_ccdf_oracle(law, lam, w), 0.0, d, epsabs=loose.abs_tol, epsrel=loose.rel_tol
             )[0]
             folded = sum(c.weight * c.wait_fold(d, lam, QuadratureSpec()) for c in law) / omm
             assert folded == pytest.approx(literal, rel=1e-4, abs=0.0)

@@ -8,7 +8,6 @@ import pytest
 from voilab.analytics import (
     analyze,
     closed_form_mm12_exp,
-    residual_ccdf_mg12,
     stationary_mg12,
 )
 from voilab.model import (
@@ -36,6 +35,8 @@ from voilab.sim import (
     _serve_bufferless,
     simulate,
 )
+
+from test_analytics import residual_ccdf_oracle
 
 LIN3 = DescendFunction.linear(3.0)
 SEED = 20260809
@@ -205,13 +206,13 @@ def test_fcfs_buffer_wait_bounded_by_service(uniflog_mg12_trace):
 
 def test_empirical_residual_ccdf_matches_analytic(uniflog_mg12_trace):
     # First-in-busy arrivals wait exactly the residual of the in-progress
-    # service; their empirical tail at w = 0.5 must match the analytic CCDF.
+    # service; their empirical tail must match the oracle's CCDF.
     waits = _buffer_waits(uniflog_mg12_trace)
     waits = waits[waits > 1e-12]
     m = waits.size
     for w in (0.25, 0.5, 1.0):
         emp = float((waits > w).mean())
-        ana = residual_ccdf_mg12(*service_law(uniflog(1.0, MG12)), w)
+        ana = residual_ccdf_oracle(*service_law(uniflog(1.0, MG12)), w)
         se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / m)
         assert _z(emp, ana, se) <= 3.0
 
