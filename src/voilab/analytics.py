@@ -24,11 +24,17 @@ integral (M/GI/1/2*) runs once over all of them, with every outer node's
 inner pieces cut at its own remaining time.  Class-filtered admission is
 Poisson thinning: the queue sees rate lam * P[class admitted] and the
 value distribution conditioned on admission.
+
+A report carries the probabilities, the two areas and avg_voi
+(``AnalyticReport``).  Where lam E[S] or lam^2 overflows (lam near 1e308, or
+1.34e154 for the M/M/1/2 closed form) the probabilities are formed in scaled
+units, and avg_voi multiplies them by lam before the areas.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -59,33 +65,43 @@ class UnsupportedAnalyticsError(ValueError):
 
 @dataclass(frozen=True)
 class AnalyticReport:
-    """Stationary probabilities and expected-area decomposition of one scenario."""
+    """The average VoI of one scenario and the pieces it is built from
+    (lam the admitted rate, MGF = E[exp(-lam S)]):
+
+    p_idle    P[server idle]: 1 / (1 + lam E[S]) without a buffer,
+              MGF / (MGF + lam E[S]) with one
+    p_busy    P[server busy] = 1 - p_idle
+    p_busy1   P[busy, buffer empty]: p_busy without a buffer,
+              (1 - MGF) / (MGF + lam E[S]) with one
+    p_busy2   P[busy, buffer full] = p_busy - p_busy1 (0 without a buffer)
+    eq_idle   E[V (D - S)^2; S < D] / (2D), the area an idle arrival collects
+    eq_busy   E[V kappa(D - S); S < D] / (2D), the area a served busy arrival
+              collects, kappa the discipline's fold (0 without a buffer)
+    avg_voi   lam (p_idle eq_idle + p_served eq_busy), p_served = 0 (M/GI/1/1),
+              p_busy1 (M/GI/1/2) or p_busy (M/GI/1/2*)
+    """
 
     p_idle: float
     p_busy: float
     p_busy1: float
     p_busy2: float
-    t_cycle: float
-    mgf: float
     eq_idle: float
     eq_busy: float
-    eq: float
     avg_voi: float
-    method: str
 
 
 class Stationary(NamedTuple):
     """Server-state probabilities over a renewal cycle, with the service
-    transforms they were computed from."""
+    moments ``analyze`` reads besides them: E[S] for the M/GI/1/2* residual
+    density, and 1 - MGF, which the FCFS fold divides by and only the
+    buffered disciplines compute."""
 
     p_idle: float     # idle
     p_busy: float     # busy, p_busy1 + p_busy2
     p_busy1: float    # busy with the buffer empty
     p_busy2: float    # busy with the buffer full (0 without a buffer)
-    t_cycle: float    # mean renewal cycle, inf once MGF_S(lam) underflows
     e_s: float        # E[S]
-    mgf: float        # MGF_S(lam) = E[exp(-lam S)]
-    omm: float        # 1 - MGF_S(lam), without cancellation at small lam * S
+    omm: float = math.nan  # 1 - MGF_S(lam); nan from stationary_mg11, which needs no transform
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +133,14 @@ def _eq_idle(law, d: float) -> float:
 
 def stationary_mg11(law, lam: float) -> Stationary:
     """Server-state probabilities of the bufferless discipline under the admitted
-    law ``law`` at rate ``lam``; the cycle is an idle gap and one service.
-    Nothing here divides by 1 - MGF, so it is taken as 1 - mgf."""
+    law ``law`` at rate ``lam``: the cycle is an idle gap of mean 1/lam and one
+    service, so p_busy = lam E[S] / (1 + lam E[S]).  Only E[S] enters, and it
+    is cached per law, so a warm point makes no integrand pass."""
     e_s = _mean_service(law)
-    mgf = mgf_service(law, lam)
-    busy = lam * e_s
-    p_busy = busy / (1.0 + busy)
-    return Stationary(1.0 / (1.0 + busy), p_busy, p_busy, 0.0, 1.0 / lam + e_s, e_s, mgf, 1.0 - mgf)
+    # busy = lam E[S] in units of one = 1, or of one = 1/lam where it overflows.
+    one, busy = (1.0, lam * e_s) if lam * e_s < math.inf else (1.0 / lam, e_s)
+    p_busy = busy / (one + busy)
+    return Stationary(one / (one + busy), p_busy, p_busy, 0.0, e_s)
 
 
 def stationary_mg12(law, lam: float) -> Stationary:
@@ -137,17 +154,16 @@ def stationary_mg12(law, lam: float) -> Stationary:
     = (1 - MGF) / (lam E[S]), and B2 is the rest.
     """
     e_s = _mean_service(law)
-    mgf = mgf_service(law, lam)
+    one, busy = (1.0, lam * e_s) if lam * e_s < math.inf else (1.0 / lam, e_s)  # as in stationary_mg11
+    mgf = mgf_service(law, lam) * one
     omm = one_minus_mgf_service(law, lam)
     # Scaled by MGF so that nothing divides by it: it underflows to 0 once
     # lam * S is large, when every service sees an arrival.
-    busy = lam * e_s
     p_idle = mgf / (mgf + busy)
     p_busy = busy / (mgf + busy)
-    t_cycle = 1.0 / lam + e_s / mgf if mgf > 0.0 else math.inf
     # The B1 share is <= 1; at small lam * S rounding can put it just above.
-    p_busy1 = min(p_busy * (omm / busy), p_busy) if busy > 0.0 else 0.0
-    return Stationary(p_idle, p_busy, p_busy1, p_busy - p_busy1, t_cycle, e_s, mgf, omm)
+    p_busy1 = min(p_busy * (omm * one / busy), p_busy) if busy > 0.0 else 0.0
+    return Stationary(p_idle, p_busy, p_busy1, p_busy - p_busy1, e_s, omm)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +198,7 @@ def analyze(scenario: Scenario) -> AnalyticReport:
     law, lam = service_law(scenario)
     d = scenario.descend.deadline
     level = DEFAULT_SPEC.split(2)
-    kappa = None
+    kappa, unit = None, 1.0
     if scenario.discipline == MG11:
         st = stationary_mg11(law, lam)
         p_served = 0.0
@@ -202,6 +218,9 @@ def analyze(scenario: Scenario) -> AnalyticReport:
         if st.e_s > 0.0 and p_served > 0.0:
             # The layer of exp(-lam w) sits at w = 0, and w < rem <= D.
             kinks = sorted({k for k in (*(k for c in law for k in c.kinks), *layer_offsets(lam, d)) if 0.0 < k < d})
+            # kappa is about rem^2 / (lam E[S]): from lam = 2^512 on it is taken
+            # times unit = 2^512, so that it and eq_busy keep to the normal range.
+            unit = 1.0 if lam < 2.0**512 else 2.0**512
 
             def kappa(rem):
                 # One row of pieces per outer point: [0, rem] cut at every kink,
@@ -209,26 +228,22 @@ def analyze(scenario: Scenario) -> AnalyticReport:
                 cuts = np.stack([np.zeros_like(rem), *(np.clip(k, 0.0, rem) for k in kinks), rem])
 
                 def f(w):
-                    return (rem - w) ** 2 * np.exp(-lam * w) * sum(c.weight * c.ccdf(w) for c in law)
+                    return unit * (rem - w) ** 2 * np.exp(-lam * w) * sum(c.weight * c.ccdf(w) for c in law)
 
                 return gauss_legendre(f, cuts[:-1], cuts[1:], level).sum(axis=0) / st.e_s
 
     eqi = _eq_idle(law, d)
-    eqb = 0.0 if kappa is None else _area(law, d, kappa, level)
-    eq = st.p_idle * eqi + p_served * eqb
-    return AnalyticReport(
-        p_idle=st.p_idle,
-        p_busy=st.p_busy,
-        p_busy1=st.p_busy1,
-        p_busy2=st.p_busy2,
-        t_cycle=st.t_cycle,
-        mgf=st.mgf,
-        eq_idle=eqi,
-        eq_busy=eqb,
-        eq=eq,
-        avg_voi=lam * eq,
-        method="quadrature",
-    )
+    eqb = 0.0 if kappa is None else _area(law, d, kappa, level)  # eq_busy * unit
+    return AnalyticReport(*st[:4], eqi, eqb / unit, _avg_voi(lam, st.p_idle, eqi, p_served, eqb, unit))
+
+
+def _avg_voi(lam: float, p_idle: float, eq_idle: float, p_served: float, eq_busy: float, unit: float = 1.0) -> float:
+    """lam (p_idle eq_idle + p_served eq_busy / unit), unit a power of two.  Where
+    the sum falls below the normal range (lam E[S] near overflow), lam goes in first."""
+    eq = p_idle * eq_idle + p_served * eq_busy
+    if unit == 1.0 and eq >= sys.float_info.min:
+        return lam * eq
+    return lam * p_idle * eq_idle + lam / unit * p_served * eq_busy
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +295,8 @@ def closed_form_mg11_uniform_log(
         (v_max + 1.0) * math.log1p(v_max) - (v_min + 1.0) * math.log1p(v_min)
     ) - a
     t_cycle = 1.0 / lam + e_s
-    p_idle = 1.0 / (lam * t_cycle)
+    # lam * t_cycle overflows from lam = 1e308 / E[S] on.
+    p_idle = 1.0 / (lam * t_cycle) if lam * t_cycle < math.inf else 1.0 / lam / t_cycle
     p_busy = e_s / t_cycle
     v_up = min(math.expm1(deadline / a), v_max)
     sigma = (v_up - v_min) / (1.0 + v_min)
@@ -295,26 +311,7 @@ def closed_form_mg11_uniform_log(
             return deadline * deadline * 0.5 * v * v - 2.0 * a * deadline * phi1 + a * a * phi2
 
         eqi = (big_f(v_up) - big_f(v_min)) / (2.0 * deadline * u)
-    # MGF_S(lam) = E[(1+V)^(-a lam)] also has an elementary antiderivative.
-    if abs(a * lam - 1.0) < 1e-12:
-        mgf = (math.log1p(v_max) - math.log1p(v_min)) / u
-    else:
-        e = 1.0 - a * lam
-        mgf = ((1.0 + v_max) ** e - (1.0 + v_min) ** e) / (e * u)
-    eq = p_idle * eqi
-    return AnalyticReport(
-        p_idle=p_idle,
-        p_busy=p_busy,
-        p_busy1=p_busy,
-        p_busy2=0.0,
-        t_cycle=t_cycle,
-        mgf=mgf,
-        eq_idle=eqi,
-        eq_busy=0.0,
-        eq=eq,
-        avg_voi=lam * eq,
-        method="closed-form",
-    )
+    return AnalyticReport(p_idle, p_busy, p_busy, 0.0, eqi, 0.0, _avg_voi(lam, p_idle, eqi, 0.0, 0.0))
 
 
 def closed_form_mm12_exp(mu: float, lam: float, deadline: float) -> AnalyticReport:
@@ -335,25 +332,14 @@ def closed_form_mm12_exp(mu: float, lam: float, deadline: float) -> AnalyticRepo
         num_b = 12.0 + dm * dm - 6.0 * dm - emu * (6.0 * dm + dm * dm + 12.0)
     eqi = float(num_i) / (2.0 * deadline * mu**3)
     eqb = float(num_b) / (2.0 * deadline * mu**3)
-    denom = lam * lam + lam * mu + mu * mu
-    p_idle = mu * mu / denom
-    p_busy1 = lam * mu / denom
-    p_busy2 = lam * lam / denom
-    p_busy = p_busy1 + p_busy2
-    eq = eqi * p_idle + eqb * p_busy1
-    return AnalyticReport(
-        p_idle=p_idle,
-        p_busy=p_busy,
-        p_busy1=p_busy1,
-        p_busy2=p_busy2,
-        t_cycle=1.0 / lam + (mu + lam) / (mu * mu),
-        mgf=mu / (mu + lam),
-        eq_idle=eqi,
-        eq_busy=eqb,
-        eq=eq,
-        avg_voi=lam * eq,
-        method="closed-form",
-    )
+    # Divided through by max(lam, mu)^2 where lam^2 + lam mu + mu^2 overflows.
+    k = max(lam, mu) if lam * lam + lam * mu + mu * mu == math.inf else 1.0
+    lk, mk = lam / k, mu / k
+    denom = lk * lk + lk * mk + mk * mk
+    p_idle = mk * mk / denom
+    p_busy1 = lk * mk / denom
+    p_busy2 = lk * lk / denom
+    return AnalyticReport(p_idle, p_busy1 + p_busy2, p_busy1, p_busy2, eqi, eqb, _avg_voi(lam, p_idle, eqi, p_busy1, eqb))
 
 
 def closed_form_report(scenario: Scenario) -> AnalyticReport | None:

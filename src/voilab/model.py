@@ -393,9 +393,16 @@ def _wait_kernel(s, d, lam: float):
     s = np.asarray(s, dtype=float)
     d = np.asarray(d, dtype=float)
     m = np.maximum(np.minimum(d, s), 0.0)
-    decay = lam * (s - m)
-    x = lam * m
-    c = m * m * (lam * (d - m) * _expm1_quad(x) + _expm1_cube(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = lam * (s - m)
+        x = lam * m
+        c = m * m * (lam * (d - m) * _expm1_quad(x) + _expm1_cube(x))
+        finite = np.isfinite(c)
+        if not finite.all():
+            # lam (d - m) or lam m overflows: there c is m (d - m) x q(x) + m^2 r(x),
+            # with x capped where x q(x) = 1 and r(x) = 1/2 in double precision.
+            xc = np.minimum(x, 2.0**60)
+            c = np.where(finite, c, m * (d - m) * (xc * _expm1_quad(xc)) + m * m * _expm1_cube(xc))
     return (d * m - 0.5 * m * m) * -np.expm1(-decay) + np.exp(-decay) * c
 
 
@@ -450,7 +457,8 @@ class ExponentialComponent:
         return 1.0 / (1.0 + lam * self.m)
 
     def one_minus_mgf(self, lam: float) -> float:
-        return lam * self.m / (1.0 + lam * self.m)
+        x = lam * self.m
+        return x / (1.0 + x) if x < math.inf else 1.0
 
     def ccdf(self, w):
         return np.exp(-w / self.m)

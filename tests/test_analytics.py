@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from voilab.model import (
     Scenario,
     UniformValue,
     mean_service_time,
+    mgf_service,
     one_minus_mgf_service,
     service_law,
     _wait_kernel,
@@ -72,10 +74,10 @@ def uniflog(lam, disc=MG11):
 def test_stationary_mg11_symmetric_cycle():
     sc = Scenario(1.0, UniformValue(0, 10), IndependentDeterministicService(1.0), LIN3, MG11)
     st = stationary_mg11(*service_law(sc))
-    # lam E[S] = 1 exactly, so every probability and the cycle are exact.
+    # lam E[S] = 1 exactly, so every probability is exact.
     assert st.p_idle == 0.5
     assert st.p_busy == 0.5
-    assert st.t_cycle == 2.0
+    assert st.e_s == 1.0
 
 
 def test_stationary_mg11_empty_system_limit():
@@ -314,10 +316,23 @@ def test_mg12star_star_shares_stationary_probabilities_with_fcfs():
 # Closed forms
 # ---------------------------------------------------------------------------
 
+def _uniform_log_mgf(v_min, v_max, a, lam):
+    """MGF_S(lam) = E[(1 + V)^(-a lam)] for V ~ Uniform(v_min, v_max), from its
+    elementary antiderivative."""
+    u = v_max - v_min
+    if abs(a * lam - 1.0) < 1e-12:
+        return (math.log1p(v_max) - math.log1p(v_min)) / u
+    e = 1.0 - a * lam
+    return ((1.0 + v_max) ** e - (1.0 + v_min) ** e) / (e * u)
+
+
 def test_uniform_log_mean_service_time_consistent_map():
+    # E[S] = ((1 + v_max) log(1 + v_max) - (1 + v_min) log(1 + v_min)) a / u - a,
+    # the exact mean of a log(1 + V).
+    assert 11.0 * math.log(11.0) / 10.0 - 1.0 == pytest.approx(ES_UNIFORM_LOG, rel=1e-12, abs=0.0)
+    # At lam = 1 the closed form's p_busy / p_idle is lam E[S].
     rep = closed_form_mg11_uniform_log(0.0, 10.0, 1.0, 1.0, 3.0)
-    e_s = rep.t_cycle - 1.0
-    assert e_s == pytest.approx(ES_UNIFORM_LOG, rel=1e-12, abs=0.0)
+    assert rep.p_busy / rep.p_idle == pytest.approx(ES_UNIFORM_LOG, rel=1e-12, abs=0.0)
     # The same mean through the quadrature route.
     assert mean_service_time(service_law(uniflog(1.0))[0]) == pytest.approx(ES_UNIFORM_LOG, rel=1e-9, abs=0.0)
 
@@ -327,7 +342,8 @@ def test_uniform_log_closed_form_agrees_with_quadrature():
         cf = closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, 3.0)
         qd = analyze(uniflog(lam))
         assert cf.avg_voi == pytest.approx(qd.avg_voi, rel=1e-6, abs=0.0)
-        assert cf.mgf == pytest.approx(qd.mgf, rel=1e-8, abs=0.0)
+        mgf = mgf_service(*service_law(uniflog(lam)))
+        assert _uniform_log_mgf(0.0, 10.0, 1.0, lam) == pytest.approx(mgf, rel=1e-8, abs=0.0)
     assert closed_form_mg11_uniform_log(0.0, 10.0, 1.0, 1.0, 3.0).avg_voi == pytest.approx(
         VOI_UNIFLOG, rel=1e-9, abs=0.0
     )
@@ -394,8 +410,8 @@ def test_mm12_busy_area_against_nested_quadrature():
 
 
 def test_closed_form_report_dispatch():
-    assert closed_form_report(mm12(1.0)).method == "closed-form"
-    assert closed_form_report(uniflog(1.0)).method == "closed-form"
+    assert closed_form_report(mm12(1.0)) == closed_form_mm12_exp(1.5, 1.0, 3.0)
+    assert closed_form_report(uniflog(1.0)) == closed_form_mg11_uniform_log(0.0, 10.0, 1.0, 1.0, 3.0)
     assert closed_form_report(uniflog(1.0, MG12)) is None
     assert closed_form_report(expid(1.0, MG11)) is None
 
@@ -555,7 +571,6 @@ def test_buffered_disciplines_survive_mgf_underflow(discipline):
     probs = (st.p_idle, st.p_busy1, st.p_busy2)
     assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs)
     assert sum(probs) == pytest.approx(1.0, rel=1e-12, abs=0.0)
-    assert st.t_cycle == math.inf
     rep = analyze(sc)
     assert math.isfinite(rep.avg_voi) and rep.avg_voi >= 0.0
 
@@ -585,13 +600,42 @@ def test_analyze_holds_over_the_whole_arrival_rate_range(family):
         reps = {d: analyze(Scenario(float(lam), *_RANGE_FAMILIES[family], LIN3, d)) for d in DISCIPLINES}
         for d, rep in reps.items():
             probs = (rep.p_idle, rep.p_busy1, rep.p_busy2)
-            assert all(math.isfinite(x) for x in (*probs, rep.p_busy, rep.eq_idle, rep.eq_busy, rep.eq, rep.avg_voi))
+            assert all(math.isfinite(x) for x in (*probs, rep.p_busy, rep.eq_idle, rep.eq_busy, rep.avg_voi))
             assert all(0.0 <= p <= 1.0 for p in probs), (d, lam)
             assert sum(probs) == pytest.approx(1.0, abs=1e-12), (d, lam)
             if lam >= 1e8:
                 assert rep.avg_voi == pytest.approx(limit[d], rel=1e-6, abs=0.0), (d, lam)
         if lam >= 1e6:
             assert reps[MG12_STAR].avg_voi == pytest.approx(reps[MG11].avg_voi, rel=1e-5, abs=0.0), lam
+
+
+# The top of the double range: lam E[S] overflows from about 1e308 / E[S] on,
+# lam^2 in the M/M/1/2 closed form from 1.34e154, and lam D in the FCFS wait
+# kernel from 1e308 / D.  There each engine gave nan, a silent 0 or an
+# integrand error.  The heavy-traffic limit is read at lam = 1e12: at D = 0.01,
+# lam = 1e8 is still 5e-6 short of it on the buffered disciplines.
+_TOP_RATES = (1e154, 1e155, 1e200, 1e300, 1e308, 1.1e308, 1.7e308, sys.float_info.max)
+
+
+@pytest.mark.parametrize("d", [0.01, 3.0])
+@pytest.mark.parametrize("family", sorted(_RANGE_FAMILIES))
+def test_top_of_the_double_range_is_the_limit_or_an_arithmetic_error(family, d):
+    lin = DescendFunction.linear(d)
+    for discipline in DISCIPLINES:
+        for engine in (analyze, closed_form_report):
+            limit = engine(Scenario(1e12, *_RANGE_FAMILIES[family], lin, discipline))
+            if limit is None:
+                continue
+            for lam in _TOP_RATES:
+                try:
+                    rep = engine(Scenario(lam, *_RANGE_FAMILIES[family], lin, discipline))
+                except ArithmeticError:
+                    continue
+                where = (engine.__name__, discipline, lam)
+                probs = (rep.p_idle, rep.p_busy1, rep.p_busy2)
+                assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in (*probs, rep.p_busy)), where
+                assert sum(probs) == pytest.approx(1.0, abs=1e-12), where
+                assert rep.avg_voi == pytest.approx(limit.avg_voi, rel=1e-6, abs=0.0), where
 
 
 @pytest.mark.parametrize("discipline", [MG11, MG12, MG12_STAR])
@@ -616,17 +660,23 @@ def test_analyze_builds_the_service_law_once(monkeypatch, discipline):
 # the pieces end at it, 1 - MGF reads 1 and M/M/1/2 avg_voi is 0.26% off at
 # lam = 1e3.  That layer and the FCFS fold's lie on the service support, which
 # is far wider than a short deadline: cut only below D, M/M/1/2 eq_busy was
-# 46% off at D = 0.01, lam = 1e3.
+# 46% off at D = 0.01, lam = 1e3.  From lam = 1.34e154 on, lam^2 overflows:
+# the M/M/1/2 closed form read avg_voi 0 and p_busy2 nan there.
 def test_analyze_matches_the_closed_forms_over_the_whole_arrival_rate_range():
     for d in (0.001, 0.01, 0.1, 3.0, 30.0):
         lin = DescendFunction.linear(d)
-        for lam in map(float, np.logspace(-8, 8, 33)):
-            rep, cf = analyze(replace(mm12(lam), descend=lin)), closed_form_mm12_exp(1.5, lam, d)
-            for field in ("avg_voi", "p_idle", "p_busy1", "mgf", "eq_busy"):
+        for lam in map(float, (*np.logspace(-8, 8, 33), *np.logspace(20, 300, 15))):
+            sc = replace(mm12(lam), descend=lin)
+            rep, cf = analyze(sc), closed_form_mm12_exp(1.5, lam, d)
+            for field in ("avg_voi", "p_idle", "p_busy1", "eq_busy"):
                 assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9, abs=0.0), (field, d, lam)
-            rep, cf = analyze(replace(uniflog(lam), descend=lin)), closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, d)
-            for field in ("avg_voi", "p_idle", "mgf"):
+            assert mgf_service(*service_law(sc)) == pytest.approx(1.5 / (1.5 + lam), rel=1e-9, abs=0.0), (d, lam)
+            sc = replace(uniflog(lam), descend=lin)
+            rep, cf = analyze(sc), closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, d)
+            for field in ("avg_voi", "p_idle"):
                 assert getattr(rep, field) == pytest.approx(getattr(cf, field), rel=1e-9, abs=0.0), (field, d, lam)
+            mgf = _uniform_log_mgf(0.0, 10.0, 1.0, lam)
+            assert mgf_service(*service_law(sc)) == pytest.approx(mgf, rel=1e-9, abs=0.0), (d, lam)
 
 
 def _mm12_numerators_exact(x, terms=80):
@@ -688,10 +738,11 @@ def _panel_orders(monkeypatch):
     return orders
 
 
-@pytest.mark.parametrize("discipline, passes", [(MG11, 1), (MG12, 4), (MG12_STAR, 4)])
+@pytest.mark.parametrize("discipline, passes", [(MG11, 0), (MG12, 4), (MG12_STAR, 4)])
 def test_integrand_passes_per_point_with_a_warm_cache(monkeypatch, discipline, passes):
-    # MGF (and 1 - MGF when buffered), then one outer and one inner pass of the
-    # nested busy-arrival rule: every rule converges on its fused first pass.
+    # None without a buffer (E[S] and eq_idle are cached).  Buffered: MGF and
+    # 1 - MGF, then one outer and one inner pass of the nested busy-arrival
+    # rule: every rule converges on its fused first pass.
     sc = uniflog(0.9, discipline)
     analyze(sc)
     orders = _panel_orders(monkeypatch)

@@ -158,6 +158,24 @@ def test_large_rate_with_underflowing_mgf_runs(tmp_path):
         assert float(row["avg_voi"]) >= 0.0
 
 
+def test_closed_form_sweep_verifies_at_the_top_of_the_rate_range(tmp_path):
+    # lam^2 overflows from 1.34e154 on: the M/M/1/2 closed form wrote a
+    # 0,...,nan row there and verify failed it against the analytic row.
+    text = "preset = mm12-closed\nengines = closed-form,analytic\nlambda_grid = 1e100,1e200,1e300\n"
+    assert _run_config(tmp_path, text) == 0
+    rows = cli.read_csv(str(tmp_path / "out.csv"))
+    assert len(rows) == 6
+    assert "nan" not in {row[k] for row in rows for k in ("avg_voi", "p_idle", "p_busy1", "p_busy2")}
+    assert main(["verify", str(tmp_path / "out.csv")]) == 0
+
+
+def test_largest_rates_write_no_nan_cell(tmp_path):
+    # lam E[S] overflows at 1.7e308: probabilities were inf / inf.
+    assert _run_config(tmp_path, "preset = uniform-log\nengines = analytic\nlambda_grid = 1.7e308\n") == 0
+    with open(tmp_path / "out.csv", newline="") as fh:
+        assert "nan" not in fh.read()
+
+
 def test_oversized_lambda_range_exits_before_building_it(tmp_path, capsys):
     # 0.1:5:1e-300 would be ~5e300 points; the count is checked first.
     assert _run_config(tmp_path, _BASE.replace("lambda_grid = 1", "lambda_grid = 0.1:5:1e-300")) == 2

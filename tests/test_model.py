@@ -224,6 +224,28 @@ def test_transforms_resolve_the_layer_at_the_shortest_service():
     assert one_minus_mgf_service(law, lam) == pytest.approx(lam / (lam + 1.5), rel=1e-9, abs=0.0)
 
 
+def test_one_minus_mgf_of_a_value_mapped_law_against_scipy():
+    # 1 - MGF = E[-expm1(-a lam log1p(V))] for V ~ Uniform(0, 10), a = 1, has
+    # no closed form free of cancellation at small lam; scipy's quad runs on
+    # pieces that end past the layer of width 1/(a lam) at v = 0.
+    law, _ = service_law(_scenario(DependentService("log-shift", 1.0)))
+    for lam in map(float, np.logspace(-8, 8, 33)):
+
+        def f(v):
+            return -math.expm1(-lam * math.log1p(v)) / 10.0
+
+        cuts = [0.0, *(math.expm1(t / lam) for t in (1.0, 10.0, 100.0) if t / lam < math.log(11.0)), 10.0]
+        oracle = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+        assert one_minus_mgf_service(law, lam) == pytest.approx(oracle, rel=1e-9, abs=0.0), lam
+
+
+def test_one_minus_mgf_of_exponential_identity_service():
+    # S = V ~ exponential(mu): 1 - MGF = lam / (mu + lam).
+    law, _ = service_law(_scenario(DependentService("identity"), ExponentialValue(1.5)))
+    for lam in map(float, np.logspace(-8, 8, 33)):
+        assert one_minus_mgf_service(law, lam) == pytest.approx(lam / (1.5 + lam), rel=1e-9, abs=0.0), lam
+
+
 def test_mgf_in_unit_interval_and_non_increasing():
     scenarios = [
         _scenario(IndependentExponentialService(1.5)),
