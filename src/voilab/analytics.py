@@ -259,19 +259,20 @@ def _log1p_sq_antiderivatives(v: float) -> tuple[float, float]:
 
 
 def _uniform_log_area_series(v_lo: float, sigma: float, a: float, deadline: float) -> float:
-    """int v (D - a log(1+v))^2 dv from v_lo to v_lo + (1 + v_lo) sigma, as
-    its power series in sigma through sigma^64 (for sigma < 1/2 the terms
+    """int v (D - a log(1+v))^2 dv / D from v_lo to v_lo + (1 + v_lo) sigma,
+    as its power series in sigma through sigma^64 (for sigma < 1/2 the terms
     beyond fall below double rounding).  With 1 + v = (1 + v_lo)(1 + s), the
     integrand is (1 + v_lo)(v_lo + (1 + v_lo) s)(c - a log1p(s))^2 with
-    c = D - a log1p(v_lo)."""
+    c = D - a log1p(v_lo); the factor c - a log1p(s) is divided by D before
+    it is squared, so that long deadlines cannot overflow."""
     b = 1.0 + v_lo
     k = np.arange(1, 64)
-    q = np.concatenate(([deadline - a * math.log1p(v_lo)], a * (-1.0) ** k / k))  # c - a log1p(s)
+    q = np.concatenate(([(deadline - a * math.log1p(v_lo)) / deadline], a / deadline * (-1.0) ** k / k))
     p = np.convolve(q, q)[:64]
     r = v_lo * p
     r[1:] += b * p[:-1]
     n = np.arange(1, 65)
-    return b * float((r * sigma**n / n).sum())
+    return b * float((r * sigma**n / n).sum()) * deadline
 
 
 def closed_form_mg11_uniform_log(
@@ -286,7 +287,9 @@ def closed_form_mg11_uniform_log(
     antiderivatives of v log(1+v) and v log(1+v)^2.  Their difference
     cancels when the integration range is short against 1 + v_min (2.4e-7
     relative at v_min = 0, D = 0.001), so below half of it the area is
-    summed as a power series instead.
+    summed as a power series instead.  Both divide the area by D before
+    squaring, and values reach v_max wherever D/a >= log(1 + v_max), so that
+    long deadlines stay finite.
     """
     if not (0.0 <= v_min < v_max and a > 0.0 and lam > 0.0 and deadline > 0.0):
         raise ValueError("invalid closed-form parameters")
@@ -298,19 +301,19 @@ def closed_form_mg11_uniform_log(
     # lam * t_cycle overflows from lam = 1e308 / E[S] on.
     p_idle = 1.0 / (lam * t_cycle) if lam * t_cycle < math.inf else 1.0 / lam / t_cycle
     p_busy = e_s / t_cycle
-    v_up = min(math.expm1(deadline / a), v_max)
+    v_up = v_max if deadline / a >= math.log1p(v_max) else math.expm1(deadline / a)
     sigma = (v_up - v_min) / (1.0 + v_min)
     if v_up <= v_min:
         eqi = 0.0
     elif sigma < 0.5:
-        eqi = _uniform_log_area_series(v_min, sigma, a, deadline) / (2.0 * deadline * u)
+        eqi = _uniform_log_area_series(v_min, sigma, a, deadline) / (2.0 * u)
     else:
 
-        def big_f(v: float) -> float:
+        def big_f(v: float) -> float:  # antiderivative of v (D - a log(1+v))^2 / D
             phi1, phi2 = _log1p_sq_antiderivatives(v)
-            return deadline * deadline * 0.5 * v * v - 2.0 * a * deadline * phi1 + a * a * phi2
+            return deadline * 0.5 * v * v - 2.0 * a * phi1 + a * (a / deadline) * phi2
 
-        eqi = (big_f(v_up) - big_f(v_min)) / (2.0 * deadline * u)
+        eqi = (big_f(v_up) - big_f(v_min)) / (2.0 * u)
     return AnalyticReport(p_idle, p_busy, p_busy, 0.0, eqi, 0.0, _avg_voi(lam, p_idle, eqi, 0.0, 0.0))
 
 
@@ -318,20 +321,21 @@ def closed_form_mm12_exp(mu: float, lam: float, deadline: float) -> AnalyticRepo
     """FCFS one-buffer average VoI for exponential(mu) values served through
     the identity map (so service is exponential(mu) too), in closed form.
     Both area numerators cancel as x = D mu -> 0, so below x = 3 they are
-    summed as their alternating Taylor series, through x^31."""
+    summed as their alternating Taylor series, through x^31.  Both are
+    divided by x before it is squared, so that long deadlines stay finite."""
     if not (mu > 0.0 and lam > 0.0 and deadline > 0.0):
         raise ValueError("invalid closed-form parameters")
     dm = deadline * mu
     if dm < 3.0:
         n = np.arange(4, 32)
-        terms = (-dm) ** n / np.array([math.factorial(k) for k in n], dtype=float)
+        terms = -((-dm) ** (n - 1)) / np.array([math.factorial(k) for k in n], dtype=float)
         num_i, num_b = 2.0 * ((n - 3) * terms).sum(), -((n - 3) * (n - 4) * terms).sum()
     else:
         emu = math.exp(-dm)
-        num_i = dm * dm - 4.0 * dm + 6.0 - emu * (2.0 * dm + 6.0)
-        num_b = 12.0 + dm * dm - 6.0 * dm - emu * (6.0 * dm + dm * dm + 12.0)
-    eqi = float(num_i) / (2.0 * deadline * mu**3)
-    eqb = float(num_b) / (2.0 * deadline * mu**3)
+        num_i = dm - 4.0 + 6.0 / dm - emu * (2.0 + 6.0 / dm)
+        num_b = dm - 6.0 + 12.0 / dm - emu * (6.0 + dm + 12.0 / dm)
+    eqi = float(num_i) / (2.0 * mu * mu)
+    eqb = float(num_b) / (2.0 * mu * mu)
     # Divided through by max(lam, mu)^2 where lam^2 + lam mu + mu^2 overflows.
     k = max(lam, mu) if lam * lam + lam * mu + mu * mu == math.inf else 1.0
     lk, mk = lam / k, mu / k

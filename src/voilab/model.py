@@ -138,8 +138,9 @@ class UniformValue:
         inside = (v >= self.v_min) & (v <= self.v_max)
         return np.where(inside, 1.0 / (self.v_max - self.v_min), 0.0)
 
-    def cdf(self, v):
-        return np.clip((np.asarray(v) - self.v_min) / (self.v_max - self.v_min), 0.0, 1.0)
+    def sf(self, v):
+        """P[V > v], elementwise over an array."""
+        return 1.0 - np.clip((np.asarray(v) - self.v_min) / (self.v_max - self.v_min), 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, n: int):
         return rng.uniform(self.v_min, self.v_max, n), None
@@ -164,8 +165,10 @@ class ExponentialValue:
         """Density, elementwise over an array."""
         return np.where(v >= 0.0, self.rate * np.exp(-self.rate * np.maximum(v, 0.0)), 0.0)
 
-    def cdf(self, v):
-        return -np.expm1(-self.rate * np.maximum(v, 0.0))
+    def sf(self, v):
+        """P[V > v], elementwise over an array: formed directly, since 1 - cdf
+        loses every digit once the cdf rounds to 1 (rate * v >= 37.4)."""
+        return np.exp(-self.rate * np.maximum(v, 0.0))
 
     def sample(self, rng: np.random.Generator, n: int):
         return rng.exponential(1.0 / self.rate, n), None
@@ -515,7 +518,7 @@ class ValueMapped:
         return self._from_lo(lambda s: -np.expm1(-lam * s), lam)
 
     def ccdf(self, w):
-        return 1.0 - self.value.cdf(self.service.g_inv(w))
+        return self.value.sf(self.service.g_inv(w))
 
     def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
         # The buffered kappas bend where d - S crosses a kink of the service

@@ -7,12 +7,15 @@ served arrival hands the server on to the first arrival after its departure,
 so the served arrivals are the orbit of the first one under that map,
 expanded by pointer doubling.  With a buffer, one pass of Lindley's recursion
 writes each departure at its packet's arrival position.  VoI, age, state
-occupancies, the states arrivals find and their batch-means standard errors
-all follow from those service intervals, as array operations over the whole
-run; the five standard errors are one row-wise reduction over a stack of
-batch totals.  Sampled VoI sums the alive packets' values on a time grid
-that is indexed, never built.  Identical config and seed give bit-identical
-reports.
+occupancies and their batch-means standard errors all follow from those
+service intervals, as array operations over the whole run; the five
+standard errors are one row-wise reduction over a stack of batch totals.
+The state an admitted arrival finds is read off the served sequence (served
+after the previous departure: idle; filling the buffer: busy with it empty;
+any other: busy or buffer full), so only arrivals that admission turns away
+are looked up, and the per-arrival states are built only for a trace.
+Sampled VoI sums the alive packets' values on a time grid that is indexed,
+never built.  Identical config and seed give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -118,10 +121,15 @@ def simulate(config: SimConfig) -> SimReport:
     # time or at the previous departure, whichever is later.  System time is
     # wait + service, so a packet served on arrival gets exactly ``s`` and one
     # whose service reaches the deadline never keeps a rounding-sized area.
+    # Without a buffer only arrivals after the previous departure are served,
+    # so every wait is exactly 0.0.
     gen = t_gen[d_idx]
-    start = gen.copy()
-    np.maximum(gen[1:], d_t[:-1], out=start[1:])
-    t_sys = (start - gen) + services[d_idx]
+    if disc == 0:
+        start, t_sys = gen, services[d_idx]
+    else:
+        start = gen.copy()
+        np.maximum(gen[1:], d_t[:-1], out=start[1:])
+        t_sys = (start - gen) + services[d_idx]
     q = q_area_batch(sc.descend, values[d_idx], t_sys)
     n_expired = int(np.count_nonzero(t_sys >= sc.descend.deadline))
 
@@ -139,23 +147,31 @@ def simulate(config: SimConfig) -> SimReport:
 
     avg_aoi, age_batches, e_age = _age_statistics(gen, d_t, elapsed, edges_t)
 
-    # Time busy cumulated up to each batch edge, and the state each arrival
-    # finds: busy while a served packet that arrived earlier has not left.
+    # Time busy cumulated up to each batch edge.  The buffer of a served
+    # packet is filled from the first admitted arrival after its service
+    # starts, if that comes by its departure, until the departure.
     busy_at = _covered(start, d_t, edges_t)
-    seen = _found_open(d_idx, d_t, t_gen).astype(np.int64)
-    if disc == 0:
-        # The bufferless discipline drops every arrival it finds busy.
+    idle, filled, fill = _arrival_states(t_adm, served, d_t, disc)
+    if fill is None:
         fills = np.zeros(d_t.size, dtype=bool)
         full_at = np.zeros_like(edges_t)
     else:
-        # The buffer of a served packet is filled by the first admitted
-        # arrival after its service starts, if that arrives by its departure,
-        # and stays full until the departure.  An arrival finds it full while
-        # the service during which an earlier arrival filled it has not ended.
-        first, t_next, fills = _buffer_fills(t_adm, served, d_t, disc)
+        t_next, fills = fill
         full_at = _covered(np.where(fills, t_next, d_t), d_t, edges_t)
-        fill_ids = first[fills] if pos is None else pos[first[fills]]
-        seen += _found_open(fill_ids, d_t[fills], t_gen)
+    # Every admitted arrival that finds the server neither idle nor with an
+    # empty buffer finds it busy (no buffer) or the buffer full.
+    rest = 1 if disc == 0 else 2
+    counts = np.array([idle.size, filled.size, 0])
+    counts[rest] += t_adm.size - idle.size - filled.size
+    if pos is not None:
+        # An arrival that is not admitted finds the server busy while an
+        # earlier admitted packet has not left, and the buffer full while the
+        # service during which an earlier arrival filled it has not ended.
+        dropped = np.flatnonzero(~admitted)
+        found = _found_open(d_idx, d_t, t_gen, dropped).astype(np.int64)
+        if fill is not None:
+            found += _found_open(pos[filled], d_t[fills], t_gen, dropped)
+        counts += np.bincount(found, minlength=3)
     # Time spent idle, busy with an empty buffer and busy with a full buffer.
     occ_at = np.stack((edges_t - busy_at, busy_at - full_at, full_at))
     occupancy = tuple((occ_at[:, -1] / elapsed).tolist())
@@ -164,7 +180,7 @@ def simulate(config: SimConfig) -> SimReport:
     errors = _batch_stderrs(np.vstack((batch_sums, age_batches, np.diff(occ_at, axis=1))), spans)
     stderr_voi, stderr_age, *occupancy_stderr = errors.tolist()
     stderr_aoi = math.ldexp(stderr_age, 2 * e_age)
-    arrival_seen = tuple((np.bincount(seen, minlength=3) / n).tolist())
+    arrival_seen = tuple((counts / n).tolist())
 
     sampled = None
     if config.sample_voi_every is not None:
@@ -174,6 +190,11 @@ def simulate(config: SimConfig) -> SimReport:
 
     detail = None
     if config.trace:
+        seen = np.full(n, rest, dtype=np.int64)
+        if pos is None:
+            seen[idle], seen[filled] = 0, 1
+        else:
+            seen[pos[idle]], seen[pos[filled]], seen[dropped] = 0, 1, found
         detail = {
             "t_gen": t_gen,
             "values": values,
@@ -283,14 +304,36 @@ def _buffer_fills(t_arr, served, d_t, disc):
     return first, t_next, t_next <= d_t
 
 
-def _found_open(first_ids, ends, t_gen):
-    """Whether each arrival i comes after some arrival ``first_ids[k]`` and no
-    later than ``ends[k]`` (both increasing, so the last k with
-    ``first_ids[k] < i`` decides; arrivals precede departures at equal times)."""
+def _arrival_states(t_arr, served, d_t, disc):
+    """The admitted positions that find the server idle and those that find
+    it busy with an empty buffer, and the buffer fills (``_buffer_fills``'s
+    ``t_next`` and ``fills``; None without a buffer).  Every other admitted arrival finds the server
+    busy (no buffer) or the buffer full.
+
+    An arrival that finds the server idle is served at once, and a served
+    packet that waited arrived by the previous departure; so the idle
+    arrivals are the served positions strictly after the previous departure
+    (all of them without a buffer, position 0 always).  An arrival that finds
+    the buffer empty fills it, so those are the fills' first arrivals.
+    """
+    if disc == 0:
+        return served, served[:0], None
+    after = np.ones(served.size, dtype=bool)
+    np.greater(t_arr[served[1:]], d_t[:-1], out=after[1:])
+    first, t_next, fills = _buffer_fills(t_arr, served, d_t, disc)
+    return served[after], first[fills], (t_next, fills)
+
+
+def _found_open(first_ids, ends, t_gen, at):
+    """Whether each arrival in ``at`` comes after some arrival ``first_ids[k]``
+    and no later than ``ends[k]`` (both increasing, so the last k with
+    ``first_ids[k] < i`` decides; arrivals precede departures at equal times).
+    Only arrivals that are not admitted need it: ``_arrival_states`` reads
+    the admitted ones off the served sequence."""
     opened = np.zeros(t_gen.size + 1, dtype=np.int64)
     opened[first_ids + 1] = 1
     np.cumsum(opened, out=opened)  # opened[i]: intervals opened before arrival i
-    return np.concatenate(([-np.inf], ends))[opened[:-1]] >= t_gen
+    return np.concatenate(([-np.inf], ends))[opened[at]] >= t_gen[at]
 
 
 def _covered(lo, hi, x):

@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -312,6 +312,35 @@ def test_mg12star_star_shares_stationary_probabilities_with_fcfs():
     assert a.p_busy2 == pytest.approx(b.p_busy2, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("a", [None, 0.5])
+@pytest.mark.parametrize("d", [300.0, 1e3, 1e4, 1e6])
+def test_lcfs_with_replacement_holds_at_long_deadlines(a, d):
+    # The residual integrand took P[S > w] as 1 - cdf, which cancels to 0
+    # inside the busy area's range: exp-identity raised QuadratureError at
+    # D = 300 for lam <= 0.01, exp-log(0.5) at D = 1e4 for lam = 1.
+    svc = DependentService("identity") if a is None else DependentService("log-shift", a)
+    for lam in map(float, np.logspace(-8, 8, 17)):
+        rep = analyze(Scenario(lam, ExponentialValue(1.5), svc, DescendFunction.linear(d), MG12_STAR))
+        assert all(math.isfinite(x) and x >= 0.0 for x in astuple(rep)), lam
+        assert rep.p_idle + rep.p_busy == pytest.approx(1.0, rel=0.0, abs=1e-12), lam
+        assert rep.p_busy1 + rep.p_busy2 == pytest.approx(rep.p_busy, rel=0.0, abs=1e-12), lam
+
+
+def test_lcfs_busy_area_against_nested_quadrature_at_a_long_deadline():
+    # eq_busy = E[V int_0^(D-S) (D - S - w)^2 e^(-lam w) P[S > w] dw] / (2 D E[S])
+    # with V = S ~ exponential(mu).
+    mu, lam, d = 1.5, 0.01, 300.0
+    rep = analyze(Scenario(lam, ExponentialValue(mu), DependentService("identity"), DescendFunction.linear(d), MG12_STAR))
+
+    def inner(s):
+        f = lambda w: (d - s - w) ** 2 * math.exp(-(lam + mu) * w)
+        return quad(f, 0.0, d - s, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    outer = lambda s: s * mu * math.exp(-mu * s) * inner(s)
+    area = quad(outer, 0.0, d, epsabs=0.0, epsrel=1e-12, limit=200, points=[1.0, 10.0, 30.0, 100.0])[0]
+    assert rep.eq_busy == pytest.approx(area * mu / (2.0 * d), rel=1e-8, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -407,6 +436,46 @@ def test_mm12_busy_area_against_nested_quadrature():
         epsrel=spec.rel_tol,
     )
     assert got == pytest.approx(EQ_BUSY_MM, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [710.0, 1e3, 1e6, 1e12, 1e100])
+def test_uniform_log_closed_form_holds_at_long_deadlines(d):
+    # expm1(D / a) overflowed from D / a = 709.78 on (OverflowError), and
+    # D^2 in the area overflows from 1.34e154 on.
+    cf = closed_form_mg11_uniform_log(0.0, 10.0, 1.0, 1.0, d)
+    rep = analyze(replace(uniflog(1.0), descend=DescendFunction.linear(d)))
+    for field in ("avg_voi", "p_idle", "eq_idle"):
+        assert getattr(cf, field) == pytest.approx(getattr(rep, field), rel=1e-9, abs=0.0), field
+    if d <= 1e3:
+        area, _ = quad(lambda v: v * (d - math.log1p(v)) ** 2, 0.0, 10.0, epsabs=0.0, epsrel=1e-13)
+        assert cf.eq_idle == pytest.approx(area / (2.0 * d * 10.0), rel=1e-9, abs=0.0)
+
+
+def _mm12_decimal(mu, lam, d):
+    """The M/M/1/2 closed form evaluated in 50-digit decimal arithmetic."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu, lam, d = Decimal(mu), Decimal(lam), Decimal(d)
+        x = d * mu
+        e = (-x).exp()
+        eq_idle = (x * x - 4 * x + 6 - e * (2 * x + 6)) / (2 * d * mu**3)
+        eq_busy = (12 + x * x - 6 * x - e * (6 * x + x * x + 12)) / (2 * d * mu**3)
+        total = lam * lam + lam * mu + mu * mu
+        p_idle, p_busy1 = mu * mu / total, lam * mu / total
+        avg_voi = lam * (p_idle * eq_idle + p_busy1 * eq_busy)
+        return {"eq_idle": float(eq_idle), "eq_busy": float(eq_busy), "avg_voi": float(avg_voi)}
+
+
+@pytest.mark.parametrize("d", [1e154, 1e200, 1e300])
+def test_mm12_closed_form_holds_at_long_deadlines(d):
+    # (D mu)^2 overflowed from D = 1.34e154 / mu on: eq_idle read inf and
+    # eq_busy and avg_voi nan.
+    for lam in (0.5, 1.0, 4.0):
+        cf = closed_form_mm12_exp(1.5, lam, d)
+        for field, want in _mm12_decimal(1.5, lam, d).items():
+            assert getattr(cf, field) == pytest.approx(want, rel=1e-12, abs=0.0), (field, lam)
 
 
 def test_closed_form_report_dispatch():

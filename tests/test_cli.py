@@ -176,6 +176,30 @@ def test_largest_rates_write_no_nan_cell(tmp_path):
         assert "nan" not in fh.read()
 
 
+_LONG_DEADLINE = {
+    # expm1(D / a) overflowed in the uniform-log closed form (exit 4).
+    "uniform-log": ("lambda_grid = 0.5,1,4", "engines = closed-form,analytic", "scenario.value_dist = uniform(0,10)",
+                    "scenario.service = dependent-log-shift(1.0)", "scenario.descend = linear(1000)",
+                    "scenario.discipline = M/GI/1/1"),
+    # 1 - cdf cancelled in the M/GI/1/2* busy area (QuadratureError, exit 4).
+    "lcfs": ("lambda_grid = 0.01", "engines = analytic", "scenario.value_dist = exponential(1.5)",
+             "scenario.service = dependent-identity", "scenario.descend = linear(300)",
+             "scenario.discipline = M/GI/1/2*"),
+    # (D mu)^2 overflowed in the M/M/1/2 closed form: a nan cell and exit 0.
+    "mm12": ("lambda_grid = 1", "engines = closed-form", "scenario.value_dist = exponential(1.5)",
+             "scenario.service = dependent-identity", "scenario.descend = linear(1e200)",
+             "scenario.discipline = M/GI/1/2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_DEADLINE))
+def test_long_deadline_rows_are_finite(tmp_path, name):
+    assert _run_config(tmp_path, "\n".join(_LONG_DEADLINE[name]) + "\n") == 0
+    rows = cli.read_csv(str(tmp_path / "out.csv"))
+    assert rows and all(float(row["avg_voi"]) < float("inf") for row in rows)
+    assert main(["verify", str(tmp_path / "out.csv")]) == 0
+
+
 def test_oversized_lambda_range_exits_before_building_it(tmp_path, capsys):
     # 0.1:5:1e-300 would be ~5e300 points; the count is checked first.
     assert _run_config(tmp_path, _BASE.replace("lambda_grid = 1", "lambda_grid = 0.1:5:1e-300")) == 2

@@ -15,6 +15,7 @@ from voilab.model import (
     ClassExponentialService,
     DependentService,
     DescendFunction,
+    DISCIPLINES,
     ExponentialValue,
     IndependentDeterministicService,
     IndependentExponentialService,
@@ -25,8 +26,10 @@ from voilab.model import (
     UniformValue,
     service_law,
 )
+from voilab import sim
 from voilab.sim import (
     SimConfig,
+    _arrival_states,
     _batch_stderrs,
     _buffer_fills,
     _grid_length,
@@ -548,6 +551,79 @@ def test_buffer_fills_match_a_search_of_every_departure(disc):
         first, t_next, fills = _buffer_fills(t, served, departs, disc)
         assert first.tolist() == _searched_fills(t, served, departs).tolist()
         assert fills.tolist() == [f < n and t[f] <= d for f, d in zip(first, departs)]
+
+
+def _found_states(t, s, disc):
+    """The state each arrival of an admitted stream finds, read off the
+    served sequence by ``_arrival_states`` (0 idle, 1 busy, 2 full buffer)."""
+    code = {MG11: 0, MG12: 1, MG12_STAR: 2}[disc]
+    served, departs = _serve_bufferless(t, s) if code == 0 else _serve(t, s, code)
+    idle, filled, _ = _arrival_states(t, served, departs, code)
+    assert np.intersect1d(idle, filled).size == 0
+    seen = np.full(t.size, 1 if code == 0 else 2)
+    seen[idle], seen[filled] = 0, 1
+    return seen.tolist()
+
+
+@pytest.mark.parametrize("stream", sorted(_STREAMS))
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_arrival_states_match_event_by_event_reference(stream, disc):
+    t, s = _STREAMS[stream]
+    *_, arrival_states, _, _ = _reference_run(t.tolist(), s.tolist(), None, disc)
+    assert _found_states(t, s, disc) == arrival_states
+
+
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_arrival_states_match_reference_on_tie_heavy_streams(disc):
+    # Integer gaps and services, zeros included: arrivals tie with each
+    # other, with service starts and with departures.
+    rng = np.random.default_rng(1900 + DISCIPLINES.index(disc))
+    for _ in range(1000):
+        n, gap, work = rng.integers(1, 60), rng.integers(1, 4), rng.integers(1, 6)
+        t = np.cumsum(rng.integers(0, gap + 1, n)).astype(float)
+        s = rng.integers(0, work + 1, n).astype(float)
+        *_, arrival_states, _, _ = _reference_run(t.tolist(), s.tolist(), None, disc)
+        assert _found_states(t, s, disc) == arrival_states
+
+
+@pytest.mark.parametrize("admission", ["serve-all", "class-only(1)", "class-only(2)"])
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_traced_and_untraced_reports_are_equal(disc, admission):
+    for lam in (0.3, 3.0):
+        sc = Scenario(lam, BinaryValue(0.4, 1.33, 0.5), ClassExponentialService(), LIN3, disc, admission)
+        for n in (1, 2, 50, 5000):
+            cfg = SimConfig(sc, n_packets=n, seed=SEED, sample_voi_every=0.25)
+            traced = simulate(replace(cfg, trace=True))
+            assert repr(simulate(cfg)) == repr(replace(traced, detail=None))
+
+
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_serve_all_run_reads_every_arrival_state_off_the_served_sequence(monkeypatch, disc):
+    # Only arrivals that are not admitted need a lookup over every arrival.
+    calls, found_open = [], sim._found_open
+    monkeypatch.setattr(sim, "_found_open", lambda *args: calls.append(args[-1].size) or found_open(*args))
+    simulate(SimConfig(uniflog(3.0, disc), n_packets=5000, seed=SEED, trace=True))
+    assert calls == []
+    sc = Scenario(3.0, BinaryValue(0.4, 1.33, 0.8), ClassExponentialService(), LIN3, disc, "class-only(1)")
+    rep = simulate(SimConfig(sc, n_packets=5000, seed=SEED, trace=True))
+    dropped = int((~rep.detail["admitted"]).sum())
+    assert calls == [dropped] * (1 if disc == MG11 else 2)
+
+
+def test_untraced_serve_all_run_allocates_no_per_arrival_state_array():
+    # Per arrival: the arrival times, values, services and the areas by
+    # generation index (32 B), and arrays per served packet.  A per-arrival
+    # state array and the cumulated lookup that built it took 73.8 B.
+    n = 200_000
+    cfg = SimConfig(uniflog(3.0, MG12), n_packets=n, seed=SEED)
+    simulate(replace(cfg, n_packets=1000))
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 60
 
 
 @pytest.mark.parametrize("disc", [1, 2])
