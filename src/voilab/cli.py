@@ -38,7 +38,9 @@ preset. There is no mu_independent key: the presets fix the independent
 service rate at 1.5.
 
 Exit codes: 0 success, 2 usage error (also when a run is out of memory: lower
-n_packets), 3 verification failure, 4 numeric failure.
+n_packets), 3 verification failure, 4 numeric failure.  Memory grows with
+n_packets and with --jobs, since each worker holds one simulated row at a
+time.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ after the previous departure: idle; filling the buffer: busy with it empty;
 any other: busy or buffer full), so only arrivals that admission turns away
 are looked up, and the per-arrival states are built only for a trace.
 Sampled VoI sums the alive packets' values on a time grid that is indexed,
-never built.  Identical config and seed give bit-identical reports.
+never built.  An untraced run keeps each per-packet array only until its
+last reader; a trace keeps them all.  Identical config and seed give
+bit-identical reports.
 """
 
 from __future__ import annotations
@@ -110,28 +112,10 @@ def simulate(config: SimConfig) -> SimReport:
     admitted = None if keep_cls is None else (classes == keep_cls)
     # Index only when admission filters: serve-all runs on the whole stream.
     pos = None if admitted is None else np.flatnonzero(admitted)
-    t_adm = t_gen if pos is None else t_gen[pos]
     disc = {MG11: 0, MG12: 1}.get(sc.discipline, 2)
-    s_adm = services if pos is None else services[pos]
-    served, d_t = _serve_bufferless(t_adm, s_adm) if disc == 0 else _serve(t_adm, s_adm, disc)
+    served, d_t = _serve_admitted(t_gen, services, pos, disc)
     d_idx = served if pos is None else pos[served]
     elapsed = float(max(t_gen[-1], d_t[-1]) if d_t.size else t_gen[-1])
-
-    # Packets leave in service order, so each starts service at its generation
-    # time or at the previous departure, whichever is later.  System time is
-    # wait + service, so a packet served on arrival gets exactly ``s`` and one
-    # whose service reaches the deadline never keeps a rounding-sized area.
-    # Without a buffer only arrivals after the previous departure are served,
-    # so every wait is exactly 0.0.
-    gen = t_gen[d_idx]
-    if disc == 0:
-        start, t_sys = gen, services[d_idx]
-    else:
-        start = gen.copy()
-        np.maximum(gen[1:], d_t[:-1], out=start[1:])
-        t_sys = (start - gen) + services[d_idx]
-    q = q_area_batch(sc.descend, values[d_idx], t_sys)
-    n_expired = int(np.count_nonzero(t_sys >= sc.descend.deadline))
 
     # One batch partition by generation index for every batch-means error;
     # renewal-reward batching assigns each packet's area to the batch of its
@@ -140,24 +124,39 @@ def simulate(config: SimConfig) -> SimReport:
     edges_t = np.concatenate(([0.0], t_gen[edges_idx], [elapsed]))
     spans = np.diff(edges_t)
 
-    q_full = np.zeros(n)
-    q_full[d_idx] = q
-    batch_sums = np.add.reduceat(q_full, np.concatenate(([0], edges_idx)))
+    # A trace keeps every array it reports; an untraced run holds each
+    # per-packet array only until its last reader, so the VoI, age and
+    # arrival-state passes run in turn and none holds another's arrays.
+    detail = None
+    if config.trace:
+        detail = {"t_gen": t_gen, "values": values, "classes": classes, "services": services, "admitted": admitted}
+    t_sys, v_d = services[d_idx], values[d_idx]
+    del values, classes, services
+    gen = t_gen[d_idx]
+    busy_at = _add_waits(t_sys, gen, d_t, disc, edges_t, detail)
+    step = config.sample_voi_every
+    sampled = None if step is None else _sampled_voi_mean(sc.descend, gen, v_d, d_t, t_sys, elapsed, step)
+    q = q_area_batch(sc.descend, v_d, t_sys)
+    n_expired = int(np.count_nonzero(t_sys >= sc.descend.deadline))
+    batch_sums = _voi_batch_sums(q, d_idx, n, edges_idx)
     avg_voi = float(q.sum() / elapsed)
-
+    if detail is not None:
+        detail.update(system_times=t_sys, q_areas=q)
+    del v_d, t_sys, q
     avg_aoi, age_batches, e_age = _age_statistics(gen, d_t, elapsed, edges_t)
+    del gen
 
-    # Time busy cumulated up to each batch edge.  The buffer of a served
-    # packet is filled from the first admitted arrival after its service
-    # starts, if that comes by its departure, until the departure.
-    busy_at = _covered(start, d_t, edges_t)
+    # A served packet's buffer is filled from the first admitted arrival after
+    # its service starts, if that comes by its departure, until the departure.
+    t_adm = t_gen if pos is None else t_gen[pos]
     idle, filled, fill = _arrival_states(t_adm, served, d_t, disc)
     if fill is None:
         fills = np.zeros(d_t.size, dtype=bool)
         full_at = np.zeros_like(edges_t)
     else:
         t_next, fills = fill
-        full_at = _covered(np.where(fills, t_next, d_t), d_t, edges_t)
+        np.copyto(t_next, d_t, where=~fills)
+        full_at = _covered(t_next, d_t, edges_t)
     # Every admitted arrival that finds the server neither idle nor with an
     # empty buffer finds it busy (no buffer) or the buffer full.
     rest = 1 if disc == 0 else 2
@@ -182,35 +181,15 @@ def simulate(config: SimConfig) -> SimReport:
     stderr_aoi = math.ldexp(stderr_age, 2 * e_age)
     arrival_seen = tuple((counts / n).tolist())
 
-    sampled = None
-    if config.sample_voi_every is not None:
-        sampled = _sampled_voi_mean(
-            sc.descend, t_gen, values, d_idx, d_t, t_sys, elapsed, config.sample_voi_every
-        )
-
-    detail = None
-    if config.trace:
+    if detail is not None:
         seen = np.full(n, rest, dtype=np.int64)
         if pos is None:
             seen[idle], seen[filled] = 0, 1
         else:
             seen[pos[idle]], seen[pos[filled]], seen[dropped] = 0, 1, found
-        detail = {
-            "t_gen": t_gen,
-            "values": values,
-            "classes": classes,
-            "services": services,
-            "admitted": admitted,
-            "delivered_ids": d_idx,
-            "delivered_times": d_t,
-            "system_times": t_sys,
-            "q_areas": q,
-            "service_start_times": start,
-            # State each arrival finds, and state at each completion just
-            # before it (1 busy, 2 busy with a full buffer).
-            "arrival_states": seen,
-            "completion_states": 1 + fills,
-        }
+        # State each arrival finds, and state at each completion just before
+        # it (1 busy, 2 busy with a full buffer).
+        detail.update(delivered_ids=d_idx, delivered_times=d_t, arrival_states=seen, completion_states=1 + fills)
 
     return SimReport(
         n_generated=n,
@@ -231,6 +210,13 @@ def simulate(config: SimConfig) -> SimReport:
     )
 
 
+def _serve_admitted(t_gen, services, pos, disc):
+    """The server over the admitted arrivals (``pos``; None: all), whose copies die with the call."""
+    t_adm = t_gen if pos is None else t_gen[pos]
+    s_adm = services if pos is None else services[pos]
+    return _serve_bufferless(t_adm, s_adm) if disc == 0 else _serve(t_adm, s_adm, disc)
+
+
 def _serve_bufferless(t_arr, s_arr):
     """Positions served without a buffer, in service order, and their departure times.
 
@@ -243,14 +229,15 @@ def _serve_bufferless(t_arr, s_arr):
     pass over every arrival.
     """
     n = t_arr.size
-    end = t_arr + s_arr
-    jump = np.append(np.searchsorted(t_arr, end, side="right"), n)
+    jump = np.empty(n + 1, dtype=np.int64)
+    jump[:n], jump[n] = np.searchsorted(t_arr, t_arr + s_arr, side="right"), n
     path = np.zeros(min(n, 1), dtype=np.int64)
     while path.size and path[-1] < n:
         path = np.concatenate((path, jump[path]))
         jump = jump[jump]
+    del jump
     path = path[: np.searchsorted(path, n)]
-    return path, end[path]
+    return path, t_arr[path] + s_arr[path]
 
 
 def _serve(t_arr, s_arr, disc):
@@ -336,14 +323,44 @@ def _found_open(first_ids, ends, t_gen, at):
     return np.concatenate(([-np.inf], ends))[opened[at]] >= t_gen[at]
 
 
+def _add_waits(t_sys, gen, d_t, disc, edges_t, detail):
+    """Add the waits to the service times ``t_sys`` in place; return the busy time up to each batch edge.
+
+    Packets leave in service order, so each starts service at its generation
+    time or at the previous departure, whichever is later.  System time is
+    wait + service, so a packet served on arrival gets exactly ``s`` and one
+    whose service reaches the deadline never keeps a rounding-sized area.
+    Without a buffer only arrivals after the previous departure are served,
+    so every wait is exactly 0.0.
+    """
+    if disc == 0:
+        start = gen
+    else:
+        start = gen.copy()
+        np.maximum(gen[1:], d_t[:-1], out=start[1:])
+        t_sys += start - gen
+    if detail is not None:
+        detail["service_start_times"] = start
+    return _covered(start, d_t, edges_t)
+
+
 def _covered(lo, hi, x):
     """Length of the disjoint sorted intervals [lo, hi] that lies below each ``x >= 0``."""
-    # Columns k = 0..m: the total length and the end of the first k intervals.
-    cum, top = np.zeros((2, lo.size + 1))
+    # cum[k], k = 0..m: the total length of the first k intervals, of which
+    # the k-th (ending at hi[k - 1]) may reach past x.
+    cum = np.zeros(lo.size + 1)
     np.cumsum(np.subtract(hi, lo, out=cum[1:]), out=cum[1:])
-    top[1:] = hi
     k = np.searchsorted(lo, x, side="right")
-    return cum[k] - np.maximum(top[k] - x, 0.0)
+    over = np.maximum(hi[k - 1] - x, 0.0) if hi.size else 0.0
+    return cum[k] - np.where(k > 0, over, 0.0)
+
+
+def _voi_batch_sums(q, d_idx, n, edges_idx):
+    """VoI area of each batch, over all n generation indices: ``reduceat`` sums
+    pairwise, so the zeros of undelivered packets fix its rounding."""
+    q_full = np.zeros(n)
+    q_full[d_idx] = q
+    return np.add.reduceat(q_full, np.concatenate(([0], edges_idx)))
 
 
 def _batch_stderrs(batch_totals: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -376,25 +393,24 @@ def _age_statistics(gen, d_t, elapsed, edges_t):
     # squares cannot overflow; the age integral scales back by 4^e.
     e = math.frexp(elapsed)[1]
     # Segment k runs from reset time r_k to the next (or the end) with age
-    # t - u_k.  Rows: r then the end, u, the integral up to r_k, (r_k - u_k)^2.
-    ru, u, cum, sq = np.zeros((4, d_t.size + 2))
+    # t - u_k.  Three buffers, each can reuse a freed per-packet array: r then
+    # the end, u (read at the batch edges x, then (r_k - u_k)^2), the integral.
+    ru, u, cum = (np.zeros(d_t.size + 2) for _ in range(3))
     end = ru[-1] = math.ldexp(elapsed, -e)
     np.ldexp(d_t, -e, out=ru[1:-1])
     np.ldexp(gen, -e, out=u[1:-1])
-    r, u, sq = ru[:-1], u[:-1], sq[:-1]
+    r, u = ru[:-1], u[:-1]
+    x = np.ldexp(edges_t, -e)
+    k = np.clip(np.searchsorted(r, x, side="right") - 1, 0, r.size - 1)
+    u_k = u[k]
     seg = np.square(np.subtract(ru[1:], u, out=cum[1:]), out=cum[1:])
-    np.square(np.subtract(r, u, out=sq), out=sq)
+    sq = np.square(np.subtract(r, u, out=u), out=u)
     np.cumsum(np.multiply(np.subtract(seg, sq, out=seg), 0.5, out=seg), out=seg)
-
-    def age_integral_at(x):
-        k = np.clip(np.searchsorted(r, x, side="right") - 1, 0, r.size - 1)
-        return cum[k] + 0.5 * ((x - u[k]) ** 2 - sq[k])
-
-    at_edges = age_integral_at(np.ldexp(edges_t, -e))
+    at_edges = cum[k] + 0.5 * ((x - u_k) ** 2 - sq[k])
     return math.ldexp(float(at_edges[-1]) / end, e), np.diff(at_edges), e
 
 
-def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):
+def _sampled_voi_mean(descend, gen, v_d, d_t, t_sys, elapsed, step):
     """Mean of instantaneous VoI sampled on the grid 0, step, 2 step, ... < elapsed.
 
     VoI is additive: at each sample it is the sum of the current values of
@@ -413,8 +429,7 @@ def _sampled_voi_mean(descend, t_gen, values, d_idx, d_t, t_sys, elapsed, step):
     """
     n_s = _grid_length(elapsed, step)
     alive = t_sys < descend.deadline
-    gen = t_gen[d_idx][alive]
-    v0 = values[d_idx][alive]
+    gen, v0 = gen[alive], v_d[alive]
     lo = _samples_below(d_t[alive], step, n_s)
     hi = _samples_below(gen + descend.deadline, step, n_s)
     runs = np.maximum(hi - lo, 0)

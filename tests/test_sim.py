@@ -586,11 +586,27 @@ def test_arrival_states_match_reference_on_tie_heavy_streams(disc):
         assert _found_states(t, s, disc) == arrival_states
 
 
-@pytest.mark.parametrize("admission", ["serve-all", "class-only(1)", "class-only(2)"])
+def _binary(admission):
+    return lambda lam, disc: Scenario(lam, BinaryValue(0.4, 1.33, 0.5), ClassExponentialService(), LIN3, disc, admission)
+
+
+# An untraced run drops the drawn values and services once the delivered
+# packets' are gathered, a traced run keeps them: both paths on every family.
+_TRACE_FAMILIES = {
+    "serve-all": _binary("serve-all"),
+    "class-only(1)": _binary("class-only(1)"),
+    "class-only(2)": _binary("class-only(2)"),
+    "uniform-log": uniflog,
+    "exp-identity": lambda lam, disc: Scenario(lam, ExponentialValue(1.5), DependentService("identity"), LIN3, disc),
+    "uniform-log-power-convex": lambda lam, disc: replace(uniflog(lam, disc), descend=_DECAYS[1]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_TRACE_FAMILIES))
 @pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
-def test_traced_and_untraced_reports_are_equal(disc, admission):
+def test_traced_and_untraced_reports_are_equal(disc, family):
     for lam in (0.3, 3.0):
-        sc = Scenario(lam, BinaryValue(0.4, 1.33, 0.5), ClassExponentialService(), LIN3, disc, admission)
+        sc = _TRACE_FAMILIES[family](lam, disc)
         for n in (1, 2, 50, 5000):
             cfg = SimConfig(sc, n_packets=n, seed=SEED, sample_voi_every=0.25)
             traced = simulate(replace(cfg, trace=True))
@@ -610,12 +626,25 @@ def test_serve_all_run_reads_every_arrival_state_off_the_served_sequence(monkeyp
     assert calls == [dropped] * (1 if disc == MG11 else 2)
 
 
-def test_untraced_serve_all_run_allocates_no_per_arrival_state_array():
-    # Per arrival: the arrival times, values, services and the areas by
-    # generation index (32 B), and arrays per served packet.  A per-arrival
-    # state array and the cumulated lookup that built it took 73.8 B.
+_CLASS_ONE = Scenario(1.0, BinaryValue(0.4, 1.33, 0.8), ClassExponentialService(), LIN3, MG11, "class-only(1)")
+
+
+@pytest.mark.parametrize("lam", [0.1, 3.0])
+@pytest.mark.parametrize("family", ["uniform-log", "class-only(1)"])
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_untraced_serve_all_run_allocates_no_per_arrival_state_array(disc, family, lam):
+    # Per arrival a run holds the arrival times (8 B), under class-only
+    # admission the admitted mark and positions (9 B), and the drawn values
+    # and services only until the delivered packets' ones are gathered.  Per
+    # delivered packet it holds the served positions and departures, and the
+    # generation times, values, system times and areas each only until its
+    # last reader; the age statistics take three buffers once the values,
+    # system times and areas are gone.  Holding every array to the end peaked
+    # at 95-131 B per arrival at lam = 0.1, and a per-arrival state array with
+    # the lookup that built it took 73.8 B at lam = 3.
     n = 200_000
-    cfg = SimConfig(uniflog(3.0, MG12), n_packets=n, seed=SEED)
+    base = uniflog() if family == "uniform-log" else _CLASS_ONE
+    cfg = SimConfig(replace(base, lam=lam, discipline=disc), n_packets=n, seed=SEED)
     simulate(replace(cfg, n_packets=1000))
     tracemalloc.start()
     try:
@@ -623,7 +652,7 @@ def test_untraced_serve_all_run_allocates_no_per_arrival_state_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n < 60
+    assert peak / n < (60 if (disc, family, lam) == (MG12, "uniform-log", 3.0) else 80)
 
 
 @pytest.mark.parametrize("disc", [1, 2])
