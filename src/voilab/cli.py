@@ -38,9 +38,10 @@ preset. There is no mu_independent key: the presets fix the independent
 service rate at 1.5.
 
 Exit codes: 0 success, 2 usage error (also when a run is out of memory: lower
-n_packets), 3 verification failure, 4 numeric failure.  Memory grows with
-n_packets and with --jobs, since each worker holds one simulated row at a
-time.
+n_packets), 3 verification failure, 4 numeric failure (also when a number a
+row would write is not finite, so no cell holds inf or nan; the message names
+the row).  Memory grows with n_packets and with --jobs, since each worker
+holds one simulated row at a time.
 """
 
 from __future__ import annotations
@@ -353,37 +354,43 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _run_row(task: tuple) -> dict[str, str]:
+    """One CSV row.  A number that is not finite is a numeric failure rather
+    than an inf or nan cell, and every numeric failure names its row."""
     lam, label, scenario, engine, n_packets, seed = task
     sc = replace(scenario, lam=lam)
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update({"lambda": _fmt(lam), "discipline": sc.discipline, "policy": label, "engine": engine, "seed": str(seed)})
     start = time.perf_counter()
-    if engine == "simulate":
-        rep = simulate(SimConfig(sc, n_packets=n_packets, seed=seed))
-        row.update(
-            avg_voi=_fmt(rep.avg_voi),
-            avg_aoi=_fmt(rep.avg_aoi),
-            stderr=_fmt(rep.stderr_voi),
-            p_idle=_fmt(rep.occupancy[0]),
-            p_busy1=_fmt(rep.occupancy[1]),
-            p_busy2=_fmt(rep.occupancy[2]),
-        )
+    try:
+        numbers = _row_numbers(sc, engine, n_packets, seed)
+        for column, x in (numbers or {}).items():
+            if not math.isfinite(x):
+                raise ArithmeticError(f"{column} is {x}")
+    except ArithmeticError as exc:
+        # A suffix, so the message still starts with what went wrong.
+        exc.args = (f"{exc} (row lambda = {row['lambda']}, {sc.discipline}, {label}, {engine})",)
+        raise
+    if numbers is None:
+        row["avg_voi"] = "unsupported"
     else:
-        try:
-            rep = analyze(sc) if engine == "analytic" else closed_form_report(sc)
-        except UnsupportedAnalyticsError:
-            rep = None
-        if rep is None:
-            row["avg_voi"] = "unsupported"
-        else:
-            row.update(
-                avg_voi=_fmt(rep.avg_voi),
-                p_idle=_fmt(rep.p_idle),
-                p_busy1=_fmt(rep.p_busy1),
-                p_busy2=_fmt(rep.p_busy2),
-            )
+        row.update((column, _fmt(x)) for column, x in numbers.items())
     row["runtime_ms"] = str(int((time.perf_counter() - start) * 1000.0))
     return row
+
+
+def _row_numbers(sc: Scenario, engine: str, n_packets: int, seed: int) -> dict[str, float] | None:
+    """The numeric cells of one row; None where the engine does not cover the scenario."""
+    if engine == "simulate":
+        rep = simulate(SimConfig(sc, n_packets=n_packets, seed=seed))
+        p_idle, p_busy1, p_busy2 = rep.occupancy
+        return dict(
+            avg_voi=rep.avg_voi, avg_aoi=rep.avg_aoi, stderr=rep.stderr_voi, p_idle=p_idle, p_busy1=p_busy1, p_busy2=p_busy2
+        )
+    try:
+        rep = analyze(sc) if engine == "analytic" else closed_form_report(sc)
+    except UnsupportedAnalyticsError:
+        rep = None
+    return None if rep is None else dict(avg_voi=rep.avg_voi, p_idle=rep.p_idle, p_busy1=rep.p_busy1, p_busy2=rep.p_busy2)
 
 
 def worker_count(jobs: int, n_tasks: int) -> int:

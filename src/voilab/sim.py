@@ -10,10 +10,6 @@ writes each departure at its packet's arrival position.  VoI, age, state
 occupancies and their batch-means standard errors all follow from those
 service intervals, as array operations over the whole run; the five
 standard errors are one row-wise reduction over a stack of batch totals.
-The state an admitted arrival finds is read off the served sequence (served
-after the previous departure: idle; filling the buffer: busy with it empty;
-any other: busy or buffer full), so only arrivals that admission turns away
-are looked up, and the per-arrival states are built only for a trace.
 Sampled VoI sums the alive packets' values on a time grid that is indexed,
 never built.  An untraced run keeps each per-packet array only until its
 last reader; a trace keeps them all.  Identical config and seed give
@@ -73,17 +69,31 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
+    """What one seeded run of n_generated arrivals estimates, as time averages
+    over [0, elapsed], elapsed the later of the last arrival and departure:
+
+    avg_voi           the delivered packets' value areas over elapsed
+    avg_aoi           the age at the receiver
+    occupancy         the time fractions p_idle, p_busy1 (busy with the
+                      buffer empty, or no buffer) and p_busy2 (buffer full)
+    sampled_voi_mean  the instantaneous VoI on the grid 0, step, ... < elapsed
+    n_expired         deliveries with system time >= deadline, worth zero
+
+    stderr_voi, stderr_aoi and occupancy_stderr are batch-means errors over
+    n_batches batches of consecutive generation indices; a packet's area
+    counts in the batch of its generation.
+    """
+
     n_generated: int
     n_delivered: int
-    n_expired: int    # delivered with system time >= deadline, i.e. worth zero on reception
+    n_expired: int
     elapsed: float
     avg_voi: float
     stderr_voi: float
     avg_aoi: float
     stderr_aoi: float
-    occupancy: tuple[float, float, float]          # time fractions of I, B1, B2
+    occupancy: tuple[float, float, float]
     occupancy_stderr: tuple[float, float, float]
-    arrival_seen: tuple[float, float, float]       # state fractions seen by arrivals
     sampled_voi_mean: Optional[float]
     seed: int
     n_batches: int
@@ -126,7 +136,7 @@ def simulate(config: SimConfig) -> SimReport:
 
     # A trace keeps every array it reports; an untraced run holds each
     # per-packet array only until its last reader, so the VoI, age and
-    # arrival-state passes run in turn and none holds another's arrays.
+    # buffer passes run in turn and none holds another's arrays.
     detail = None
     if config.trace:
         detail = {"t_gen": t_gen, "values": values, "classes": classes, "services": services, "admitted": admitted}
@@ -148,29 +158,13 @@ def simulate(config: SimConfig) -> SimReport:
 
     # A served packet's buffer is filled from the first admitted arrival after
     # its service starts, if that comes by its departure, until the departure.
-    t_adm = t_gen if pos is None else t_gen[pos]
-    idle, filled, fill = _arrival_states(t_adm, served, d_t, disc)
-    if fill is None:
+    if disc == 0:
         fills = np.zeros(d_t.size, dtype=bool)
         full_at = np.zeros_like(edges_t)
     else:
-        t_next, fills = fill
+        t_next, fills = _buffer_fills(t_gen if pos is None else t_gen[pos], served, d_t, disc)[1:]
         np.copyto(t_next, d_t, where=~fills)
         full_at = _covered(t_next, d_t, edges_t)
-    # Every admitted arrival that finds the server neither idle nor with an
-    # empty buffer finds it busy (no buffer) or the buffer full.
-    rest = 1 if disc == 0 else 2
-    counts = np.array([idle.size, filled.size, 0])
-    counts[rest] += t_adm.size - idle.size - filled.size
-    if pos is not None:
-        # An arrival that is not admitted finds the server busy while an
-        # earlier admitted packet has not left, and the buffer full while the
-        # service during which an earlier arrival filled it has not ended.
-        dropped = np.flatnonzero(~admitted)
-        found = _found_open(d_idx, d_t, t_gen, dropped).astype(np.int64)
-        if fill is not None:
-            found += _found_open(pos[filled], d_t[fills], t_gen, dropped)
-        counts += np.bincount(found, minlength=3)
     # Time spent idle, busy with an empty buffer and busy with a full buffer.
     occ_at = np.stack((edges_t - busy_at, busy_at - full_at, full_at))
     occupancy = tuple((occ_at[:, -1] / elapsed).tolist())
@@ -179,17 +173,10 @@ def simulate(config: SimConfig) -> SimReport:
     errors = _batch_stderrs(np.vstack((batch_sums, age_batches, np.diff(occ_at, axis=1))), spans)
     stderr_voi, stderr_age, *occupancy_stderr = errors.tolist()
     stderr_aoi = math.ldexp(stderr_age, 2 * e_age)
-    arrival_seen = tuple((counts / n).tolist())
 
     if detail is not None:
-        seen = np.full(n, rest, dtype=np.int64)
-        if pos is None:
-            seen[idle], seen[filled] = 0, 1
-        else:
-            seen[pos[idle]], seen[pos[filled]], seen[dropped] = 0, 1, found
-        # State each arrival finds, and state at each completion just before
-        # it (1 busy, 2 busy with a full buffer).
-        detail.update(delivered_ids=d_idx, delivered_times=d_t, arrival_states=seen, completion_states=1 + fills)
+        # State at each completion just before it (1 busy, 2 busy with a full buffer).
+        detail.update(delivered_ids=d_idx, delivered_times=d_t, completion_states=1 + fills)
 
     return SimReport(
         n_generated=n,
@@ -202,7 +189,6 @@ def simulate(config: SimConfig) -> SimReport:
         stderr_aoi=stderr_aoi,
         occupancy=occupancy,
         occupancy_stderr=tuple(occupancy_stderr),
-        arrival_seen=arrival_seen,
         sampled_voi_mean=sampled,
         seed=config.seed,
         n_batches=n_batches,
@@ -223,20 +209,24 @@ def _serve_bufferless(t_arr, s_arr):
     Once arrival i is served, the next one served is ``jump[i]``, the first
     arrival after i departs (an arrival at that instant still finds the
     server busy), so ``jump[i] > i``.  The served positions are the orbit of
-    0 under ``jump`` up to the sentinel ``jump[n] = n``.  Each round appends
-    ``jump[path]`` to the known prefix ``path`` of the orbit, doubling it,
-    and squares the map, so ⌈log2(served + 1)⌉ rounds of gathers replace a
-    pass over every arrival.
+    0 under ``jump`` up to the sentinel ``jump[n] = n``, which it reaches
+    within n + 1 steps.  Each round writes ``jump[path]`` after the known
+    prefix ``path`` of the orbit, doubling it, and squares the map until the
+    orbit reaches n, so ⌈log2(served + 1)⌉ rounds of gathers replace a pass
+    over every arrival.
     """
     n = t_arr.size
     jump = np.empty(n + 1, dtype=np.int64)
     jump[:n], jump[n] = np.searchsorted(t_arr, t_arr + s_arr, side="right"), n
-    path = np.zeros(min(n, 1), dtype=np.int64)
-    while path.size and path[-1] < n:
-        path = np.concatenate((path, jump[path]))
-        jump = jump[jump]
+    path, k = np.zeros(n + 1, dtype=np.int64), 1
+    while path[k - 1] < n:
+        if k > 1:
+            jump = jump[jump]
+        # Every index is in range, and "clip" writes out without a temporary.
+        np.take(jump, path[: min(k, n + 1 - k)], out=path[k : 2 * k], mode="clip")
+        k = min(2 * k, n + 1)
     del jump
-    path = path[: np.searchsorted(path, n)]
+    path = path[: np.searchsorted(path[:k], n)].copy()
     return path, t_arr[path] + s_arr[path]
 
 
@@ -289,38 +279,6 @@ def _buffer_fills(t_arr, served, d_t, disc):
     first = np.append(served, n)[1:] if disc == 1 else served + 1
     t_next = np.where(first < n, t_arr[np.minimum(first, n - 1)], np.inf)
     return first, t_next, t_next <= d_t
-
-
-def _arrival_states(t_arr, served, d_t, disc):
-    """The admitted positions that find the server idle and those that find
-    it busy with an empty buffer, and the buffer fills (``_buffer_fills``'s
-    ``t_next`` and ``fills``; None without a buffer).  Every other admitted arrival finds the server
-    busy (no buffer) or the buffer full.
-
-    An arrival that finds the server idle is served at once, and a served
-    packet that waited arrived by the previous departure; so the idle
-    arrivals are the served positions strictly after the previous departure
-    (all of them without a buffer, position 0 always).  An arrival that finds
-    the buffer empty fills it, so those are the fills' first arrivals.
-    """
-    if disc == 0:
-        return served, served[:0], None
-    after = np.ones(served.size, dtype=bool)
-    np.greater(t_arr[served[1:]], d_t[:-1], out=after[1:])
-    first, t_next, fills = _buffer_fills(t_arr, served, d_t, disc)
-    return served[after], first[fills], (t_next, fills)
-
-
-def _found_open(first_ids, ends, t_gen, at):
-    """Whether each arrival in ``at`` comes after some arrival ``first_ids[k]``
-    and no later than ``ends[k]`` (both increasing, so the last k with
-    ``first_ids[k] < i`` decides; arrivals precede departures at equal times).
-    Only arrivals that are not admitted need it: ``_arrival_states`` reads
-    the admitted ones off the served sequence."""
-    opened = np.zeros(t_gen.size + 1, dtype=np.int64)
-    opened[first_ids + 1] = 1
-    np.cumsum(opened, out=opened)  # opened[i]: intervals opened before arrival i
-    return np.concatenate(([-np.inf], ends))[opened[at]] >= t_gen[at]
 
 
 def _add_waits(t_sys, gen, d_t, disc, edges_t, detail):
@@ -430,11 +388,12 @@ def _sampled_voi_mean(descend, gen, v_d, d_t, t_sys, elapsed, step):
     n_s = _grid_length(elapsed, step)
     alive = t_sys < descend.deadline
     gen, v0 = gen[alive], v_d[alive]
-    lo = _samples_below(d_t[alive], step, n_s)
+    # starts holds each run's first sample, then its length, then its first pair.
+    starts = _samples_below(d_t[alive], step, n_s)
     hi = _samples_below(gen + descend.deadline, step, n_s)
-    runs = np.maximum(hi - lo, 0)
-    ends = np.cumsum(runs)
-    starts = ends - runs
+    np.maximum(np.subtract(hi, starts, out=starts), 0, out=starts)
+    ends = np.cumsum(starts)
+    np.subtract(ends, starts, out=starts)
     n_pairs = int(ends[-1]) if ends.size else 0
     total = 0.0
     for first in range(0, n_pairs, _SAMPLE_PAIRS_PER_BLOCK):

@@ -415,6 +415,46 @@ def test_arrival_time_overflow_is_a_numeric_failure(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+# The true VoI exceeds DBL_MAX: every discipline's value areas sum to inf and
+# their batch errors to nan.
+_HUGE_VOI = (
+    "lambda_grid = 452\n"
+    "engines = simulate\n"
+    "n_packets = 20000\n"
+    "scenario.value_dist = uniform(34.7,3.47e101)\n"
+    "scenario.service = dependent-log-shift(3478)\n"
+    "scenario.descend = linear(3.4e266)\n"
+    "scenario.discipline = M/GI/1/1,M/GI/1/2,M/GI/1/2*\n"
+)
+
+
+def test_non_finite_row_is_a_numeric_failure_naming_the_row(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(_HUGE_VOI)
+    out = tmp_path / "out.csv"
+    # The overflow warns in the serial run; pool workers warn in their own
+    # processes.
+    with pytest.warns(RuntimeWarning):
+        codes = [main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) for jobs in ("1", "2")]
+    assert codes == [4, 4]
+    err = capsys.readouterr().err.splitlines()
+    failures = [line for line in err if line.startswith("numeric failure: ")]
+    want = "numeric failure: avg_voi is inf (row lambda = 452, M/GI/1/1, serve-all, simulate)"
+    assert failures == [want, want]
+    assert not out.exists()
+
+
+def test_numeric_failure_in_a_row_names_the_row(tmp_path, monkeypatch, capsys):
+    def divide_by_zero(config):
+        return 1.0 / 0.0
+
+    monkeypatch.setattr(cli, "simulate", divide_by_zero)
+    assert _run_config(tmp_path, "preset = uniform-log\nengines = simulate\nlambda_grid = 0.5\n") == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numeric failure: float division by zero (row lambda = 0.5, M/GI/1/1, serve-all, simulate)"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_preset_list_names_every_preset(capsys):
     assert main(["preset", "list"]) == 0
     lines = capsys.readouterr().out.splitlines()
