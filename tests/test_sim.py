@@ -15,6 +15,7 @@ from voilab.model import (
     ClassExponentialService,
     DependentService,
     DescendFunction,
+    DISCIPLINES,
     ExponentialValue,
     IndependentDeterministicService,
     IndependentExponentialService,
@@ -148,6 +149,19 @@ def test_mm12_average_voi_and_buffer_occupancy(mm12_run):
     assert _z(mm12_run.avg_voi, cf.avg_voi, mm12_run.stderr_voi) <= 3.0
     assert _z(mm12_run.occupancy[2], cf.p_busy2, mm12_run.occupancy_stderr[2]) <= 3.0
     assert _z(mm12_run.occupancy[0], cf.p_idle, mm12_run.occupancy_stderr[0]) <= 3.0
+
+
+def test_pasta_arrivals_see_time_averages(uniflog_mg12_trace):
+    # Poisson arrivals see time averages: the states the arrivals find, read
+    # off the traced served sequence, estimate the occupancy.
+    d = uniflog_mg12_trace.detail
+    n = uniflog_mg12_trace.n_generated
+    found = _states_off_served(d["t_gen"], d["delivered_ids"], d["delivered_times"], 1)
+    seen = np.bincount(found, minlength=3) / n
+    for k in range(3):
+        se_seen = math.sqrt(max(seen[k] * (1.0 - seen[k]), 1e-12) / n)
+        se = math.hypot(se_seen, uniflog_mg12_trace.occupancy_stderr[k])
+        assert _z(seen[k], uniflog_mg12_trace.occupancy[k], se) <= 3.0
 
 
 def test_occupancy_matches_renewal_prediction_deterministic_service():
@@ -369,18 +383,19 @@ def test_event_trace_shape_and_rendering():
 def _reference_run(t_gen, services, admitted, discipline):
     """Replay arrivals and completions one event at a time.
 
-    Returns the delivered ids and times, the state at each completion
-    (before it) and a timeline of (time, state after the event).  States:
-    0 idle, 1 busy, 2 busy with a full buffer.  An arrival at a completion
-    instant is handled first.
+    Returns the delivered ids and times, the state each arrival finds, the
+    state at each completion (before it) and a timeline of (time, state after
+    the event).  States: 0 idle, 1 busy, 2 busy with a full buffer.  An
+    arrival at a completion instant is handled first.
     """
-    ids, times, completion_states, timeline = [], [], [], [(0.0, 0)]
+    ids, times, arrival_states, completion_states, timeline = [], [], [], [], [(0.0, 0)]
     in_service, done, buffer = None, math.inf, None
     i = 0
     while i < len(t_gen) or in_service is not None:
         state = (in_service is not None) + (buffer is not None)
         if i < len(t_gen) and t_gen[i] <= done:
             t = t_gen[i]
+            arrival_states.append(state)
             if admitted is None or admitted[i]:
                 if in_service is None:
                     in_service, done = i, t + services[i]
@@ -395,7 +410,7 @@ def _reference_run(t_gen, services, admitted, discipline):
             in_service, buffer = buffer, None
             done = math.inf if in_service is None else t + services[in_service]
         timeline.append((t, (in_service is not None) + (buffer is not None)))
-    return ids, times, completion_states, timeline
+    return ids, times, arrival_states, completion_states, timeline
 
 
 def _state_time(timeline, a, b):
@@ -411,7 +426,7 @@ def _check_against_reference(cfg):
     d = rep.detail
     n, nb = rep.n_generated, rep.n_batches
     admitted = None if d["admitted"] is None else d["admitted"].tolist()
-    ids, times, completion_states, timeline = _reference_run(
+    ids, times, _, completion_states, timeline = _reference_run(
         d["t_gen"].tolist(), d["services"].tolist(), admitted, cfg.scenario.discipline
     )
     assert d["delivered_ids"].tolist() == ids
@@ -531,6 +546,50 @@ def test_buffer_fills_match_a_search_of_every_departure(disc):
         first, t_next, fills = _buffer_fills(t, served, departs, disc)
         assert first.tolist() == _searched_fills(t, served, departs).tolist()
         assert fills.tolist() == [f < n and t[f] <= d for f, d in zip(first, departs)]
+
+
+def _states_off_served(t, served, departs, code):
+    """The state each arrival of an admitted stream finds (0 idle, 1 busy,
+    2 full buffer), read off the served sequence.  An arrival served strictly
+    after the previous departure found the server idle; the first arrival of
+    each buffer fill found it busy with an empty buffer; every other arrival
+    found it busy (no buffer) or the buffer full."""
+    idle = np.ones(served.size, dtype=bool)
+    np.greater(t[served[1:]], departs[:-1], out=idle[1:])
+    seen = np.full(t.size, 1 if code == 0 else 2)
+    if code != 0:
+        first, _, fills = _buffer_fills(t, served, departs, code)
+        assert np.intersect1d(served[idle], first[fills]).size == 0
+        seen[first[fills]] = 1
+    seen[served[idle]] = 0
+    return seen
+
+
+def _found_states(t, s, disc):
+    code = {MG11: 0, MG12: 1, MG12_STAR: 2}[disc]
+    served, departs = _serve_bufferless(t, s) if code == 0 else _serve(t, s, code)
+    return _states_off_served(t, served, departs, code).tolist()
+
+
+@pytest.mark.parametrize("stream", sorted(_STREAMS))
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_arrival_states_match_event_by_event_reference(stream, disc):
+    t, s = _STREAMS[stream]
+    *_, arrival_states, _, _ = _reference_run(t.tolist(), s.tolist(), None, disc)
+    assert _found_states(t, s, disc) == arrival_states
+
+
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_arrival_states_match_reference_on_tie_heavy_streams(disc):
+    # Integer gaps and services, zeros included: arrivals tie with each
+    # other, with service starts and with departures.
+    rng = np.random.default_rng(1900 + DISCIPLINES.index(disc))
+    for _ in range(1000):
+        n, gap, work = rng.integers(1, 60), rng.integers(1, 4), rng.integers(1, 6)
+        t = np.cumsum(rng.integers(0, gap + 1, n)).astype(float)
+        s = rng.integers(0, work + 1, n).astype(float)
+        *_, arrival_states, _, _ = _reference_run(t.tolist(), s.tolist(), None, disc)
+        assert _found_states(t, s, disc) == arrival_states
 
 
 def _binary(admission):
