@@ -335,19 +335,20 @@ class Scenario:
 # ``service_law`` writes the joint law of an admitted packet's value V and
 # service time S once, as weighted components, each carrying the value it
 # pays (the value distribution itself when S = g(V)).  Each provides the
-# seven members ``analyze`` uses: its kinks (where its integrands bend);
-# mean(), mgf(lam) and one_minus_mgf(lam); ccdf(w) = P[S > w];
+# seven members ``analyze`` uses: its kinks (where its integrands bend, or
+# where the pieces around its exponential layer end); mean(), mgf(lam) and
+# one_minus_mgf(lam); ccdf(w) = P[S > w];
 # expect_value_kappa(d, kappa, spec) = E[V kappa(d - S); S < d]; and
 # wait_fold(rem, lam, spec) = E[_wait_kernel(S, rem, lam)].  The arguments w
 # and rem, and the argument and result of kappa, are numpy arrays
 # (elementwise); expectations without a closed form go through
 # ``gauss_legendre``, cut by the component itself at ``layer_offsets``.
 
-def layer_offsets(lam: float, width: float, count: int = 7) -> list[float]:
-    """The offsets 16 * 2^k / lam, k < count, shorter than ``width``, the span
-    a term in exp(-lam t) lives on: pieces that also end there resolve its
-    layer of width 1/lam at t = 0 (it is 0 from 1024 / lam on)."""
-    return [t / lam for t in (16.0 * 2.0**k for k in range(count)) if t < lam * width]
+def layer_offsets(rate: float, width: float) -> list[float]:
+    """The one rule for a layer exp(-rate t) of width 1/rate at t = 0 on a span
+    ``width``: the offsets 16, 32 and 64 / rate shorter than ``width``, where
+    pieces end that resolve it (it is below exp(-64) ~ 1.6e-28 past them)."""
+    return [t / rate for t in (16.0, 32.0, 64.0) if t < rate * width]
 
 
 def _series_or(x, small: float, series, direct):
@@ -388,24 +389,20 @@ def _wait_kernel(s, d, lam: float):
     """Closed form of int_0^min(d,s) (d - w) * (1 - exp(-lam (s - w))) dw,
     elementwise over arrays s and d.
 
-    With m = min(d, s) it is (d m - m^2/2) (1 - exp(-lam (s - m)))
-    + exp(-lam (s - m)) m^2 (lam (d - m) q(lam m) + r(lam m)), q and r the
-    expm1 remainders above: a sum of non-negative terms, each with full
+    With m = min(d, s) and x = lam m it is (d m - m^2/2) (1 - exp(-lam (s - m)))
+    + exp(-lam (s - m)) (m (d - m) x q(x) + m^2 r(x)), q and r the expm1
+    remainders above: a sum of non-negative terms, each with full
     relative accuracy for any lam, although the whole is O(lam) as lam -> 0.
     """
     s = np.asarray(s, dtype=float)
     d = np.asarray(d, dtype=float)
     m = np.maximum(np.minimum(d, s), 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         decay = lam * (s - m)
-        x = lam * m
-        c = m * m * (lam * (d - m) * _expm1_quad(x) + _expm1_cube(x))
-        finite = np.isfinite(c)
-        if not finite.all():
-            # lam (d - m) or lam m overflows: there c is m (d - m) x q(x) + m^2 r(x),
-            # with x capped where x q(x) = 1 and r(x) = 1/2 in double precision.
-            xc = np.minimum(x, 2.0**60)
-            c = np.where(finite, c, m * (d - m) * (xc * _expm1_quad(xc)) + m * m * _expm1_cube(xc))
+        # x is capped where x q(x) = 1 and r(x) = 1/2 in double precision, so
+        # nothing overflows however large lam (d - m) or lam m is.
+        x = np.minimum(lam * m, 2.0**60)
+        c = m * (d - m) * (x * _expm1_quad(x)) + m * m * _expm1_cube(x)
     return (d * m - 0.5 * m * m) * -np.expm1(-decay) + np.exp(-decay) * c
 
 
@@ -451,7 +448,10 @@ class ExponentialComponent:
     value: float
     m: float
 
-    kinks = ()
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        # The ends of the pieces around the layer exp(-s/m) at s = 0.
+        return tuple(layer_offsets(1.0 / self.m, math.inf))
 
     def mean(self) -> float:
         return self.m
@@ -468,7 +468,9 @@ class ExponentialComponent:
 
     def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
         m = self.m
-        return self.value * gauss_legendre(lambda s: np.exp(-s / m) / m * kappa(d - s), 0.0, d, spec)
+        cuts = [0.0, *(k for k in self.kinks if k < d), d]
+        parts = gauss_legendre(lambda s: np.exp(-s / m) / m * kappa(d - s), cuts[:-1], cuts[1:], spec)
+        return self.value * float(parts.sum())
 
     def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
         # (1 - MGF) * int_0^rem (rem - w) exp(-w/m) dw.
@@ -534,11 +536,10 @@ class ValueMapped:
     def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
         # Pieces split at the kernel's kink S = rem and end past its layers of
         # width 1/lam above S = s_lo and S = rem, at s_lo + t (up to rem) and
-        # rem + t for the first three offsets (exp(-64) ~ 1.6e-28 past them):
-        # all pieces in one call, one row per piece.
+        # rem + t for the layer offsets t: all pieces in one call, one row per piece.
         s_lo, s_hi = self.kinks
         rem = np.asarray(rem, dtype=float)
-        offsets = layer_offsets(lam, s_hi - s_lo, 3)
+        offsets = layer_offsets(lam, s_hi - s_lo)
         cuts = np.stack(
             np.broadcast_arrays(
                 s_lo, *(np.minimum(s_lo + t, rem) for t in offsets), rem, *(rem + t for t in offsets), s_hi

@@ -123,7 +123,10 @@ def simulate(config: SimConfig) -> SimReport:
     # Index only when admission filters: serve-all runs on the whole stream.
     pos = None if admitted is None else np.flatnonzero(admitted)
     disc = {MG11: 0, MG12: 1}.get(sc.discipline, 2)
-    served, d_t = _serve_admitted(t_gen, services, pos, disc)
+    # The server sees the admitted arrivals only; their copies die right after.
+    t_adm, s_adm = (t_gen, services) if pos is None else (t_gen[pos], services[pos])
+    served, d_t = _serve_bufferless(t_adm, s_adm) if disc == 0 else _serve(t_adm, s_adm, disc)
+    del t_adm, s_adm
     d_idx = served if pos is None else pos[served]
     elapsed = float(max(t_gen[-1], d_t[-1]) if d_t.size else t_gen[-1])
 
@@ -194,13 +197,6 @@ def simulate(config: SimConfig) -> SimReport:
         n_batches=n_batches,
         detail=detail,
     )
-
-
-def _serve_admitted(t_gen, services, pos, disc):
-    """The server over the admitted arrivals (``pos``; None: all), whose copies die with the call."""
-    t_adm = t_gen if pos is None else t_gen[pos]
-    s_adm = services if pos is None else services[pos]
-    return _serve_bufferless(t_adm, s_adm) if disc == 0 else _serve(t_adm, s_adm, disc)
 
 
 def _serve_bufferless(t_arr, s_arr):

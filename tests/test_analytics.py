@@ -1061,3 +1061,96 @@ def test_analyze_never_calls_a_closed_form(monkeypatch):
         monkeypatch.setattr(analytics, name, called)
     assert analyze(mm12(1.0)).avg_voi == pytest.approx(VOI_MM12[1.0], rel=1e-8, abs=0.0)
     assert analyze(uniflog(1.0)).avg_voi == pytest.approx(VOI_UNIFLOG, rel=1e-6, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Exponential service fast against the deadline
+# ---------------------------------------------------------------------------
+#
+# With S ~ exponential(mean m) and D >> m, every area lives in a layer of
+# width m at S = 0.  The oracles below are scipy ``quad`` with points at 16m,
+# 32m and 64m, where the layer ends.  For M/GI/1/2 the residual W' of an
+# exponential service is exponential(m) again; for M/GI/1/2* the residual
+# density P[S > w] / E[S] times exp(-lam w) is exp(-(lam + 1/m) w) / m.
+
+def _layer_quad(f, a, b, rate):
+    """int_a^b f with a = 0 the edge of a layer exp(-rate t)."""
+    pts = [k / rate for k in (16.0, 32.0, 64.0) if k / rate < b] or None
+    return quad(f, a, b, points=pts, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+def _exp_oracle(value, m, lam, d, discipline):
+    """(eq_idle, eq_busy) for one exponential component paying ``value``."""
+    eq_idle = value * _layer_quad(lambda s: (d - s) ** 2 * math.exp(-s / m) / m, 0.0, d, 1.0 / m) / (2.0 * d)
+    if discipline == MG11:
+        return eq_idle, 0.0
+    rate = 1.0 / m if discipline == MG12 else lam + 1.0 / m
+
+    def kappa(r):
+        return _layer_quad(lambda w: (r - w) ** 2 * math.exp(-rate * w) / m, 0.0, r, rate)
+
+    return eq_idle, value * _layer_quad(lambda s: math.exp(-s / m) / m * kappa(d - s), 0.0, d, 1.0 / m) / (2.0 * d)
+
+
+def _fast_service_draws(n=60, seed=20261019):
+    """Seeded draws with D/m log-uniform in [1e-2, 1e8], cycling the disciplines;
+    every sixth is binary class-exponential traffic with one admitted class."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(n):
+        disc = DISCIPLINES[i % 3]
+        lam = 10.0 ** rng.uniform(-4.0, 4.0)
+        if i % 6 == 5:
+            v1, v2 = 10.0 ** rng.uniform(-4.0, 1.0, 2)
+            cls, p = 1 + i // 6 % 2, rng.uniform(0.1, 0.9)
+            value = m = (v1, v2)[cls - 1]
+            dist, svc, adm = BinaryValue(v1, v2, p), ClassExponentialService(), f"class-only({cls})"
+            lam_adm = lam * (p if cls == 1 else 1.0 - p)
+        else:
+            rate, mu = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-1.0, 4.0)
+            value, m, lam_adm = 1.0 / rate, 1.0 / mu, lam
+            dist, svc, adm = ExponentialValue(rate), IndependentExponentialService(mu), "serve-all"
+        d = m * 10.0 ** rng.uniform(-2.0, 8.0)
+        draws.append((Scenario(lam, dist, svc, DescendFunction.linear(d), disc, adm), value, m, lam_adm))
+    return draws
+
+
+def test_fast_exponential_service_areas_match_scipy_oracles():
+    misses = []
+    for sc, value, m, lam in _fast_service_draws():
+        eq_idle, eq_busy = _exp_oracle(value, m, lam, sc.descend.deadline, sc.discipline)
+        try:
+            rep = analyze(sc)
+        except ArithmeticError as err:
+            misses.append((sc, repr(err)))
+            continue
+        if rep.eq_idle != pytest.approx(eq_idle, rel=1e-10, abs=0.0):
+            misses.append((sc, "eq_idle", rep.eq_idle, eq_idle))
+        if rep.eq_busy != pytest.approx(eq_busy, rel=1e-8, abs=0.0):
+            misses.append((sc, "eq_busy", rep.eq_busy, eq_busy))
+    assert not misses, misses
+
+
+def _indexp(mu, d, lam, discipline=MG11):
+    return Scenario(lam, ExponentialValue(1.5), IndependentExponentialService(mu), DescendFunction.linear(d), discipline)
+
+
+def _elementary_mg11(mu, d, lam):
+    # lam p_idle E[V] E[(D - S)^2; S < D] / (2D), for S ~ exponential(mu) and E[V] = 1/1.5.
+    m = 1.0 / mu
+    return lam / (1.0 + lam * m) / 1.5 * (d * d - 2.0 * d * m + 2.0 * m * m * -math.expm1(-d / m)) / (2.0 * d)
+
+
+def test_exponential_service_at_a_long_deadline_keeps_its_value():
+    # The first case of the grammar-wide fuzz that read about 0 (2.7e-22).
+    want = _elementary_mg11(1.5, 30000.0, 0.1)
+    assert want == pytest.approx(937.4583343, rel=1e-10, abs=0.0)
+    assert analyze(_indexp(1.5, 30000.0, 0.1)).avg_voi == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [1e4, 1e5])
+def test_fast_exponential_service_keeps_its_value(mu):
+    assert analyze(_indexp(mu, 3.0, 1.0)).avg_voi == pytest.approx(_elementary_mg11(mu, 3.0, 1.0), rel=1e-10, abs=0.0)
+    rep = analyze(_indexp(mu, 3.0, 1.0, MG12_STAR))
+    assert math.isfinite(rep.avg_voi)
+    assert rep.eq_busy == pytest.approx(_exp_oracle(1.0 / 1.5, 1.0 / mu, 1.0, 3.0, MG12_STAR)[1], rel=1e-8, abs=0.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -274,3 +275,13 @@ def test_wait_kernel_matches_its_defining_integral(log10_lam, pairs):
     got = _wait_kernel(s, d, lam)
     want = [_wait_kernel_oracle(si, di, lam) for si, di in pairs]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e20, 1e300, sys.float_info.max])
+def test_wait_kernel_reaches_its_infinite_rate_limit(lam):
+    # 1 - exp(-lam (s - w)) is 1 on [0, m), m = min(d, s), once lam is large:
+    # the kernel is d m - m^2/2, with no overflow however large lam m is.
+    s = np.array([1e-3, 0.5, 2.0, 3.0, 7.0, 1e3])
+    d = np.array([7.0, 3.0, 2.0, 0.5, 1e-3, 1e-2])
+    m = np.minimum(d, s)
+    np.testing.assert_allclose(_wait_kernel(s, d, lam), d * m - 0.5 * m * m, rtol=1e-12, atol=0.0)
