@@ -14,7 +14,7 @@ classic parameter families (uniform value with log service, exponential
 value with identity service) also have closed forms, which ``analyze``
 never calls, so that the two routes check each other.
 Only the linear decay law is covered, since the FCFS busy-arrival fold
-(``model._wait_kernel``) is a closed form for that law alone.
+(``model._wait_cdf_kernel``) is a closed form for that law alone.
 
 Expectations without a closed form use vectorised Gauss-Legendre panels
 (``quadrature.gauss_legendre``) split at the known kinks of each integrand.
@@ -93,8 +93,8 @@ class AnalyticReport:
 class Stationary(NamedTuple):
     """Server-state probabilities over a renewal cycle, with the service
     moments ``analyze`` reads besides them: E[S] for the M/GI/1/2* residual
-    density, and 1 - MGF, which the FCFS fold divides by and only the
-    buffered disciplines compute."""
+    density, and 1 - MGF = P[an arrival during a service], which the FCFS
+    wait CDF is normalised by and only the buffered disciplines compute."""
 
     p_idle: float     # idle
     p_busy: float     # busy, p_busy1 + p_busy2
@@ -183,10 +183,10 @@ def analyze(scenario: Scenario) -> AnalyticReport:
     - M/GI/1/1: busy arrivals are dropped, so p_served = 0.
     - M/GI/1/2 (FCFS): a busy arrival is served only when it finds the
       buffer empty (p_served = p_busy1); its system time adds the residual
-      W' of the in-progress service.  E[(d - W')^2; W' < d] is reduced by
-      parts to d^2 - 2 int_0^d (d - w) P[W' > w] dw, and the CCDF integral
-      is folded over the service law with a closed-form kernel, so no
-      density of W' is ever differentiated numerically.
+      W' of the in-progress service.  kappa(d) = E[(d - W')^2; W' < d]
+      = 2 int_0^d (d - w) P[W' <= w] dw, with the CDF folded over the
+      service law by a closed-form kernel: a sum of non-negative terms, so
+      kappa keeps its digits where a busy arrival rarely makes its deadline.
     - M/GI/1/2* (LCFS with replacement): every busy arrival enters the
       buffer, replacing any occupant (p_served = p_busy), and is delivered
       iff no further arrival lands during the residual service W, which
@@ -208,9 +208,8 @@ def analyze(scenario: Scenario) -> AnalyticReport:
         if st.omm > 0.0 and p_served > 0.0:
 
             def kappa(rem):
-                # int_0^rem (rem - w) P[W' > w] dw, folded over the service law.
-                t = sum(c.weight * c.wait_fold(rem, lam, level) for c in law) / st.omm
-                return np.maximum(rem * rem - 2.0 * t, 0.0)
+                # 2 int_0^rem (rem - w) P[W' <= w] dw, folded over the service law.
+                return 2.0 * sum(c.weight * c.wait_fold(rem, lam, level) for c in law) / st.omm
 
     else:
         st = stationary_mg12(law, lam)

@@ -339,7 +339,9 @@ class Scenario:
 # where the pieces around its exponential layer end); mean(), mgf(lam) and
 # one_minus_mgf(lam); ccdf(w) = P[S > w];
 # expect_value_kappa(d, kappa, spec) = E[V kappa(d - S); S < d]; and
-# wait_fold(rem, lam, spec) = E[_wait_kernel(S, rem, lam)].  The arguments w
+# wait_fold(rem, lam, spec) = E[_wait_cdf_kernel(S, rem, lam)], which is
+# (1 - MGF) int_0^rem (rem - w) P[W' <= w] dw for the residual W' that the
+# first arrival during a service waits.  The arguments w
 # and rem, and the argument and result of kappa, are numpy arrays
 # (elementwise); expectations without a closed form go through
 # ``gauss_legendre``, cut by the component itself at ``layer_offsets``.
@@ -351,59 +353,48 @@ def layer_offsets(rate: float, width: float) -> list[float]:
     return [t / rate for t in (16.0, 32.0, 64.0) if t < rate * width]
 
 
-def _series_or(x, small: float, series, direct):
-    """``series(x)`` where x < small, else ``direct(x)``, elementwise; each
-    branch only sees arguments from its own range."""
-    x = np.asarray(x, dtype=float)
-    lo = x < small
-    out = np.asarray(direct(np.where(lo, small, x)))
-    if lo.any():
-        out[lo] = series(x[lo])
-    return out
+# sum_j z^j / (3 + j)!, for the exp(-x) remainders below where |z| < 1/2: the terms
+# past j = 14 stay under 2e-17 of the sum, and from 1/2 on the direct forms lose ~5e-15.
+_SERIES_BELOW = 0.5
+_SERIES3 = [1.0 / math.factorial(j + 3) for j in range(14, -1, -1)]
 
 
-def _expm1_quad(x):
-    """(expm1(-x) + x) / x**2, the O(x^2) remainder of exp(-x), without
-    cancellation: series below x = 0.01, direct evaluation above."""
-    return _series_or(
-        x,
-        1e-2,
-        lambda x: 0.5 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x / 720))),
-        lambda x: (np.expm1(-x) + x) / x / x,
-    )
+def _series3(z):
+    acc = _SERIES3[0] * z + _SERIES3[1]
+    for c in _SERIES3[2:]:
+        acc *= z
+        acc += c
+    return acc
 
 
-def _expm1_cube(x):
-    """1/2 - (1 - exp(-x) (1 + x)) / x**2, which is x/3 + O(x^2), without
-    cancellation: series below x = 0.1, direct evaluation above."""
-    return _series_or(
-        x,
-        1e-1,
-        # sum over n >= 3 of (-1)^(n+1) (n - 1)/n! x^(n-2), through n = 10
-        lambda x: x * np.polyval([-1 / 403200, 1 / 45360, -1 / 5760, 1 / 840, -1 / 144, 1 / 30, -1 / 8, 1 / 3], x),
-        lambda x: 0.5 + (np.expm1(-x) + x * np.exp(-x)) / x / x,
-    )
+def _wait_cdf_kernel(s, rem, lam: float):
+    """int_0^rem (rem - w) exp(-lam (s - u)) (1 - exp(-lam u)) dw, u = min(w, s),
+    elementwise over arrays s and rem: the integrand is the chance that the
+    first arrival during a service of length s waits W' <= w for its end.
 
-
-def _wait_kernel(s, d, lam: float):
-    """Closed form of int_0^min(d,s) (d - w) * (1 - exp(-lam (s - w))) dw,
-    elementwise over arrays s and d.
-
-    With m = min(d, s) and x = lam m it is (d m - m^2/2) (1 - exp(-lam (s - m)))
-    + exp(-lam (s - m)) (m (d - m) x q(x) + m^2 r(x)), q and r the expm1
-    remainders above: a sum of non-negative terms, each with full
-    relative accuracy for any lam, although the whole is O(lam) as lam -> 0.
+    With m = min(rem, s), x = lam m and q_k = P(k, x) / x^(k-1) (P the
+    regularised lower incomplete gamma) it is the sum of non-negative terms
+    exp(-lam (s - m)) m ((rem - m) q_2 + m q_3) + (1 - exp(-x)) (rem - m)^2 / 2,
+    each with full relative accuracy for any lam (x = lam s wherever rem > m).
+    Below x = 1/2, q_3 = x exp(-x) _series3(x) and q_2 = x (exp(-x)/2 + q_3);
+    above, q_2 = (1 - exp(-x))/x - exp(-x) and q_3 = q_2/x - exp(-x)/2, which
+    vanish, not overflow, as x -> inf.
     """
-    s = np.asarray(s, dtype=float)
-    d = np.asarray(d, dtype=float)
-    m = np.maximum(np.minimum(d, s), 0.0)
+    m = np.maximum(np.minimum(rem, s), 0.0)
     with np.errstate(over="ignore"):
-        decay = lam * (s - m)
-        # x is capped where x q(x) = 1 and r(x) = 1/2 in double precision, so
-        # nothing overflows however large lam (d - m) or lam m is.
-        x = np.minimum(lam * m, 2.0**60)
-        c = m * (d - m) * (x * _expm1_quad(x)) + m * m * _expm1_cube(x)
-    return (d * m - 0.5 * m * m) * -np.expm1(-decay) + np.exp(-decay) * c
+        x = lam * m
+        hold = np.exp(-lam * (s - m))
+    e, em = np.exp(-x), -np.expm1(-x)
+    xd = np.maximum(x, _SERIES_BELOW)
+    q2 = np.asarray(em / xd - e)
+    q3 = np.asarray(q2 / xd - 0.5 * e)
+    lo = x < _SERIES_BELOW
+    if lo.any():
+        x, e = x[lo], e[lo]
+        q3[lo] = x * e * _series3(x)
+        q2[lo] = x * (0.5 * e + q3[lo])
+    tail = rem - m
+    return hold * m * (tail * q2 + m * q3) + 0.5 * em * tail * tail
 
 
 @dataclass(frozen=True)
@@ -435,7 +426,7 @@ class PointMass:
         return self.value * float(kappa(d - self.s)) if self.s < d else 0.0
 
     def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
-        return _wait_kernel(self.s, rem, lam)
+        return _wait_cdf_kernel(self.s, rem, lam)
 
 
 @dataclass(frozen=True)
@@ -473,8 +464,16 @@ class ExponentialComponent:
         return self.value * float(parts.sum())
 
     def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
-        # (1 - MGF) * int_0^rem (rem - w) exp(-w/m) dw.
-        return self.one_minus_mgf(lam) * rem * rem * _expm1_quad(rem / self.m)
+        # W' is exponential(m) again: (1 - MGF) int_0^rem (rem - w) (1 - exp(-w/m)) dw
+        # = (1 - MGF) m^2 (y^2/2 - y + 1 - exp(-y)), y = rem/m, or m^2 y^3 _series3(-y).
+        m = self.m
+        y = np.asarray(rem, dtype=float) / m
+        f = np.asarray(rem * (0.5 * rem - m) - m * m * np.expm1(-y))
+        lo = y < _SERIES_BELOW
+        if lo.any():
+            y = y[lo]
+            f[lo] = m * m * y**3 * _series3(-y)
+        return self.one_minus_mgf(lam) * f
 
 
 @dataclass(frozen=True)
@@ -534,18 +533,16 @@ class ValueMapped:
         return float(self._expect(lambda s: g_inv(s) * kappa(d - s), [s_lo, *cuts], [*cuts, top], spec).sum())
 
     def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
-        # Pieces split at the kernel's kink S = rem and end past its layers of
-        # width 1/lam above S = s_lo and S = rem, at s_lo + t (up to rem) and
-        # rem + t for the layer offsets t: all pieces in one call, one row per piece.
+        # Pieces split at the kernel's kink S = rem and end past its layers of width
+        # 1/lam above S = s_lo (up to rem) and above S = max(rem, s_lo), where
+        # exp(-lam (S - rem)) starts: all pieces in one call, one row per piece.
         s_lo, s_hi = self.kinks
         rem = np.asarray(rem, dtype=float)
+        start = np.maximum(rem, s_lo)
         offsets = layer_offsets(lam, s_hi - s_lo)
-        cuts = np.stack(
-            np.broadcast_arrays(
-                s_lo, *(np.minimum(s_lo + t, rem) for t in offsets), rem, *(rem + t for t in offsets), s_hi
-            )
-        )
-        return self._expect(lambda s: _wait_kernel(s, rem, lam), cuts[:-1], cuts[1:], spec).sum(axis=0)
+        cuts = [s_lo, *(np.minimum(s_lo + t, rem) for t in offsets), rem, *(start + t for t in offsets), s_hi]
+        cuts = np.stack(np.broadcast_arrays(*cuts))
+        return self._expect(lambda s: _wait_cdf_kernel(s, rem, lam), cuts[:-1], cuts[1:], spec).sum(axis=0)
 
 
 ServiceComponent = Union[PointMass, ExponentialComponent, ValueMapped]

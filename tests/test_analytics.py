@@ -38,7 +38,7 @@ from voilab.model import (
     mgf_service,
     one_minus_mgf_service,
     service_law,
-    _wait_kernel,
+    _wait_cdf_kernel,
 )
 from voilab.quadrature import QuadratureSpec
 
@@ -268,16 +268,20 @@ def test_mg12_empty_region_when_service_exceeds_deadline():
 
 
 def test_mg12_wait_integral_matches_literal_ccdf_route():
-    # Dual route: the folded closed-form kernel against the textbook
-    # integration-by-parts form int_0^d (d-w) P[W'>w] dw.  The CCDF carries
-    # its own quadrature noise, so the outer level stays looser.
+    # Dual route: the folded closed-form kernel against the textbook form
+    # int_0^d (d-w) P[W'<=w] dw, with the CDF taken as 1 - the oracle CCDF.
+    # The CCDF carries its own quadrature noise, so the outer level stays looser.
     loose = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8)
     for sc in (mm12(1.0), uniflog(0.8, MG12)):
         law, lam = service_law(sc)
         omm = one_minus_mgf_service(law, lam)
         for d in (0.5, 1.5, 2.9):
             literal = quad(
-                lambda w: (d - w) * residual_ccdf_oracle(law, lam, w), 0.0, d, epsabs=loose.abs_tol, epsrel=loose.rel_tol
+                lambda w: (d - w) * (1.0 - residual_ccdf_oracle(law, lam, w)),
+                0.0,
+                d,
+                epsabs=loose.abs_tol,
+                epsrel=loose.rel_tol,
             )[0]
             folded = sum(c.weight * c.wait_fold(d, lam, QuadratureSpec()) for c in law) / omm
             assert folded == pytest.approx(literal, rel=1e-4, abs=0.0)
@@ -867,12 +871,12 @@ def test_high_rate_fcfs_points_converge_on_the_first_pass(monkeypatch, value, se
 
 
 def _fold_oracle(lam, rem):
-    # E[_wait_kernel(S, rem, lam)] for S = log(1 + V), V ~ Uniform(0, 10), by
+    # E[_wait_cdf_kernel(S, rem, lam)] for S = log(1 + V), V ~ Uniform(0, 10), by
     # scipy quad on pieces that step geometrically away from both layers.
     s_hi = math.log(11.0)
     steps = [j / lam for j in (0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)]
     cuts = sorted({0.0, s_hi, *(p for base in (0.0, rem) for p in (base + t for t in steps) if 0.0 < p < s_hi)})
-    f = lambda s: math.exp(s) / 10.0 * float(_wait_kernel(s, rem, lam))
+    f = lambda s: math.exp(s) / 10.0 * float(_wait_cdf_kernel(s, rem, lam))
     return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0] for a, b in zip(cuts, cuts[1:]))
 
 
@@ -884,11 +888,41 @@ def test_fcfs_fold_resolves_its_boundary_layers(lam):
     np.testing.assert_allclose(got, [_fold_oracle(lam, r) for r in rem], rtol=1e-11, atol=0.0)
 
 
+# A busy arrival that finds the buffer empty lands X into a service S' >= s_lo
+# and waits W' = S' - X.  It collects only if W' + S < D for its own S >= s_lo,
+# so only if W' < D - s_lo, which, given an arrival during S', has probability
+# at most exp(-lam (2 s_lo - D)) when D <= 2 s_lo.  Its area is at most
+# v_max (D - s_lo)^2 / (2D) <= v_max D / 2, so eq_busy <= v_max D / 2 exp(-lam (2 s_lo - D)).
+# The by-parts fold returned its cancellation noise here (2.2e-18 or 1.0e-17
+# on the first case) or raised QuadratureError (the second, from lam = 1).
+_FCFS_RARE = [
+    (UniformValue(2.0, 5.0), DependentService("identity"), 3.0),
+    (UniformValue(8828.14, 8842.66), DependentService("log-shift", 11.3077), 147.609),
+]
+
+
+@pytest.mark.parametrize(
+    "case, lam", [(0, 100.0), (0, 300.0), (0, 1e4), (0, 1e8), (1, 1.0), (1, 10.0), (1, 100.0)]
+)
+def test_fcfs_busy_area_where_a_busy_arrival_rarely_makes_its_deadline(case, lam):
+    value, service, d = _FCFS_RARE[case]
+    s_lo = float(service.g(value.v_min))
+    rep = analyze(Scenario(lam, value, service, DescendFunction.linear(d), MG12))
+    assert 0.0 <= rep.eq_busy <= value.v_max * d / 2.0 * math.exp(-lam * (2.0 * s_lo - d))
+
+
+def test_fcfs_busy_area_where_a_busy_arrival_often_makes_its_deadline():
+    # The second case above at lam = 0.1, where the by-parts fold had no trouble.
+    value, service, d = _FCFS_RARE[1]
+    rep = analyze(Scenario(0.1, value, service, DescendFunction.linear(d), MG12))
+    assert rep.eq_busy == pytest.approx(15.1153063591, rel=1e-10, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Busy-arrival areas against an independent scipy oracle
 # ---------------------------------------------------------------------------
 #
-# The engine folds the residual CCDF over the service law with a closed-form
+# The engine folds the residual CDF over the service law with a closed-form
 # kernel in service-time space.  The oracle instead swaps the order of
 # integration: with h(w) = E[V (D - S - w)^2; S < D - w],
 #   M/GI/1/2   eq_busy = int_0^D f_W'(w) h(w) dw / (2D), where W' = S - X given
@@ -1154,3 +1188,186 @@ def test_fast_exponential_service_keeps_its_value(mu):
     rep = analyze(_indexp(mu, 3.0, 1.0, MG12_STAR))
     assert math.isfinite(rep.avg_voi)
     assert rep.eq_busy == pytest.approx(_exp_oracle(1.0 / 1.5, 1.0 / mu, 1.0, 3.0, MG12_STAR)[1], rel=1e-8, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# M/GI/1/2 busy area over the whole scenario grammar
+# ---------------------------------------------------------------------------
+#
+# The oracle swaps the order of integration as ``_oracle_eq_busy`` does:
+#   eq_busy = int_0^D f_W'(w) H(D - w) dw / (2D),  H(r) = E[V (r - S)^2; S < r],
+#   f_W'(w) = E[lam exp(-lam (S - w)); S > w] / E[1 - exp(-lam S)],
+# with every expectation summed over the parts of the admitted law, which the
+# oracle reads off the scenario itself.  Point masses and exponential parts
+# give f_W' in closed form; a continuous value law is integrated over the
+# value by scipy ``quad``.  Pieces end at 1, 4, 16 and 64 times each layer's
+# width: 1/lam below a service time, the mean of an exponential part or value.
+
+_STEPS = (1.0, 4.0, 16.0, 64.0)
+
+
+class _Atom:
+    """Service exactly s for packets paying v."""
+
+    def __init__(self, v, s):
+        self.v, self.s = v, s
+
+    def omm(self, lam):
+        return -math.expm1(-lam * self.s)
+
+    def dens(self, lam, w):
+        return lam * math.exp(-lam * (self.s - w)) if w < self.s else 0.0
+
+    def area(self, r):
+        return self.v * (r - self.s) ** 2 if self.s < r else 0.0
+
+    def w_points(self, lam):
+        return [self.s, *(self.s - k / lam for k in _STEPS)]
+
+    def r_points(self):
+        return [self.s]
+
+
+class _ExpPart:
+    """Exponential service of mean m for packets paying v; W' is exponential(m) again."""
+
+    def __init__(self, v, m):
+        self.v, self.m = v, m
+
+    def omm(self, lam):
+        return lam * self.m / (1.0 + lam * self.m)
+
+    def dens(self, lam, w):
+        return lam * math.exp(-w / self.m) / (1.0 + lam * self.m)
+
+    def area(self, r):
+        m = self.m
+        return self.v * _layer_quad(lambda s: (r - s) ** 2 * math.exp(-s / m) / m, 0.0, r, 1.0 / m)
+
+    def w_points(self, lam):
+        return [k * self.m for k in _STEPS]
+
+    def r_points(self):
+        return [k * self.m for k in _STEPS]
+
+
+class _Mapped:
+    """Service g(x) for a packet of value x, x with density pdf on [lo, hi]
+    and ``scale`` the width of the density's own layer at lo (or inf)."""
+
+    def __init__(self, pdf, lo, hi, scale, g, g_inv):
+        self.pdf, self.lo, self.hi, self.scale, self.g, self.g_inv = pdf, lo, hi, scale, g, g_inv
+
+    def _e(self, f, a, b, points=()):
+        a, b = max(a, self.lo), min(b, self.hi)
+        if b <= a:
+            return 0.0
+        return _q(lambda x: self.pdf(x) * f(x), a, b, [*points, *(self.lo + k * self.scale for k in _STEPS)])
+
+    def omm(self, lam):
+        g, s_lo = self.g, self.g(self.lo)
+        return self._e(lambda x: -math.expm1(-lam * g(x)), self.lo, self.hi, [self.g_inv(s_lo + k / lam) for k in _STEPS])
+
+    def dens(self, lam, w):
+        g = self.g
+        pts = [self.g_inv(w + k / lam) for k in _STEPS]
+        return lam * self._e(lambda x: math.exp(-lam * (g(x) - w)), self.g_inv(w), self.hi, pts)
+
+    def area(self, r):
+        g = self.g
+        return self._e(lambda x: x * (r - g(x)) ** 2, self.lo, self.g_inv(r))
+
+    def w_points(self, lam):
+        s_lo = self.g(self.lo)
+        return [s_lo, self.g(self.hi), *(s_lo - k / lam for k in _STEPS)]
+
+    def r_points(self):
+        return [self.g(self.lo), self.g(self.hi)]
+
+
+def _oracle_parts(sc):
+    """The admitted law of ``sc`` as weighted parts, and the admitted rate."""
+    dist, svc, lam = sc.value_dist, sc.service, sc.lam
+    if isinstance(dist, BinaryValue):
+        atoms = [(dist.v1, dist.p), (dist.v2, 1.0 - dist.p)]
+        if sc.admission != "serve-all":
+            v, pr = atoms[int(sc.admission[-2]) - 1]
+            atoms, lam = [(v, 1.0)], lam * pr
+        if isinstance(svc, ClassExponentialService):
+            return [(pr, _ExpPart(v, v)) for v, pr in atoms], lam
+        if isinstance(svc, DependentService):
+            a = svc.a
+            g = (lambda v: v) if svc.map_kind == "identity" else (lambda v: a * math.log1p(v))
+            return [(pr, _Atom(v, g(v))) for v, pr in atoms], lam
+        mean = sum(v * pr for v, pr in atoms)
+    else:
+        mean = (dist.v_min + dist.v_max) / 2.0 if isinstance(dist, UniformValue) else 1.0 / dist.rate
+    if isinstance(svc, IndependentExponentialService):
+        return [(1.0, _ExpPart(mean, 1.0 / svc.rate))], lam
+    if isinstance(svc, IndependentDeterministicService):
+        return [(1.0, _Atom(mean, svc.s0))], lam
+    if isinstance(dist, UniformValue):
+        pdf, lo, hi, scale = (lambda x: 1.0 / (dist.v_max - dist.v_min)), dist.v_min, dist.v_max, math.inf
+    else:
+        rate = dist.rate
+        pdf, lo, hi, scale = (lambda x: rate * math.exp(-rate * x)), 0.0, 750.0 / rate, 1.0 / rate
+    if svc.map_kind == "identity":
+        return [(1.0, _Mapped(pdf, lo, hi, scale, _ident, _ident))], lam
+    a = svc.a
+    g_inv = lambda s: math.expm1(min(s / a, 700.0))  # noqa: E731 (beyond 700 a it is past every hi)
+    return [(1.0, _Mapped(pdf, lo, hi, scale, lambda x: a * math.log1p(x), g_inv))], lam
+
+
+def _grammar_eq_busy(parts, lam, d):
+    omm = sum(wt * p.omm(lam) for wt, p in parts)
+    pts = sorted({q for _, p in parts for q in (*p.w_points(lam), *(d - r for r in p.r_points()))})
+
+    def f(w):
+        return sum(wt * p.dens(lam, w) for wt, p in parts) * sum(wt * p.area(d - w) for wt, p in parts)
+
+    return _q(f, 0.0, d, pts) / omm / (2.0 * d)
+
+
+def _grammar_draws(n=150, seed=2303):
+    """Seeded M/GI/1/2 draws cycling every value law x service model x admission;
+    every parameter, D and lam log-uniform in [1e-4, 1e4] (class probabilities
+    uniform in [0.05, 0.95]), so D/m reaches 1e8 for exponential service."""
+    combos = [
+        (law, svc, adm)
+        for law in ("uniform", "exponential", "binary")
+        for svc in ("identity", "log-shift", "independent-exponential", "independent-deterministic", "class-exponential")
+        for adm in ("serve-all", "class-only(1)", "class-only(2)")
+        if (law == "binary" or (svc != "class-exponential" and adm == "serve-all"))
+    ]
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(n):
+        law, svc, adm = combos[i % len(combos)]
+        lo, width, v1, v2, rate, a, lam, d = 10.0 ** rng.uniform(-4.0, 4.0, 8)
+        dist = {
+            "uniform": UniformValue(lo, lo + width),
+            "exponential": ExponentialValue(rate),
+            "binary": BinaryValue(v1, v2, rng.uniform(0.05, 0.95)),
+        }[law]
+        service = {
+            "identity": DependentService("identity"),
+            "log-shift": DependentService("log-shift", a),
+            "independent-exponential": IndependentExponentialService(rate),
+            "independent-deterministic": IndependentDeterministicService(a),
+            "class-exponential": ClassExponentialService(),
+        }[svc]
+        draws.append(Scenario(lam, dist, service, DescendFunction.linear(d), MG12, adm))
+    return draws
+
+
+_GRAMMAR_DRAWS = _grammar_draws()
+
+
+# quad reports roundoff on a few inner pieces at its 1e-11 target; the check is at 1e-8.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("i", range(len(_GRAMMAR_DRAWS)))
+def test_fcfs_busy_area_matches_scipy_over_the_grammar(i):
+    sc = _GRAMMAR_DRAWS[i]
+    parts, lam = _oracle_parts(sc)
+    want = _grammar_eq_busy(parts, lam, sc.descend.deadline)
+    assert analyze(sc).eq_busy == pytest.approx(want, rel=1e-8, abs=0.0)

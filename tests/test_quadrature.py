@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from voilab import quadrature
-from voilab.model import _wait_kernel
+from voilab.model import _wait_cdf_kernel
 from voilab.quadrature import (
     GL_FIRST_ORDER,
     GL_MAX_ORDER,
@@ -253,13 +253,15 @@ def test_fused_first_pass_names_the_first_non_finite_node_of_the_coarse_panel():
     assert err.value.interval[0] == float(nodes[nodes > 0.5][0])
 
 
-def _wait_kernel_oracle(s, d, lam):
+def _wait_kernel_oracle(s, rem, lam):
     # The defining integral, with 1 - exp(-x) written as -expm1(-x) so that
-    # the oracle itself keeps its accuracy for small lam, and cut into
-    # pieces that resolve the boundary layer of width 1/lam below w = s.
-    m = min(d, s)
-    cuts = [0.0, *sorted(c for c in (s - k / lam for k in (30.0, 3.0, 0.3)) if 0.0 < c < m), m]
-    f = lambda w: (d - w) * -math.expm1(-lam * (s - w))
+    # the oracle itself keeps its accuracy for small lam, and cut into pieces
+    # that resolve the boundary layers of width 1/lam above w = 0 and below
+    # w = s.  Past m = min(rem, s) the integrand is (rem - w) (1 - exp(-lam s)).
+    m = min(rem, s)
+    layers = (k / lam for k in (0.3, 3.0, 30.0))
+    cuts = sorted({0.0, m, rem, *(c for t in layers for c in (t, s - t) if 0.0 < c < m)})
+    f = lambda w: (rem - w) * math.exp(-lam * (s - min(w, s))) * -math.expm1(-lam * min(w, s))
     return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
 
 
@@ -271,17 +273,18 @@ def _wait_kernel_oracle(s, d, lam):
 def test_wait_kernel_matches_its_defining_integral(log10_lam, pairs):
     lam = 10.0**log10_lam
     s = np.array([p[0] for p in pairs])
-    d = np.array([p[1] for p in pairs])
-    got = _wait_kernel(s, d, lam)
-    want = [_wait_kernel_oracle(si, di, lam) for si, di in pairs]
+    rem = np.array([p[1] for p in pairs])
+    got = _wait_cdf_kernel(s, rem, lam)
+    want = [_wait_kernel_oracle(si, ri, lam) for si, ri in pairs]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("lam", [1e20, 1e300, sys.float_info.max])
 def test_wait_kernel_reaches_its_infinite_rate_limit(lam):
-    # 1 - exp(-lam (s - w)) is 1 on [0, m), m = min(d, s), once lam is large:
-    # the kernel is d m - m^2/2, with no overflow however large lam m is.
+    # Once lam is large, W' <= w holds on [s, rem) and fails before, so the
+    # kernel is max(rem - s, 0)^2 / 2, with no overflow however large lam m is.
+    # Where s = rem = m the one term left is m^2 P(3, lam m) / (lam m)^2 = 1/lam^2.
     s = np.array([1e-3, 0.5, 2.0, 3.0, 7.0, 1e3])
-    d = np.array([7.0, 3.0, 2.0, 0.5, 1e-3, 1e-2])
-    m = np.minimum(d, s)
-    np.testing.assert_allclose(_wait_kernel(s, d, lam), d * m - 0.5 * m * m, rtol=1e-12, atol=0.0)
+    rem = np.array([7.0, 3.0, 2.0, 0.5, 1e-3, 1e-2])
+    want = 0.5 * np.maximum(rem - s, 0.0) ** 2 + np.where(s == rem, 1.0 / lam / lam, 0.0)
+    np.testing.assert_allclose(_wait_cdf_kernel(s, rem, lam), want, rtol=1e-12, atol=0.0)
