@@ -17,13 +17,14 @@ Only the linear decay law is covered, since the FCFS busy-arrival fold
 (``model._wait_cdf_kernel``) is a closed form for that law alone.
 
 Expectations without a closed form use vectorised Gauss-Legendre panels
-(``quadrature.gauss_legendre``) split at the known kinks of each integrand.
-The busy-arrival area is one tensor-product rule: the outer service-time
-nodes are evaluated together, and the inner fold (M/GI/1/2) or residual
-integral (M/GI/1/2*) runs once over all of them, with every outer node's
-inner pieces cut at its own remaining time.  Class-filtered admission is
-Poisson thinning: the queue sees rate lam * P[class admitted] and the
-value distribution conditioned on admission.
+(``quadrature.gauss_legendre``, at its one budget) split at the known kinks
+of each integrand.  The busy-arrival area is one tensor-product rule: the
+outer service-time nodes are evaluated together, and the inner fold
+(M/GI/1/2) or residual integral (M/GI/1/2*) runs once over all of them, with
+every outer node's inner pieces cut at its own remaining time; the outer
+pieces also end past the exp(-lam s) layer that the FCFS fold carries.
+Class-filtered admission is Poisson thinning: the queue sees rate
+lam * P[class admitted] and the value distribution conditioned on admission.
 
 A report carries the probabilities, the two areas and avg_voi
 (``AnalyticReport``).  Where lam E[S] or lam^2 overflows (lam near 1e308, or
@@ -55,7 +56,7 @@ from .model import (
     service_law,
 )
 # integrate is not called here; it stays bound for perfbench, whose tracer patches it by name.
-from .quadrature import DEFAULT_SPEC, gauss_legendre, integrate  # noqa: F401
+from .quadrature import gauss_legendre, integrate  # noqa: F401
 
 
 class UnsupportedAnalyticsError(ValueError):
@@ -111,9 +112,9 @@ class Stationary(NamedTuple):
 # E[S] and eq_idle are cached per law (see the module docstring); the law
 # tuple and its components are frozen dataclasses, so keys compare by value.
 
-def _area(law, d: float, kappa, spec) -> float:
-    """E[V kappa(D - S); S < D] / (2D) over the admitted law."""
-    return sum(c.weight * c.expect_value_kappa(d, kappa, spec) for c in law) / (2.0 * d)
+def _area(law, d: float, kappa, lam: float) -> float:
+    """E[V kappa(D - S); S < D] / (2D) over the admitted law, kappa with a layer of arrival rate lam (or 0)."""
+    return sum(c.weight * c.expect_value_kappa(d, kappa, lam) for c in law) / (2.0 * d)
 
 
 @lru_cache(maxsize=64)
@@ -124,7 +125,7 @@ def _mean_service(law) -> float:
 @lru_cache(maxsize=64)
 def _eq_idle(law, d: float) -> float:
     """E[V (D - S)^2; S < D] / (2D): what an idle arrival collects."""
-    return _area(law, d, lambda rem: rem * rem, DEFAULT_SPEC)
+    return _area(law, d, lambda rem: rem * rem, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,6 @@ def analyze(scenario: Scenario) -> AnalyticReport:
         raise UnsupportedAnalyticsError("analytic VoI covers the linear descend law only; use the simulator")
     law, lam = service_law(scenario)
     d = scenario.descend.deadline
-    level = DEFAULT_SPEC.split(2)
     kappa, unit = None, 1.0
     if scenario.discipline == MG11:
         st = stationary_mg11(law, lam)
@@ -209,7 +209,7 @@ def analyze(scenario: Scenario) -> AnalyticReport:
 
             def kappa(rem):
                 # 2 int_0^rem (rem - w) P[W' <= w] dw, folded over the service law.
-                return 2.0 * sum(c.weight * c.wait_fold(rem, lam, level) for c in law) / st.omm
+                return 2.0 * sum(c.weight * c.wait_fold(rem, lam) for c in law) / st.omm
 
     else:
         st = stationary_mg12(law, lam)
@@ -229,10 +229,10 @@ def analyze(scenario: Scenario) -> AnalyticReport:
                 def f(w):
                     return unit * (rem - w) ** 2 * np.exp(-lam * w) * sum(c.weight * c.ccdf(w) for c in law)
 
-                return gauss_legendre(f, cuts[:-1], cuts[1:], level).sum(axis=0) / st.e_s
+                return gauss_legendre(f, cuts[:-1], cuts[1:]).sum(axis=0) / st.e_s
 
     eqi = _eq_idle(law, d)
-    eqb = 0.0 if kappa is None else _area(law, d, kappa, level)  # eq_busy * unit
+    eqb = 0.0 if kappa is None else _area(law, d, kappa, lam if scenario.discipline == MG12 else 0.0)  # eq_busy * unit
     return AnalyticReport(*st[:4], eqi, eqb / unit, _avg_voi(lam, st.p_idle, eqi, p_served, eqb, unit))
 
 

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 # integrate is not called here; it stays bound for perfbench, whose tracer patches it by name.
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, gauss_legendre, integrate  # noqa: F401
+from .quadrature import gauss_legendre, integrate  # noqa: F401
 
 # Queueing disciplines: no buffer / one-slot FCFS / one-slot LCFS with replacement.
 MG11 = "M/GI/1/1"
@@ -31,8 +31,7 @@ CLASS_ONLY_2 = "class-only(2)"
 ADMISSIONS = (SERVE_ALL, CLASS_ONLY_1, CLASS_ONLY_2)
 
 # Densities with unbounded support are truncated at this tail mass for
-# numerical expectations; the truncation error sits far below quadrature
-# tolerances (see quadrature.QuadratureSpec defaults).
+# numerical expectations, far below the quadrature budget.
 EXP_TAIL_EPS = 1e-12
 
 
@@ -338,12 +337,12 @@ class Scenario:
 # seven members ``analyze`` uses: its kinks (where its integrands bend, or
 # where the pieces around its exponential layer end); mean(), mgf(lam) and
 # one_minus_mgf(lam); ccdf(w) = P[S > w];
-# expect_value_kappa(d, kappa, spec) = E[V kappa(d - S); S < d]; and
-# wait_fold(rem, lam, spec) = E[_wait_cdf_kernel(S, rem, lam)], which is
-# (1 - MGF) int_0^rem (rem - w) P[W' <= w] dw for the residual W' that the
-# first arrival during a service waits.  The arguments w
-# and rem, and the argument and result of kappa, are numpy arrays
-# (elementwise); expectations without a closed form go through
+# expect_value_kappa(d, kappa, lam) = E[V kappa(d - S); S < d], kappa carrying
+# a layer of arrival rate lam (0 if none); and wait_fold(rem, lam) =
+# E[_wait_cdf_kernel(S, rem, lam)], which is (1 - MGF) int_0^rem (rem - w)
+# P[W' <= w] dw for the residual W' that the first arrival during a service
+# waits.  The arguments w and rem, and the argument and result of kappa, are
+# numpy arrays (elementwise); expectations without a closed form go through
 # ``gauss_legendre``, cut by the component itself at ``layer_offsets``.
 
 def layer_offsets(rate: float, width: float) -> list[float]:
@@ -422,10 +421,10 @@ class PointMass:
     def ccdf(self, w):
         return np.where(w < self.s, 1.0, 0.0)
 
-    def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
+    def expect_value_kappa(self, d: float, kappa, lam: float) -> float:
         return self.value * float(kappa(d - self.s)) if self.s < d else 0.0
 
-    def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
+    def wait_fold(self, rem, lam: float):
         return _wait_cdf_kernel(self.s, rem, lam)
 
 
@@ -457,13 +456,13 @@ class ExponentialComponent:
     def ccdf(self, w):
         return np.exp(-w / self.m)
 
-    def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
+    def expect_value_kappa(self, d: float, kappa, lam: float) -> float:
         m = self.m
         cuts = [0.0, *(k for k in self.kinks if k < d), d]
-        parts = gauss_legendre(lambda s: np.exp(-s / m) / m * kappa(d - s), cuts[:-1], cuts[1:], spec)
+        parts = gauss_legendre(lambda s: np.exp(-s / m) / m * kappa(d - s), cuts[:-1], cuts[1:])
         return self.value * float(parts.sum())
 
-    def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
+    def wait_fold(self, rem, lam: float):
         # W' is exponential(m) again: (1 - MGF) int_0^rem (rem - w) (1 - exp(-w/m)) dw
         # = (1 - MGF) m^2 (y^2/2 - y + 1 - exp(-y)), y = rem/m, or m^2 y^3 _series3(-y).
         m = self.m
@@ -495,13 +494,13 @@ class ValueMapped:
         lo, hi = self.value.support()
         return (float(self.service.g(lo)), float(self.service.g(hi)))
 
-    def _expect(self, f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC):
+    def _expect(self, f, lo, hi):
         """E[f(S); lo < S < hi] over the service support, for array bounds."""
         s_lo, s_hi = self.kinks
         lo = np.clip(lo, s_lo, s_hi)
         hi = np.clip(hi, lo, s_hi)
         pdf, g_inv, slope = self.value.pdf, self.service.g_inv, self.service.g_inv_slope
-        return gauss_legendre(lambda s: pdf(g_inv(s)) * slope(s) * f(s), lo, hi, spec)
+        return gauss_legendre(lambda s: pdf(g_inv(s)) * slope(s) * f(s), lo, hi)
 
     def mean(self) -> float:
         return self._expect(lambda s: s, *self.kinks)
@@ -521,18 +520,21 @@ class ValueMapped:
     def ccdf(self, w):
         return self.value.sf(self.service.g_inv(w))
 
-    def expect_value_kappa(self, d: float, kappa, spec: QuadratureSpec) -> float:
-        # The buffered kappas bend where d - S crosses a kink of the service
-        # law, whose only component this is, so the pieces end there too.
+    def expect_value_kappa(self, d: float, kappa, lam: float) -> float:
+        # The buffered kappas bend where d - S crosses a kink of the service law (this is its
+        # only component), so the pieces end there, and past the layer where the FCFS
+        # kappa(d - S) falls like exp(-lam (S - d + s_lo)): a busy arrival waits >= s_lo - Exp(lam).
         s_lo, s_hi = self.kinks
         top = min(s_hi, d)
         if top <= s_lo:
             return 0.0
-        cuts = sorted(c for c in (d - k for k in self.kinks) if s_lo < c < top)
+        start = max(d - s_lo, s_lo)
+        layer = (start + t for t in layer_offsets(lam, top - start))
+        cuts = sorted(c for c in (*(d - k for k in self.kinks), *layer) if s_lo < c < top)
         g_inv = self.service.g_inv
-        return float(self._expect(lambda s: g_inv(s) * kappa(d - s), [s_lo, *cuts], [*cuts, top], spec).sum())
+        return float(self._expect(lambda s: g_inv(s) * kappa(d - s), [s_lo, *cuts], [*cuts, top]).sum())
 
-    def wait_fold(self, rem, lam: float, spec: QuadratureSpec):
+    def wait_fold(self, rem, lam: float):
         # Pieces split at the kernel's kink S = rem and end past its layers of width
         # 1/lam above S = s_lo (up to rem) and above S = max(rem, s_lo), where
         # exp(-lam (S - rem)) starts: all pieces in one call, one row per piece.
@@ -542,7 +544,7 @@ class ValueMapped:
         offsets = layer_offsets(lam, s_hi - s_lo)
         cuts = [s_lo, *(np.minimum(s_lo + t, rem) for t in offsets), rem, *(start + t for t in offsets), s_hi]
         cuts = np.stack(np.broadcast_arrays(*cuts))
-        return self._expect(lambda s: _wait_cdf_kernel(s, rem, lam), cuts[:-1], cuts[1:], spec).sum(axis=0)
+        return self._expect(lambda s: _wait_cdf_kernel(s, rem, lam), cuts[:-1], cuts[1:]).sum(axis=0)
 
 
 ServiceComponent = Union[PointMass, ExponentialComponent, ValueMapped]

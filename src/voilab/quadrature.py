@@ -3,12 +3,13 @@
 All analytic expectations in this package that lack a closed form are
 evaluated through ``gauss_legendre``, so its error behaviour is pinned down:
 it integrates many intervals at once on numpy arrays, doubles the
-Gauss-Legendre order until successive estimates agree within the budget
-derived from ``QuadratureSpec``, and raises ``QuadratureError`` (carrying the
-worst interval) when the doubling bound is hit first.  Its first pass is
-fused: one integrand call at the 16- and 32-point nodes together yields the
-first two estimates, so a rule that converges at 32 points costs one call
-(per-call numpy overhead, not node count, dominates these small panels).
+Gauss-Legendre order until successive estimates agree within ``DEFAULT_SPEC``,
+the one budget that every level of every rule in the package meets, and raises
+``QuadratureError`` (carrying the worst interval) when the doubling bound is
+hit first.  Its first pass is fused: one integrand call at the 16- and
+32-point nodes together yields the first two estimates, so a rule that
+converges at 32 points costs one call (per-call numpy overhead, not node
+count, dominates these small panels).
 ``integrate``, the same rule for a scalar integrand, stays only for
 perfbench's tracer.
 """
@@ -37,16 +38,12 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
+    rel_tol: float = 5e-10
+    abs_tol: float = 5e-13
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-
-    def split(self, levels: int) -> "QuadratureSpec":
-        """Tolerance budget for one level of a nested integral."""
-        return QuadratureSpec(self.rel_tol / levels, self.abs_tol / levels)
 
 
 DEFAULT_SPEC = QuadratureSpec()

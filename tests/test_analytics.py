@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.special import gammainc
 
 from voilab import cli
 from voilab.analytics import (
@@ -283,7 +284,7 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
                 epsabs=loose.abs_tol,
                 epsrel=loose.rel_tol,
             )[0]
-            folded = sum(c.weight * c.wait_fold(d, lam, QuadratureSpec()) for c in law) / omm
+            folded = sum(c.weight * c.wait_fold(d, lam) for c in law) / omm
             assert folded == pytest.approx(literal, rel=1e-4, abs=0.0)
 
 
@@ -884,7 +885,7 @@ def _fold_oracle(lam, rem):
 def test_fcfs_fold_resolves_its_boundary_layers(lam):
     ((c,), _) = service_law(uniflog(lam, MG12))
     rem = np.array([1e-3, 0.3, 1.0, 2.9])
-    got = c.wait_fold(rem, lam, QuadratureSpec())
+    got = c.wait_fold(rem, lam)
     np.testing.assert_allclose(got, [_fold_oracle(lam, r) for r in rem], rtol=1e-11, atol=0.0)
 
 
@@ -1191,16 +1192,19 @@ def test_fast_exponential_service_keeps_its_value(mu):
 
 
 # ---------------------------------------------------------------------------
-# M/GI/1/2 busy area over the whole scenario grammar
+# Both areas over the whole scenario grammar
 # ---------------------------------------------------------------------------
 #
-# The oracle swaps the order of integration as ``_oracle_eq_busy`` does:
-#   eq_busy = int_0^D f_W'(w) H(D - w) dw / (2D),  H(r) = E[V (r - S)^2; S < r],
-#   f_W'(w) = E[lam exp(-lam (S - w)); S > w] / E[1 - exp(-lam S)],
+# With H(r) = E[V (r - S)^2; S < r], eq_idle = H(D) / (2D) in every
+# discipline, and the busy-area oracles swap the order of integration as
+# ``_oracle_eq_busy`` does:
+#   M/GI/1/2   eq_busy = int_0^D f_W'(w) H(D - w) dw / (2D),
+#              f_W'(w) = E[lam exp(-lam (S - w)); S > w] / E[1 - exp(-lam S)];
+#   M/GI/1/2*  eq_busy = int_0^D P[S > w] exp(-lam w) H(D - w) dw / (2D E[S]),
 # with every expectation summed over the parts of the admitted law, which the
 # oracle reads off the scenario itself.  Point masses and exponential parts
-# give f_W' in closed form; a continuous value law is integrated over the
-# value by scipy ``quad``.  Pieces end at 1, 4, 16 and 64 times each layer's
+# give f_W', P[S > w] and E[S] in closed form; a continuous value law is
+# integrated over the value by scipy ``quad``.  Pieces end at 1, 4, 16 and 64 times each layer's
 # width: 1/lam below a service time, the mean of an exponential part or value.
 
 _STEPS = (1.0, 4.0, 16.0, 64.0)
@@ -1214,6 +1218,12 @@ class _Atom:
 
     def omm(self, lam):
         return -math.expm1(-lam * self.s)
+
+    def sf(self, w):
+        return 1.0 if w < self.s else 0.0
+
+    def mean(self):
+        return self.s
 
     def dens(self, lam, w):
         return lam * math.exp(-lam * (self.s - w)) if w < self.s else 0.0
@@ -1236,6 +1246,12 @@ class _ExpPart:
 
     def omm(self, lam):
         return lam * self.m / (1.0 + lam * self.m)
+
+    def sf(self, w):
+        return math.exp(-w / self.m)
+
+    def mean(self):
+        return self.m
 
     def dens(self, lam, w):
         return lam * math.exp(-w / self.m) / (1.0 + lam * self.m)
@@ -1263,6 +1279,12 @@ class _Mapped:
         if b <= a:
             return 0.0
         return _q(lambda x: self.pdf(x) * f(x), a, b, [*points, *(self.lo + k * self.scale for k in _STEPS)])
+
+    def sf(self, w):
+        return self._e(lambda x: 1.0, self.g_inv(w), self.hi)
+
+    def mean(self):
+        return self._e(self.g, self.lo, self.hi)
 
     def omm(self, lam):
         g, s_lo = self.g, self.g(self.lo)
@@ -1371,3 +1393,131 @@ def test_fcfs_busy_area_matches_scipy_over_the_grammar(i):
     parts, lam = _oracle_parts(sc)
     want = _grammar_eq_busy(parts, lam, sc.descend.deadline)
     assert analyze(sc).eq_busy == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+# The FCFS outer rule must resolve the layer where kappa(D - S) falls like
+# exp(-lam (S - D + s_lo)); with its pieces ending at D - s_lo alone this
+# draw read 4.5e-9 off.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_fcfs_busy_area_resolves_the_layer_of_its_outer_rule_on_a_grammar_draw():
+    sc = _GRAMMAR_DRAWS[138]
+    parts, lam = _oracle_parts(sc)
+    assert analyze(sc).eq_busy == pytest.approx(_grammar_eq_busy(parts, lam, sc.descend.deadline), rel=1e-10, abs=0.0)
+
+
+def _grammar_eq_idle(parts, d):
+    return sum(wt * p.area(d) for wt, p in parts) / (2.0 * d)
+
+
+def _grammar_eq_busy_lcfs(parts, lam, d):
+    e_s = sum(wt * p.mean() for wt, p in parts)
+    pts = sorted({q for _, p in parts for r in p.r_points() for q in (r, d - r)} | {k / lam for k in _STEPS})
+
+    def f(w):
+        return sum(wt * p.sf(w) for wt, p in parts) * math.exp(-lam * w) * sum(wt * p.area(d - w) for wt, p in parts)
+
+    return _q(f, 0.0, d, pts) / (2.0 * d * e_s)
+
+
+# The 150 draws above and 150 more, each analysed in every discipline.
+_ALL_DRAWS = _GRAMMAR_DRAWS + _grammar_draws(seed=2404)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("i", range(len(_ALL_DRAWS)))
+def test_idle_and_lcfs_busy_areas_match_scipy_over_the_grammar(i):
+    sc = _ALL_DRAWS[i]
+    parts, lam = _oracle_parts(sc)
+    d = sc.descend.deadline
+    reports = {disc: analyze(replace(sc, discipline=disc)) for disc in DISCIPLINES}
+    eq_idle = _grammar_eq_idle(parts, d)
+    for rep in reports.values():
+        assert rep.eq_idle == pytest.approx(eq_idle, rel=1e-10, abs=0.0)
+    assert reports[MG12_STAR].eq_busy == pytest.approx(_grammar_eq_busy_lcfs(parts, lam, d), rel=1e-8, abs=0.0)
+
+
+# uniform(2, 5) values, identity service, D = 3: D <= 2 s_lo, so a busy
+# arrival waits W' = S' - X >= s_lo - X > D - s for its own service s, and in
+# closed form (u = s_hi - s_lo, P the regularised lower incomplete gamma)
+#   kappa(r) = 2 (exp(-lam (s_lo - r)) - exp(-lam (s_hi - r))) P(3, lam r) / (lam^3 u (1 - MGF)),
+#   MGF = (exp(-lam s_lo) - exp(-lam s_hi)) / (lam u),
+# so eq_busy = int_{s_lo}^D s kappa(D - s) ds / (2 D u), all of it within a
+# few 1/lam of s_lo.  At lam = 300, with P(3, x) = 1 - exp(-x)(1 + x + x^2/2)
+# the integral is elementary: 4.715848702438074e-142 (mpmath, 60 digits).
+# An outer rule whose pieces did not end past that layer read 4.715794306932996e-142.
+def test_fcfs_busy_area_in_a_thin_layer_of_its_outer_rule():
+    lam, s_lo, s_hi, d = 300.0, 2.0, 5.0, 3.0
+    u = s_hi - s_lo
+    omm = 1.0 - (math.exp(-lam * s_lo) - math.exp(-lam * s_hi)) / (lam * u)
+
+    def kappa(r):
+        return 2.0 * (math.exp(-lam * (s_lo - r)) - math.exp(-lam * (s_hi - r))) * gammainc(3, lam * r) / (lam**3 * u * omm)
+
+    pts = [s_lo + k / lam for k in _STEPS]
+    want = quad(lambda s: s * kappa(d - s), s_lo, d, points=pts, epsabs=0.0, epsrel=1e-13, limit=200)[0] / (2.0 * d * u)
+    assert want == pytest.approx(4.715848702438074e-142, rel=1e-12, abs=0.0)
+    rep = analyze(Scenario(lam, UniformValue(s_lo, s_hi), DependentService("identity"), DescendFunction.linear(d), MG12))
+    assert rep.eq_busy == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Traffic limits
+# ---------------------------------------------------------------------------
+#
+# As lam -> 0 every arrival finds the server idle, so avg_voi / lam -> eq_idle
+# in every discipline.  As lam -> inf (Reiman and Simon, Oper. Res. 1989) the
+# server never idles: without a buffer, and with a replacing one, each
+# service delivers a packet that waited for nothing, so avg_voi -> eq_idle /
+# E[S]; FCFS serves each packet after the residual of the service before it,
+# which is a whole independent service S', so avg_voi -> E[V (D - S - S')^2;
+# S + S' < D] / (2D E[S]).  Each family is the density f of S and vf(s) =
+# E[V | S = s] f(s), all integrals by scipy ``quad``.
+
+_LIMIT_FAMILIES = {
+    "exp-identity": (
+        Scenario(1.0, ExponentialValue(1.5), DependentService("identity"), LIN3),
+        lambda s: 1.5 * math.exp(-1.5 * s),
+        lambda s: 1.5 * s * math.exp(-1.5 * s),
+        math.inf,
+    ),
+    "uniform-log": (
+        Scenario(1.0, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), LIN3),
+        lambda s: math.exp(s) / 10.0,
+        lambda s: math.expm1(s) * math.exp(s) / 10.0,
+        math.log(11.0),
+    ),
+    "binary-cexp": (
+        Scenario(1.0, BinaryValue(0.4, 1.33, 0.8), ClassExponentialService(), LIN3),
+        lambda s: 0.8 * math.exp(-s / 0.4) / 0.4 + 0.2 * math.exp(-s / 1.33) / 1.33,
+        lambda s: 0.8 * math.exp(-s / 0.4) + 0.2 * math.exp(-s / 1.33),
+        math.inf,
+    ),
+}
+
+
+def _limits(family, d=3.0):
+    """(eq_idle, eq_idle / E[S], the FCFS limit) of a family at deadline d."""
+    _, f, vf, top = _LIMIT_FAMILIES[family]
+
+    def h(r):
+        return quad(lambda s: vf(s) * (r - s) ** 2, 0.0, min(r, top), epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    e_s = quad(lambda s: s * f(s), 0.0, top, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    fcfs = quad(lambda s: f(s) * h(d - s), 0.0, min(d, top), epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    eq_idle = h(d) / (2.0 * d)
+    return eq_idle, eq_idle / e_s, fcfs / (2.0 * d * e_s)
+
+
+def test_traffic_limits_of_exp_identity_match_the_printed_values():
+    assert _limits("exp-identity") == pytest.approx((0.39917852108, 0.59876778162, 0.34013273742), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("family", sorted(_LIMIT_FAMILIES))
+def test_analyze_reaches_its_traffic_limits(family):
+    base = _LIMIT_FAMILIES[family][0]
+    eq_idle, light_server, fcfs = _limits(family)
+    for disc in DISCIPLINES:
+        low = analyze(replace(base, lam=1e-8, discipline=disc))
+        assert low.avg_voi / 1e-8 == pytest.approx(eq_idle, rel=1e-6, abs=0.0)
+        high = analyze(replace(base, lam=1e8, discipline=disc))
+        assert high.avg_voi == pytest.approx(fcfs if disc == MG12 else light_server, rel=1e-6, abs=0.0)
