@@ -16,13 +16,15 @@ never calls, so that the two routes check each other.
 Only the linear decay law is covered, since the FCFS busy-arrival fold
 (``model._wait_cdf_kernel``) is a closed form for that law alone.
 
-Expectations without a closed form use vectorised Gauss-Legendre panels
-(``quadrature.gauss_legendre``, at its one budget) split at the known kinks
-of each integrand.  The busy-arrival area is one tensor-product rule: the
-outer service-time nodes are evaluated together, and the inner fold
-(M/GI/1/2) or residual integral (M/GI/1/2*) runs once over all of them, with
-every outer node's inner pieces cut at its own remaining time; the outer
-pieces also end past the exp(-lam s) layer that the FCFS fold carries.
+This module assembles the renewal-reward sum and integrates nothing itself:
+expectations without a closed form are members of the law's components or
+law-level folds in ``model`` (``residual_fold``), which place every cut and
+evaluate on vectorised Gauss-Legendre panels at the one budget of
+``quadrature`` (``REL_TOL``, ``ABS_TOL``).  The busy-arrival area is one
+tensor-product rule: the outer service-time nodes are evaluated together,
+and the inner fold (M/GI/1/2) or residual integral (M/GI/1/2*) runs once
+over all of them, each outer node's inner pieces cut at its own remaining
+time.
 Class-filtered admission is Poisson thinning: the queue sees rate
 lam * P[class admitted] and the value distribution conditioned on admission.
 
@@ -49,14 +51,14 @@ from .model import (
     UniformValue,
     MG11,
     MG12,
-    layer_offsets,
     mean_service_time,
     mgf_service,
     one_minus_mgf_service,
+    residual_fold,
     service_law,
 )
 # integrate is not called here; it stays bound for perfbench, whose tracer patches it by name.
-from .quadrature import gauss_legendre, integrate  # noqa: F401
+from .quadrature import integrate  # noqa: F401
 
 
 class UnsupportedAnalyticsError(ValueError):
@@ -215,21 +217,12 @@ def analyze(scenario: Scenario) -> AnalyticReport:
         st = stationary_mg12(law, lam)
         p_served = st.p_busy
         if st.e_s > 0.0 and p_served > 0.0:
-            # The layer of exp(-lam w) sits at w = 0, and w < rem <= D.
-            kinks = sorted({k for k in (*(k for c in law for k in c.kinks), *layer_offsets(lam, d)) if 0.0 < k < d})
             # kappa is about rem^2 / (lam E[S]): from lam = 2^512 on it is taken
             # times unit = 2^512, so that it and eq_busy keep to the normal range.
             unit = 1.0 if lam < 2.0**512 else 2.0**512
 
             def kappa(rem):
-                # One row of pieces per outer point: [0, rem] cut at every kink,
-                # each clipped to that point's [0, rem] (empty pieces add nothing).
-                cuts = np.stack([np.zeros_like(rem), *(np.clip(k, 0.0, rem) for k in kinks), rem])
-
-                def f(w):
-                    return unit * (rem - w) ** 2 * np.exp(-lam * w) * sum(c.weight * c.ccdf(w) for c in law)
-
-                return gauss_legendre(f, cuts[:-1], cuts[1:]).sum(axis=0) / st.e_s
+                return residual_fold(law, rem, lam, unit) / st.e_s
 
     eqi = _eq_idle(law, d)
     eqb = 0.0 if kappa is None else _area(law, d, kappa, lam if scenario.discipline == MG12 else 0.0)  # eq_busy * unit
@@ -296,10 +289,10 @@ def closed_form_mg11_uniform_log(
     e_s = (a / u) * (
         (v_max + 1.0) * math.log1p(v_max) - (v_min + 1.0) * math.log1p(v_min)
     ) - a
-    t_cycle = 1.0 / lam + e_s
-    # lam * t_cycle overflows from lam = 1e308 / E[S] on.
-    p_idle = 1.0 / (lam * t_cycle) if lam * t_cycle < math.inf else 1.0 / lam / t_cycle
-    p_busy = e_s / t_cycle
+    # busy = lam E[S] in units of one = 1, or of one = 1/lam where it overflows
+    # (the cycle length 1/lam + E[S] itself overflows below lam = 5.6e-309).
+    one, busy = (1.0, lam * e_s) if lam * e_s < math.inf else (1.0 / lam, e_s)
+    p_idle, p_busy = one / (one + busy), busy / (one + busy)
     v_up = v_max if deadline / a >= math.log1p(v_max) else math.expm1(deadline / a)
     sigma = (v_up - v_min) / (1.0 + v_min)
     if v_up <= v_min:

@@ -333,17 +333,18 @@ class Scenario:
 #
 # ``service_law`` writes the joint law of an admitted packet's value V and
 # service time S once, as weighted components, each carrying the value it
-# pays (the value distribution itself when S = g(V)).  Each provides the
-# seven members ``analyze`` uses: its kinks (where its integrands bend, or
-# where the pieces around its exponential layer end); mean(), mgf(lam) and
-# one_minus_mgf(lam); ccdf(w) = P[S > w];
+# pays (the value distribution itself when S = g(V)).  Each provides seven
+# members.  ``analyze`` reads five: mean(), mgf(lam) and one_minus_mgf(lam);
 # expect_value_kappa(d, kappa, lam) = E[V kappa(d - S); S < d], kappa carrying
 # a layer of arrival rate lam (0 if none); and wait_fold(rem, lam) =
 # E[_wait_cdf_kernel(S, rem, lam)], which is (1 - MGF) int_0^rem (rem - w)
 # P[W' <= w] dw for the residual W' that the first arrival during a service
-# waits.  The arguments w and rem, and the argument and result of kappa, are
-# numpy arrays (elementwise); expectations without a closed form go through
-# ``gauss_legendre``, cut by the component itself at ``layer_offsets``.
+# waits.  The other two, its kinks (where its integrands bend, or where the
+# pieces around its exponential layer end) and ccdf(w) = P[S > w], are read
+# only by the rules in this module (``residual_fold``).  The arguments w and
+# rem, and the argument and result of kappa, are numpy arrays (elementwise);
+# expectations without a closed form go through ``gauss_legendre``, cut in
+# this module at ``layer_offsets``.
 
 def layer_offsets(rate: float, width: float) -> list[float]:
     """The one rule for a layer exp(-rate t) of width 1/rate at t = 0 on a span
@@ -394,6 +395,27 @@ def _wait_cdf_kernel(s, rem, lam: float):
         q2[lo] = x * (0.5 * e + q3[lo])
     tail = rem - m
     return hold * m * (tail * q2 + m * q3) + 0.5 * em * tail * tail
+
+
+def residual_fold(law, rem, lam: float, unit: float):
+    """unit int_0^rem (rem - w)^2 exp(-lam w) P[S > w] dw over the admitted law
+    ``law``, elementwise over an array ``rem``, for a power of two ``unit``: E[S]
+    times the M/GI/1/2* kappa(rem), where a busy arrival is delivered iff no
+    arrival comes during the residual service W, of density P[S > w] / E[S].
+
+    One row of pieces per rem: [0, rem] cut at the law's kinks and past the
+    layer of exp(-lam w) at w = 0, each cut clipped to that row's [0, rem]
+    (empty pieces add nothing, so cuts past the largest rem are left out).
+    """
+    rem = np.asarray(rem)
+    span = float(rem.max())
+    kinks = sorted({k for k in (*(k for c in law for k in c.kinks), *layer_offsets(lam, span)) if 0.0 < k < span})
+    cuts = np.stack([np.zeros_like(rem), *(np.clip(k, 0.0, rem) for k in kinks), rem])
+
+    def f(w):
+        return unit * (rem - w) ** 2 * np.exp(-lam * w) * sum(c.weight * c.ccdf(w) for c in law)
+
+    return gauss_legendre(f, cuts[:-1], cuts[1:]).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -464,14 +486,16 @@ class ExponentialComponent:
 
     def wait_fold(self, rem, lam: float):
         # W' is exponential(m) again: (1 - MGF) int_0^rem (rem - w) (1 - exp(-w/m)) dw
-        # = (1 - MGF) m^2 (y^2/2 - y + 1 - exp(-y)), y = rem/m, or m^2 y^3 _series3(-y).
+        # = (1 - MGF) m^2 (y^2/2 - y + 1 - exp(-y)), y = rem/m, or rem^2 y _series3(-y) below
+        # y = 1/2 (not m^2 y^3, which overflows from m = 1.34e154 on).
         m = self.m
-        y = np.asarray(rem, dtype=float) / m
+        rem = np.asarray(rem, dtype=float)
+        y = rem / m
         f = np.asarray(rem * (0.5 * rem - m) - m * m * np.expm1(-y))
         lo = y < _SERIES_BELOW
         if lo.any():
-            y = y[lo]
-            f[lo] = m * m * y**3 * _series3(-y)
+            r, y = rem[lo], y[lo]
+            f[lo] = r * r * y * _series3(-y)
         return self.one_minus_mgf(lam) * f
 
 

@@ -3,8 +3,8 @@
 All analytic expectations in this package that lack a closed form are
 evaluated through ``gauss_legendre``, so its error behaviour is pinned down:
 it integrates many intervals at once on numpy arrays, doubles the
-Gauss-Legendre order until successive estimates agree within ``DEFAULT_SPEC``,
-the one budget that every level of every rule in the package meets, and raises
+Gauss-Legendre order until successive estimates agree within ``REL_TOL`` or
+``ABS_TOL``, the one budget that every rule in the package meets, and raises
 ``QuadratureError`` (carrying the worst interval) when the doubling bound is
 hit first.  Its first pass is fused: one integrand call at the 16- and
 32-point nodes together yields the first two estimates, so a rule that
@@ -16,7 +16,6 @@ perfbench's tracer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -36,17 +35,9 @@ class QuadratureError(ArithmeticError):
         self.interval = interval
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 5e-10
-    abs_tol: float = 5e-13
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# The error budget that every rule in the package meets (see ``gauss_legendre``).
+REL_TOL = 5e-10
+ABS_TOL = 5e-13
 
 # Gauss-Legendre points of the first panel of each piece, and the most that
 # doubling may reach: with every kink on a piece boundary the integrands are
@@ -114,19 +105,14 @@ def _panel_sums(f, a, width, orders):
     return sums, width * (weights[-1] @ np.abs(part)).reshape(a.shape)
 
 
-def gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray],
-    a,
-    b,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-):
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
     """Integrals of a vectorised ``f`` over [a, b], for broadcast arrays a, b.
 
     ``f`` receives an array of shape (points,) + shape(a, b), one leading
     row per evaluation point, so parameters shaped like the bounds broadcast
     against it.  Each interval is one Gauss-Legendre panel of k points, and
-    k doubles from GL_FIRST_ORDER until |I_2k - I_k| <= max(rel_tol * |I_2k|,
-    abs_tol) holds on every interval (or sits at the rounding level of the
+    k doubles from GL_FIRST_ORDER until |I_2k - I_k| <= max(REL_TOL * |I_2k|,
+    ABS_TOL) holds on every interval (or sits at the rounding level of the
     integral of |f|); I_2k is returned.  Callers split the intervals at the
     integrand's kinks.
 
@@ -154,7 +140,7 @@ def gauss_legendre(
     (coarse, fine), mass = _panel_sums(f, a, width, (GL_FIRST_ORDER, order))
     while True:
         excess = np.abs(fine - coarse) / np.maximum(
-            np.maximum(spec.rel_tol * np.abs(fine), spec.abs_tol), 1e-14 * mass
+            np.maximum(REL_TOL * np.abs(fine), ABS_TOL), 1e-14 * mass
         )
         if not (excess > 1.0).any():
             return fine if fine.ndim else float(fine)
@@ -171,11 +157,6 @@ def gauss_legendre(
     )
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
+def integrate(f: Callable[[float], float], a: float, b: float) -> float:
     """``gauss_legendre`` for a scalar integrand ``f`` over [a, b]; nothing here calls it."""
-    return gauss_legendre(np.vectorize(f, otypes=[float]), a, b, spec)
+    return gauss_legendre(np.vectorize(f, otypes=[float]), a, b)

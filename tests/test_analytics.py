@@ -41,7 +41,6 @@ from voilab.model import (
     service_law,
     _wait_cdf_kernel,
 )
-from voilab.quadrature import QuadratureSpec
 
 LIN3 = DescendFunction.linear(3.0)
 
@@ -171,16 +170,13 @@ def test_residual_ccdf_dependent_identity_matches_memoryless():
 def test_residual_ccdf_non_increasing_and_mean_bounded():
     # The CCDF values themselves carry quadrature noise, so the outer
     # integral runs at a looser tolerance than the inner one.
-    outer = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
     for sc in (uniflog(1.0, MG12), mm12(0.7)):
         law, lam = service_law(sc)
         grid = np.linspace(0.0, 3.0, 25)
         vals = [residual_ccdf_oracle(law, lam, float(w)) for w in grid]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-10
-        e_wait = quad(
-            lambda w: residual_ccdf_oracle(law, lam, w), 0.0, math.inf, epsabs=outer.abs_tol, epsrel=outer.rel_tol
-        )[0]
+        e_wait = quad(lambda w: residual_ccdf_oracle(law, lam, w), 0.0, math.inf, epsabs=1e-9, epsrel=1e-6)[0]
         assert e_wait <= mean_service_time(law) + 1e-6
 
 
@@ -272,7 +268,6 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
     # Dual route: the folded closed-form kernel against the textbook form
     # int_0^d (d-w) P[W'<=w] dw, with the CDF taken as 1 - the oracle CCDF.
     # The CCDF carries its own quadrature noise, so the outer level stays looser.
-    loose = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8)
     for sc in (mm12(1.0), uniflog(0.8, MG12)):
         law, lam = service_law(sc)
         omm = one_minus_mgf_service(law, lam)
@@ -281,8 +276,8 @@ def test_mg12_wait_integral_matches_literal_ccdf_route():
                 lambda w: (d - w) * (1.0 - residual_ccdf_oracle(law, lam, w)),
                 0.0,
                 d,
-                epsabs=loose.abs_tol,
-                epsrel=loose.rel_tol,
+                epsabs=1e-8,
+                epsrel=1e-5,
             )[0]
             folded = sum(c.weight * c.wait_fold(d, lam) for c in law) / omm
             assert folded == pytest.approx(literal, rel=1e-4, abs=0.0)
@@ -425,7 +420,6 @@ def test_mm12_busy_area_against_nested_quadrature():
     # Independent check of the printed busy-state closed form: evaluate the
     # defining double integral with the residual density mu e^{-mu w}.
     mu, deadline = 1.5, 3.0
-    spec = QuadratureSpec()
     got, _ = dblquad(
         lambda w, v: (v / (2 * deadline))
         * (deadline - v - w) ** 2
@@ -437,8 +431,8 @@ def test_mm12_busy_area_against_nested_quadrature():
         deadline,
         0.0,
         lambda v: deadline - v,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
+        epsabs=5e-13,
+        epsrel=5e-10,
     )
     assert got == pytest.approx(EQ_BUSY_MM, rel=1e-8, abs=0.0)
 
@@ -454,6 +448,15 @@ def test_uniform_log_closed_form_holds_at_long_deadlines(d):
     if d <= 1e3:
         area, _ = quad(lambda v: v * (d - math.log1p(v)) ** 2, 0.0, 10.0, epsabs=0.0, epsrel=1e-13)
         assert cf.eq_idle == pytest.approx(area / (2.0 * d * 10.0), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [5e-309, 1e-320, 5e-324])
+def test_uniform_log_closed_form_holds_at_subnormal_rates(lam):
+    # 1/lam + E[S] overflowed below lam = 5.6e-309, and p_idle read nan.
+    cf = closed_form_mg11_uniform_log(0.0, 10.0, 1.0, lam, 3.0)
+    assert all(math.isfinite(x) for x in astuple(cf))
+    assert cf.p_idle == 1.0
+    assert cf.eq_idle == closed_form_mg11_uniform_log(0.0, 10.0, 1.0, 1.0, 3.0).eq_idle
 
 
 def _mm12_decimal(mu, lam, d):
@@ -1189,6 +1192,24 @@ def test_fast_exponential_service_keeps_its_value(mu):
     rep = analyze(_indexp(mu, 3.0, 1.0, MG12_STAR))
     assert math.isfinite(rep.avg_voi)
     assert rep.eq_busy == pytest.approx(_exp_oracle(1.0 / 1.5, 1.0 / mu, 1.0, 3.0, MG12_STAR)[1], rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1e100, 1e150, 1e155, 1e300])
+def test_fcfs_busy_area_of_very_long_exponential_service(m):
+    # With mean service m >> D, P[W' <= w] ~ w/m, so kappa(rem) ~ rem^3 / (3m)
+    # and eq_busy ~ E[V] D^3 / (24 m^2).  The series form m^2 y^3 of the
+    # exponential wait fold underflowed to 0 at m = 1e150 and overflowed from
+    # m = 1.34e154 on (QuadratureError).  Past that only finiteness is asked:
+    # the reference, or the outer integrand's density 1/m times kappa, falls
+    # below the normal range.
+    for sc, e_v in (
+        (Scenario(1.0, UniformValue(0.0, 10.0), IndependentExponentialService(1.0 / m), LIN3, MG12), 5.0),
+        (Scenario(1.0, BinaryValue(m, 1.0, 0.5), ClassExponentialService(), LIN3, MG12, "class-only(1)"), m),
+    ):
+        rep = analyze(sc)
+        assert all(math.isfinite(x) for x in astuple(rep)), sc
+        if m <= 1e150:
+            assert rep.eq_busy == pytest.approx(e_v / m * (27.0 / 24.0) / m, rel=1e-9, abs=0.0), sc
 
 
 # ---------------------------------------------------------------------------

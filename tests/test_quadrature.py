@@ -10,10 +10,11 @@ from scipy.integrate import quad
 from voilab import quadrature
 from voilab.model import _wait_cdf_kernel
 from voilab.quadrature import (
+    ABS_TOL,
     GL_FIRST_ORDER,
     GL_MAX_ORDER,
     QuadratureError,
-    QuadratureSpec,
+    REL_TOL,
     _unit_panel,
     gauss_legendre,
     integrate,
@@ -44,9 +45,8 @@ def test_reversed_interval_rejected():
 def test_max_depth_error_carries_worst_subinterval():
     # The ~1300 periods of sin(40 x^2) on [0, 10] are not resolved by the
     # GL_MAX_ORDER-point panel, where doubling stops.
-    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
     with pytest.raises(QuadratureError) as err:
-        integrate(lambda x: math.sin(40.0 * x * x), 0.0, 10.0, spec)
+        integrate(lambda x: math.sin(40.0 * x * x), 0.0, 10.0)
     a, b = err.value.interval
     assert 0.0 <= a < b <= 10.0
 
@@ -55,44 +55,10 @@ def test_linearity():
     f = lambda x: math.sin(x) + 0.2 * x
     g = lambda x: math.exp(-x) * x * x
     a, b = 0.0, 2.5
-    spec = QuadratureSpec()
-    lhs = integrate(lambda x: 2.0 * f(x) + 3.0 * g(x), a, b, spec)
-    rhs = 2.0 * integrate(f, a, b, spec) + 3.0 * integrate(g, a, b, spec)
-    tol = 2.0 * max(spec.rel_tol * abs(lhs), spec.abs_tol)
+    lhs = integrate(lambda x: 2.0 * f(x) + 3.0 * g(x), a, b)
+    rhs = 2.0 * integrate(f, a, b) + 3.0 * integrate(g, a, b)
+    tol = 2.0 * max(REL_TOL * abs(lhs), ABS_TOL)
     assert abs(lhs - rhs) <= tol
-
-
-@pytest.mark.parametrize(
-    "f,a,b,exact",
-    [
-        (math.sin, 0.0, math.pi, 2.0),
-        (math.exp, 0.0, 1.0, math.e - 1.0),
-        (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
-    ],
-)
-def test_halving_rel_tol_never_loosens_the_achieved_bound(f, a, b, exact):
-    # The raw error need not be monotone in the tolerance (a loose run can
-    # get lucky), so the meaningful guarantee is that every halving of
-    # rel_tol still keeps the error inside the halved bound, and the
-    # tightest run beats every looser bound.
-    rel = 1e-4
-    errs = []
-    while rel >= 1e-10:
-        spec = QuadratureSpec(rel_tol=rel, abs_tol=1e-15)
-        err = abs(integrate(f, a, b, spec) - exact)
-        assert err <= max(rel * abs(exact), spec.abs_tol)
-        errs.append((rel, err))
-        rel /= 2.0
-    tightest = errs[-1][1]
-    for rel, _ in errs[:-1]:
-        assert tightest <= rel * abs(exact)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +104,23 @@ def test_gauss_legendre_nonfinite_integrand_is_numeric_failure(f):
 def test_gauss_legendre_doubling_cap_names_the_worst_interval():
     # Up to GL_MAX_ORDER points resolve a few periods of sin(40 x^2) on
     # [0, 1] but not the ~1300 on [0, 10].
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
     with pytest.raises(QuadratureError) as err:
-        gauss_legendre(lambda x: np.sin(40.0 * x * x), np.zeros(2), np.array([1.0, 10.0]), spec)
+        gauss_legendre(lambda x: np.sin(40.0 * x * x), np.zeros(2), np.array([1.0, 10.0]))
     assert err.value.interval == (0.0, 10.0)
 
 
 def test_gauss_legendre_unsplit_kink_exhausts_the_order_cap():
     # Splitting at kinks is the caller's job; an unsplit |x - 0.3| converges
-    # only algebraically and cannot reach 1e-13 within the order cap.
-    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
-    with pytest.raises(QuadratureError):
-        gauss_legendre(lambda x: np.abs(x - 0.3), 0.0, 1.0, spec)
-    assert gauss_legendre(lambda x: np.abs(x - 0.3), np.array([0.0, 0.3]), np.array([0.3, 1.0]), spec).sum() == (
+    # only algebraically and cannot reach REL_TOL within the order cap.
+    with pytest.raises(QuadratureError) as err:
+        gauss_legendre(lambda x: np.abs(x - 0.3), 0.0, 1.0)
+    assert err.value.interval == (0.0, 1.0)
+    assert gauss_legendre(lambda x: np.abs(x - 0.3), np.array([0.0, 0.3]), np.array([0.3, 1.0])).sum() == (
         pytest.approx(0.29, rel=1e-13, abs=0.0)
     )
 
 
-def _two_pass_reference(f, a, b, spec=QuadratureSpec()):
+def _two_pass_reference(f, a, b):
     """The rule with an unfused first pass: a 16-point pass, a 32-point pass,
     then one pass per doubling, under the same test and the same bounds."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -173,7 +138,7 @@ def _two_pass_reference(f, a, b, spec=QuadratureSpec()):
         order *= 2
         fine, mass = sums(order)
         excess = np.abs(fine - coarse) / np.maximum(
-            np.maximum(spec.rel_tol * np.abs(fine), spec.abs_tol), 1e-14 * mass
+            np.maximum(REL_TOL * np.abs(fine), ABS_TOL), 1e-14 * mass
         )
         if not (excess > 1.0).any():
             return fine if fine.ndim else float(fine), order
@@ -214,13 +179,12 @@ def test_fused_first_pass_equals_the_two_pass_rule(f, a, b, order):
 
 
 def test_fused_first_pass_fails_on_the_interval_the_two_pass_rule_names():
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
     f = lambda x: np.sin(40.0 * x * x)
     a, b = np.zeros(3), np.array([1.0, 10.0, 3.0])
-    want, order = _two_pass_reference(f, a, b, spec)
+    want, order = _two_pass_reference(f, a, b)
     assert order is None and want == (0.0, 10.0)
     with pytest.raises(QuadratureError) as err:
-        gauss_legendre(f, a, b, spec)
+        gauss_legendre(f, a, b)
     assert err.value.interval == want
     assert str(err.value).startswith(f"no convergence with {GL_MAX_ORDER} points per panel on [0.0, 10.0]")
 
