@@ -20,7 +20,7 @@ This module assembles the renewal-reward sum and integrates nothing itself:
 expectations without a closed form are members of the law's components or
 law-level folds in ``model`` (``residual_fold``), which place every cut and
 evaluate on vectorised Gauss-Legendre panels at the one budget of
-``quadrature`` (``REL_TOL``, ``ABS_TOL``).  The busy-arrival area is one
+``quadrature`` (``REL_TOL`` per integral).  The busy-arrival area is one
 tensor-product rule: the outer service-time nodes are evaluated together,
 and the inner fold (M/GI/1/2) or residual integral (M/GI/1/2*) runs once
 over all of them, each outer node's inner pieces cut at its own remaining

@@ -403,8 +403,8 @@ def residual_fold(law, rem, lam: float, unit: float):
     times the M/GI/1/2* kappa(rem), where a busy arrival is delivered iff no
     arrival comes during the residual service W, of density P[S > w] / E[S].
 
-    One row of pieces per rem: [0, rem] cut at the law's kinks and past the
-    layer of exp(-lam w) at w = 0, each cut clipped to that row's [0, rem]
+    One integral per rem, its pieces [0, rem] cut at the law's kinks and past
+    the layer of exp(-lam w) at w = 0, each cut clipped to that rem's [0, rem]
     (empty pieces add nothing, so cuts past the largest rem are left out).
     """
     rem = np.asarray(rem)
@@ -415,7 +415,7 @@ def residual_fold(law, rem, lam: float, unit: float):
     def f(w):
         return unit * (rem - w) ** 2 * np.exp(-lam * w) * sum(c.weight * c.ccdf(w) for c in law)
 
-    return gauss_legendre(f, cuts[:-1], cuts[1:]).sum(axis=0)
+    return gauss_legendre(f, cuts[:-1], cuts[1:])
 
 
 @dataclass(frozen=True)
@@ -479,10 +479,10 @@ class ExponentialComponent:
         return np.exp(-w / self.m)
 
     def expect_value_kappa(self, d: float, kappa, lam: float) -> float:
-        m = self.m
+        # The value goes inside: (value / m) kappa keeps to the normal range where kappa / m alone would not.
+        m, scale = self.m, self.value / self.m
         cuts = [0.0, *(k for k in self.kinks if k < d), d]
-        parts = gauss_legendre(lambda s: np.exp(-s / m) / m * kappa(d - s), cuts[:-1], cuts[1:])
-        return self.value * float(parts.sum())
+        return gauss_legendre(lambda s: scale * np.exp(-s / m) * kappa(d - s), cuts[:-1], cuts[1:])
 
     def wait_fold(self, rem, lam: float):
         # W' is exponential(m) again: (1 - MGF) int_0^rem (rem - w) (1 - exp(-w/m)) dw
@@ -518,22 +518,19 @@ class ValueMapped:
         lo, hi = self.value.support()
         return (float(self.service.g(lo)), float(self.service.g(hi)))
 
-    def _expect(self, f, lo, hi):
-        """E[f(S); lo < S < hi] over the service support, for array bounds."""
-        s_lo, s_hi = self.kinks
-        lo = np.clip(lo, s_lo, s_hi)
-        hi = np.clip(hi, lo, s_hi)
+    def _expect(self, f, cuts):
+        """E[f(S)] as one integral on the pieces between consecutive ``cuts`` (axis 0), clipped to the support."""
+        cuts = np.clip(cuts, *self.kinks)
         pdf, g_inv, slope = self.value.pdf, self.service.g_inv, self.service.g_inv_slope
-        return gauss_legendre(lambda s: pdf(g_inv(s)) * slope(s) * f(s), lo, hi)
+        return gauss_legendre(lambda s: pdf(g_inv(s)) * slope(s) * f(s), cuts[:-1], cuts[1:])
 
     def mean(self) -> float:
-        return self._expect(lambda s: s, *self.kinks)
+        return self._expect(lambda s: s, self.kinks)
 
     def _from_lo(self, f, lam: float) -> float:
         """E[f(S)] for f in exp(-lam S), whose layer at s_lo the pieces resolve."""
         s_lo, s_hi = self.kinks
-        cuts = [s_lo, *(s_lo + t for t in layer_offsets(lam, s_hi - s_lo)), s_hi]
-        return float(self._expect(f, cuts[:-1], cuts[1:]).sum())
+        return self._expect(f, [s_lo, *(s_lo + t for t in layer_offsets(lam, s_hi - s_lo)), s_hi])
 
     def mgf(self, lam: float) -> float:
         return self._from_lo(lambda s: np.exp(-lam * s), lam)
@@ -555,20 +552,18 @@ class ValueMapped:
         start = max(d - s_lo, s_lo)
         layer = (start + t for t in layer_offsets(lam, top - start))
         cuts = sorted(c for c in (*(d - k for k in self.kinks), *layer) if s_lo < c < top)
-        g_inv = self.service.g_inv
-        return float(self._expect(lambda s: g_inv(s) * kappa(d - s), [s_lo, *cuts], [*cuts, top]).sum())
+        return self._expect(lambda s: self.service.g_inv(s) * kappa(d - s), [s_lo, *cuts, top])
 
     def wait_fold(self, rem, lam: float):
         # Pieces split at the kernel's kink S = rem and end past its layers of width
         # 1/lam above S = s_lo (up to rem) and above S = max(rem, s_lo), where
-        # exp(-lam (S - rem)) starts: all pieces in one call, one row per piece.
+        # exp(-lam (S - rem)) starts: all pieces in one call, along axis 0.
         s_lo, s_hi = self.kinks
         rem = np.asarray(rem, dtype=float)
         start = np.maximum(rem, s_lo)
         offsets = layer_offsets(lam, s_hi - s_lo)
         cuts = [s_lo, *(np.minimum(s_lo + t, rem) for t in offsets), rem, *(start + t for t in offsets), s_hi]
-        cuts = np.stack(np.broadcast_arrays(*cuts))
-        return self._expect(lambda s: _wait_cdf_kernel(s, rem, lam), cuts[:-1], cuts[1:]).sum(axis=0)
+        return self._expect(lambda s: _wait_cdf_kernel(s, rem, lam), np.stack(np.broadcast_arrays(*cuts)))
 
 
 ServiceComponent = Union[PointMass, ExponentialComponent, ValueMapped]

@@ -2,20 +2,21 @@
 
 All analytic expectations in this package that lack a closed form are
 evaluated through ``gauss_legendre``, so its error behaviour is pinned down:
-it integrates many intervals at once on numpy arrays, doubles the
-Gauss-Legendre order until successive estimates agree within ``REL_TOL`` or
-``ABS_TOL``, the one budget that every rule in the package meets, and raises
-``QuadratureError`` (carrying the worst interval) when the doubling bound is
-hit first.  Its first pass is fused: one integrand call at the 16- and
-32-point nodes together yields the first two estimates, so a rule that
-converges at 32 points costs one call (per-call numpy overhead, not node
-count, dominates these small panels).
+it integrates many integrals at once on numpy arrays, each the sum of its
+pieces along axis 0 of the bounds, doubles the Gauss-Legendre order until
+each meets ``REL_TOL`` of its own value, the one budget that every rule in
+the package meets and that carries no unit, and raises ``QuadratureError``
+(carrying the worst piece) when the doubling bound is hit first.  Its first
+pass is fused: one integrand call at the 16- and 32-point nodes together
+yields the first two estimates, so a rule that converges at 32 points costs
+one call (per-call numpy overhead, not node count, dominates these small panels).
 ``integrate``, the same rule for a scalar integrand, stays only for
 perfbench's tracer.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from typing import Callable
 
@@ -37,7 +38,6 @@ class QuadratureError(ArithmeticError):
 
 # The error budget that every rule in the package meets (see ``gauss_legendre``).
 REL_TOL = 5e-10
-ABS_TOL = 5e-13
 
 # Gauss-Legendre points of the first panel of each piece, and the most that
 # doubling may reach: with every kink on a piece boundary the integrands are
@@ -106,27 +106,30 @@ def _panel_sums(f, a, width, orders):
 
 
 def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
-    """Integrals of a vectorised ``f`` over [a, b], for broadcast arrays a, b.
+    """Integrals of a vectorised ``f``, each summed over its pieces [a, b]
+    along axis 0 of the broadcast bounds: a float for scalar or 1-d bounds,
+    else an array of shape ``a.shape[1:]``.
 
     ``f`` receives an array of shape (points,) + shape(a, b), one leading
     row per evaluation point, so parameters shaped like the bounds broadcast
-    against it.  Each interval is one Gauss-Legendre panel of k points, and
-    k doubles from GL_FIRST_ORDER until |I_2k - I_k| <= max(REL_TOL * |I_2k|,
-    ABS_TOL) holds on every interval (or sits at the rounding level of the
-    integral of |f|); I_2k is returned.  Callers split the intervals at the
-    integrand's kinks.
+    against it.  Callers split the pieces at the integrand's kinks.  Each
+    piece is one Gauss-Legendre panel of k points, and k doubles from
+    GL_FIRST_ORDER until every integral meets sum |I_2k - I_k| <= max(REL_TOL
+    |sum I_2k|, 1e-14 M, float_info.min), both sums over its pieces; the sum
+    of I_2k is returned.  No floor carries a unit.  M, the rounding level, is
+    the largest integral of |f| of any integral in the call, since one whose
+    integrand carries a subnormal factor has few digits of its own; the
+    smallest normal number keeps integrals below the normal range from failing.
 
-    The first pass is fused: one call of ``f`` at the 16- and the 32-point
-    nodes together (48 per interval) gives I_16 and I_32, so a rule that
-    converges at 32 points calls ``f`` once.  Each later doubling is one
-    call.  No call asks for more than GL_MAX_POINTS nodes: more than
-    GL_MAX_POINTS / 48 intervals raise ``QuadratureError`` before ``f`` is
+    The first pass calls ``f`` once at the 16- and 32-point nodes together
+    (48 per piece) for I_16 and I_32; each doubling after it is one call.
+    No call asks for more than GL_MAX_POINTS nodes: more than
+    GL_MAX_POINTS / 48 pieces raise ``QuadratureError`` before ``f`` is
     called.  Doubling past GL_MAX_ORDER points per panel, or past
-    GL_MAX_POINTS nodes per pass, raises ``QuadratureError`` with the
-    interval furthest from its tolerance.
-    Scalar bounds give a float.
+    GL_MAX_POINTS nodes per pass, raises ``QuadratureError`` with the piece
+    that moved most in the integral furthest from its tolerance.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.atleast_1d(*np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("integration bounds must be finite")
     if (a > b).any():
@@ -134,25 +137,26 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
     order = 2 * GL_FIRST_ORDER
     if (order + GL_FIRST_ORDER) * a.size > GL_MAX_POINTS:
         raise QuadratureError(
-            f"{a.size} intervals need more than GL_MAX_POINTS = {GL_MAX_POINTS} nodes in the first pass"
+            f"{a.size} pieces need more than GL_MAX_POINTS = {GL_MAX_POINTS} nodes in the first pass"
         )
     width = b - a
     (coarse, fine), mass = _panel_sums(f, a, width, (GL_FIRST_ORDER, order))
     while True:
-        excess = np.abs(fine - coarse) / np.maximum(
-            np.maximum(REL_TOL * np.abs(fine), ABS_TOL), 1e-14 * mass
-        )
+        total, moved = fine.sum(axis=0), np.abs(fine - coarse)
+        floor = max(1e-14 * float(mass.sum(axis=0).max()), sys.float_info.min)
+        excess = moved.sum(axis=0) / np.maximum(REL_TOL * np.abs(total), floor)
         if not (excess > 1.0).any():
-            return fine if fine.ndim else float(fine)
+            return total if total.ndim else float(total)
         if 2 * order > GL_MAX_ORDER or 2 * order * a.size > GL_MAX_POINTS:
             break
         order *= 2
         coarse = fine
         (fine,), mass = _panel_sums(f, a, width, (order,))
-    i = np.unravel_index(np.argmax(excess), excess.shape) if a.ndim else ()
+    row = np.unravel_index(np.argmax(excess), excess.shape)
+    i = (int(np.argmax(moved[(slice(None), *row)])), *row)
     raise QuadratureError(
         f"no convergence with {order} points per panel on "
-        f"[{float(a[i])!r}, {float(b[i])!r}] (|I_2k - I_k| / tol ~ {float(excess[i]):.3e})",
+        f"[{float(a[i])!r}, {float(b[i])!r}] (sum |I_2k - I_k| / tol ~ {float(excess[row]):.3e})",
         (float(a[i]), float(b[i])),
     )
 

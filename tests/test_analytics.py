@@ -11,6 +11,7 @@ from scipy.special import gammainc
 
 from voilab import cli
 from voilab.analytics import (
+    AnalyticReport,
     UnsupportedAnalyticsError,
     analyze,
     closed_form_mg11_uniform_log,
@@ -876,14 +877,16 @@ def test_high_rate_fcfs_points_converge_on_the_first_pass(monkeypatch, value, se
 
 def _fold_oracle(lam, rem):
     # E[_wait_cdf_kernel(S, rem, lam)] for S = log(1 + V), V ~ Uniform(0, 10), by
-    # scipy quad on pieces that step geometrically away from both layers.
+    # scipy quad on pieces that double in width away from both layers (with
+    # wider steps quad reports roundoff on the layer above rem at lam = 1e7).
     s_hi = math.log(11.0)
-    steps = [j / lam for j in (0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)]
+    steps = [0.0, *(0.1 * 2.0**j / lam for j in range(14))]
     cuts = sorted({0.0, s_hi, *(p for base in (0.0, rem) for p in (base + t for t in steps) if 0.0 < p < s_hi)})
     f = lambda s: math.exp(s) / 10.0 * float(_wait_cdf_kernel(s, rem, lam))
     return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0] for a, b in zip(cuts, cuts[1:]))
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("lam", [1e2, 1e4, 1e7])
 def test_fcfs_fold_resolves_its_boundary_layers(lam):
     ((c,), _) = service_law(uniflog(lam, MG12))
@@ -1015,12 +1018,24 @@ def test_busy_area_matches_scipy_oracle_at_short_deadlines(family, lam, deadline
     _check_busy_area(family, lam, deadline, discipline)
 
 
-def _check_busy_area(family, lam, deadline, discipline):
+def _check_busy_area(family, lam, deadline, discipline, rel=1e-8):
     base, law = _ORACLE_FAMILIES[family]
     sc = replace(base, lam=lam, discipline=discipline, descend=DescendFunction.linear(deadline))
     lam_eff = lam * (0.8 if sc.admission == "class-only(1)" else 1.0)
     want = _oracle_eq_busy(law, lam_eff, deadline, discipline)
-    assert analyze(sc).eq_busy == pytest.approx(want, rel=1e-8, abs=0.0)
+    assert analyze(sc).eq_busy == pytest.approx(want, rel=rel, abs=0.0)
+
+
+# At lam D = 1e3 these M/GI/1/2* points read 2.2-2.7e-9 off while pieces met
+# their tolerance one by one: the tail piece past 64/lam of the residual fold,
+# about exp(-64) of its integral, went unresolved under an absolute floor.
+# The exp-identity remainder, 2.9e-11, is the value support's truncation at
+# tail mass EXP_TAIL_EPS, which E[S] in the residual density's norm carries:
+# (18.4 + 1/1.5) exp(-1.5 * 18.4) / E[S] ~ 2.9e-11.
+@pytest.mark.parametrize("family, rel", [("uniform-log", 1e-12), ("exp-identity", 5e-11)])
+@pytest.mark.parametrize("lam, deadline", [(1e4, 0.1), (1e5, 0.01), (1e6, 0.001)])
+def test_lcfs_busy_area_meets_the_budget_at_a_thousand_arrivals_per_deadline(family, rel, lam, deadline):
+    _check_busy_area(family, lam, deadline, MG12_STAR, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -1199,17 +1214,19 @@ def test_fcfs_busy_area_of_very_long_exponential_service(m):
     # With mean service m >> D, P[W' <= w] ~ w/m, so kappa(rem) ~ rem^3 / (3m)
     # and eq_busy ~ E[V] D^3 / (24 m^2).  The series form m^2 y^3 of the
     # exponential wait fold underflowed to 0 at m = 1e150 and overflowed from
-    # m = 1.34e154 on (QuadratureError).  Past that only finiteness is asked:
-    # the reference, or the outer integrand's density 1/m times kappa, falls
-    # below the normal range.
+    # m = 1.34e154 on (QuadratureError).  The outer rule took the value out of
+    # its integrand, so binary m = 1e300 read 0.0 where the reference is
+    # 1.125e-300.  Where the reference is below the normal range only
+    # finiteness is asked.
     for sc, e_v in (
         (Scenario(1.0, UniformValue(0.0, 10.0), IndependentExponentialService(1.0 / m), LIN3, MG12), 5.0),
         (Scenario(1.0, BinaryValue(m, 1.0, 0.5), ClassExponentialService(), LIN3, MG12, "class-only(1)"), m),
     ):
         rep = analyze(sc)
         assert all(math.isfinite(x) for x in astuple(rep)), sc
-        if m <= 1e150:
-            assert rep.eq_busy == pytest.approx(e_v / m * (27.0 / 24.0) / m, rel=1e-9, abs=0.0), sc
+        want = e_v / m * (27.0 / 24.0) / m
+        if want >= sys.float_info.min:
+            assert rep.eq_busy == pytest.approx(want, rel=1e-9, abs=0.0), sc
 
 
 # ---------------------------------------------------------------------------
@@ -1455,6 +1472,105 @@ def test_idle_and_lcfs_busy_areas_match_scipy_over_the_grammar(i):
     for rep in reports.values():
         assert rep.eq_idle == pytest.approx(eq_idle, rel=1e-10, abs=0.0)
     assert reports[MG12_STAR].eq_busy == pytest.approx(_grammar_eq_busy_lcfs(parts, lam, d), rel=1e-8, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Scale covariance
+# ---------------------------------------------------------------------------
+#
+# The model has one time unit and one value unit.  Scaling every time by t
+# (lam by 1/t; D, the service times and the service maps by t) and every value
+# by c leaves the probabilities unchanged and multiplies eq_idle and eq_busy
+# by c t and avg_voi by c.  With t and c powers of two each floating step can
+# stay exact, so the reports must be exactly covariant.  Where values set the
+# service (identity map, class-exponential service) c = t; the log-shift map
+# takes values as they are, so c = 1; independent service leaves c free.
+
+def _rescaled(sc, t, c):
+    """``sc`` with every time t times and every value c times what it was."""
+    dist, svc = sc.value_dist, sc.service
+    if isinstance(dist, UniformValue):
+        dist = UniformValue(c * dist.v_min, c * dist.v_max)
+    elif isinstance(dist, ExponentialValue):
+        dist = ExponentialValue(dist.rate / c)
+    else:
+        dist = BinaryValue(c * dist.v1, c * dist.v2, dist.p)
+    if isinstance(svc, DependentService) and svc.map_kind == "log-shift":
+        svc = DependentService("log-shift", t * svc.a)
+    elif isinstance(svc, IndependentExponentialService):
+        svc = IndependentExponentialService(svc.rate / t)
+    elif isinstance(svc, IndependentDeterministicService):
+        svc = IndependentDeterministicService(t * svc.s0)
+    descend = DescendFunction.linear(t * sc.descend.deadline)
+    return replace(sc, lam=sc.lam / t, value_dist=dist, service=svc, descend=descend)
+
+
+def _value_scales(sc, t):
+    """The value scales c to test with the time scale t."""
+    svc = sc.service
+    if isinstance(svc, DependentService):
+        return (t,) if svc.map_kind == "identity" else (1.0,)
+    return (t,) if isinstance(svc, ClassExponentialService) else (1.0, 2.0**13)
+
+
+def _analyze_or_error(sc):
+    try:
+        return analyze(sc)
+    except ArithmeticError as err:
+        return type(err)
+
+
+def _covariance_misses(sc, k):
+    """The value scales at which the report of ``sc`` in times scaled by 2^k is
+    not the scaled report, or the two raise different errors."""
+    t = 2.0**k
+    base = _analyze_or_error(sc)
+    misses = []
+    for c in _value_scales(sc, t):
+        got = _analyze_or_error(_rescaled(sc, t, c))
+        if isinstance(base, AnalyticReport) and isinstance(got, AnalyticReport):
+            want = (*astuple(base)[:4], c * t * base.eq_idle, c * t * base.eq_busy, c * base.avg_voi)
+            if astuple(got) != want:
+                misses.append((c, base, got))
+        elif got is not base:
+            misses.append((c, base, got))
+    return misses
+
+
+_SCALES = (-300, -40, 40, 300)
+
+
+# Draw 150 (uniform(14.8, 1281) values, identity service, D = 677.8, lam = 103.6)
+# raised QuadratureError at t = 2^300 under an absolute floor per piece, and from
+# t = 2^30 on under a rounding floor per integral rather than per call: its inner
+# FCFS rows are a subnormal exp factor times a large time^2 factor.
+@pytest.mark.parametrize("i", range(len(_ALL_DRAWS)))
+def test_analyze_is_exactly_scale_covariant_over_the_grammar(i):
+    misses = [(disc, k, miss) for disc in DISCIPLINES for k in _SCALES
+              for miss in _covariance_misses(replace(_ALL_DRAWS[i], discipline=disc), k)]
+    assert not misses
+
+
+@pytest.mark.parametrize("family", sorted(_RANGE_FAMILIES))
+def test_analyze_is_exactly_scale_covariant_on_the_families(family):
+    misses = [
+        (d, lam, disc, k, miss)
+        for d in (0.01, 3.0, 30.0)
+        for lam in (1e-6, 0.3, 4.0, 1e6)
+        for disc in DISCIPLINES
+        for k in _SCALES
+        for miss in _covariance_misses(Scenario(lam, *_RANGE_FAMILIES[family], DescendFunction.linear(d), disc), k)
+    ]
+    assert not misses
+
+
+def test_time_scaled_twin_of_a_fast_lcfs_point_keeps_its_value():
+    # At t = 2^40 the residual fold's tail piece past 64/lam, about exp(-64) of
+    # its integral, was asked REL_TOL of its own value and raised QuadratureError.
+    sc = Scenario(1e6, UniformValue(0.0, 10.0), IndependentExponentialService(1.5), LIN3, MG12_STAR)
+    twin = _rescaled(sc, 2.0**40, 1.0)
+    assert (twin.lam, twin.service.rate, twin.descend.deadline) == (1e6 * 2.0**-40, 1.5 * 2.0**-40, 3.0 * 2.0**40)
+    assert analyze(twin).avg_voi == analyze(sc).avg_voi == pytest.approx(7.34876193, rel=1e-9, abs=0.0)
 
 
 # uniform(2, 5) values, identity service, D = 3: D <= 2 s_lo, so a busy

@@ -37,7 +37,7 @@ from voilab.sim import (
     simulate,
 )
 
-from test_analytics import residual_ccdf_oracle
+from test_analytics import _rescaled, _value_scales, residual_ccdf_oracle
 
 LIN3 = DescendFunction.linear(3.0)
 SEED = 20260809
@@ -718,6 +718,28 @@ def test_batch_error_scaling_is_exact():
         totals, spans = rng.exponential(3.0, 40), rng.uniform(0.0, 2.0, 40)
         m = totals / spans
         assert _batch_stderrs(totals[None], spans)[0] == float(m.std(ddof=1) / math.sqrt(m.size))
+
+
+@pytest.mark.parametrize("disc", DISCIPLINES)
+def test_simulate_is_exactly_scale_covariant(disc):
+    # Every time t times and every value c times what it was (c = t where values
+    # set the service; see test_analytics): the same seed draws the same stream
+    # in the new units, so avg_voi and its error scale by c, the age by t, and
+    # the occupancy stays, to the bit.
+    for sc in (
+        Scenario(1.3, UniformValue(0.0, 10.0), IndependentExponentialService(1.5), LIN3, disc),
+        Scenario(1.3, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), LIN3, disc),
+        Scenario(1.3, ExponentialValue(1.5), DependentService("identity"), LIN3, disc),
+        Scenario(1.3, BinaryValue(0.4, 1.33, 0.8), ClassExponentialService(), LIN3, disc),
+    ):
+        want = simulate(SimConfig(sc, n_packets=20_000, seed=5))
+        for k in (3, -20, 200, -300):
+            t = 2.0**k
+            for c in _value_scales(sc, t):
+                got = simulate(SimConfig(_rescaled(sc, t, c), n_packets=20_000, seed=5))
+                assert (got.avg_voi, got.stderr_voi, got.avg_aoi, got.occupancy) == (
+                    c * want.avg_voi, c * want.stderr_voi, t * want.avg_aoi, want.occupancy
+                ), (sc, k, c)
 
 
 def _one_row_batch_stderr(totals, spans):
