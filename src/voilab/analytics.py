@@ -24,7 +24,11 @@ evaluate on vectorised Gauss-Legendre panels at the one budget of
 tensor-product rule: the outer service-time nodes are evaluated together,
 and the inner fold (M/GI/1/2) or residual integral (M/GI/1/2*) runs once
 over all of them, each outer node's inner pieces cut at its own remaining
-time.
+time.  For a value-mapped law the inner FCFS pieces end at the kernel's kink
+S = rem, and ``ValueMapped.wait_fold`` evaluates the kernel per side: below
+it the hold factor is exactly 1, above it the q-terms depend on rem alone and
+run once per outer node.  Each side keeps the general kernel's products in
+its order, so the result is bit for bit that of the general kernel.
 Class-filtered admission is Poisson thinning: the queue sees rate
 lam * P[class admitted] and the value distribution conditioned on admission.
 

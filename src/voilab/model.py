@@ -344,7 +344,12 @@ class Scenario:
 # only by the rules in this module (``residual_fold``).  The arguments w and
 # rem, and the argument and result of kappa, are numpy arrays (elementwise);
 # expectations without a closed form go through ``gauss_legendre``, cut in
-# this module at ``layer_offsets``.
+# this module at ``layer_offsets``.  ``_wait_cdf_kernel`` is the general form of
+# the FCFS kernel (``PointMass`` and the tests read it); ``ValueMapped``, whose
+# pieces end at the kink S = rem, evaluates its two sides, ``_wait_kernel_below``
+# (no hold factor) and ``_wait_kernel_above`` (q-terms once per rem), which
+# repeat its products in its order and so give the same bits.  All three take
+# their q-terms from ``_q_terms``.
 
 def layer_offsets(rate: float, width: float) -> list[float]:
     """The one rule for a layer exp(-rate t) of width 1/rate at t = 0 on a span
@@ -367,6 +372,20 @@ def _series3(z):
     return acc
 
 
+def _q_terms(x):
+    """(1 - exp(-x), q_2, q_3) of ``_wait_cdf_kernel`` at x = lam m >= 0, elementwise."""
+    e, em = np.exp(-x), -np.expm1(-x)
+    xd = np.maximum(x, _SERIES_BELOW)
+    q2 = np.asarray(em / xd - e)
+    q3 = np.asarray(q2 / xd - 0.5 * e)
+    lo = x < _SERIES_BELOW
+    if lo.any():
+        x, e = x[lo], e[lo]
+        q3[lo] = x * e * _series3(x)
+        q2[lo] = x * (0.5 * e + q3[lo])
+    return em, q2, q3
+
+
 def _wait_cdf_kernel(s, rem, lam: float):
     """int_0^rem (rem - w) exp(-lam (s - u)) (1 - exp(-lam u)) dw, u = min(w, s),
     elementwise over arrays s and rem: the integrand is the chance that the
@@ -384,17 +403,30 @@ def _wait_cdf_kernel(s, rem, lam: float):
     with np.errstate(over="ignore"):
         x = lam * m
         hold = np.exp(-lam * (s - m))
-    e, em = np.exp(-x), -np.expm1(-x)
-    xd = np.maximum(x, _SERIES_BELOW)
-    q2 = np.asarray(em / xd - e)
-    q3 = np.asarray(q2 / xd - 0.5 * e)
-    lo = x < _SERIES_BELOW
-    if lo.any():
-        x, e = x[lo], e[lo]
-        q3[lo] = x * e * _series3(x)
-        q2[lo] = x * (0.5 * e + q3[lo])
+    em, q2, q3 = _q_terms(x)
     tail = rem - m
     return hold * m * (tail * q2 + m * q3) + 0.5 * em * tail * tail
+
+
+def _wait_kernel_below(s, rem, lam: float):
+    """``_wait_cdf_kernel`` where 0 <= s <= rem: m = s, and the hold factor is
+    exp(-lam 0) = 1, so it is left out.  Finite (and unused) where s > rem."""
+    with np.errstate(over="ignore"):
+        x = lam * s
+    em, q2, q3 = _q_terms(x)
+    tail = rem - s
+    return s * (tail * q2 + s * q3) + 0.5 * em * tail * tail
+
+
+def _wait_kernel_above(s, rem, lam: float):
+    """``_wait_cdf_kernel`` where 0 <= rem <= s: m = rem and the tail terms are
+    0, so q_3 is taken once per rem (``rem`` may broadcast against ``s`` from
+    fewer dimensions).  The hold exponent is clipped at 0, which changes
+    nothing where s >= rem and keeps it finite (and unused) where s < rem."""
+    with np.errstate(over="ignore"):
+        _, _, q3 = _q_terms(lam * rem)
+        hold = np.exp(-lam * np.maximum(s - rem, 0.0))
+    return hold * rem * (rem * q3)
 
 
 def residual_fold(law, rem, lam: float, unit: float):
@@ -557,13 +589,23 @@ class ValueMapped:
     def wait_fold(self, rem, lam: float):
         # Pieces split at the kernel's kink S = rem and end past its layers of width
         # 1/lam above S = s_lo (up to rem) and above S = max(rem, s_lo), where
-        # exp(-lam (S - rem)) starts: all pieces in one call, along axis 0.
+        # exp(-lam (S - rem)) starts: all pieces in one call, along axis 0.  The
+        # first n pieces lie below S = rem and the rest above (axis 1 of the nodes),
+        # so each side takes its form of the kernel: the same products in the same
+        # order, without the hold factor of 1 below and with the q-terms once per
+        # rem above, so the fold is bit for bit that of ``_wait_cdf_kernel``.
         s_lo, s_hi = self.kinks
         rem = np.asarray(rem, dtype=float)
         start = np.maximum(rem, s_lo)
         offsets = layer_offsets(lam, s_hi - s_lo)
         cuts = [s_lo, *(np.minimum(s_lo + t, rem) for t in offsets), rem, *(start + t for t in offsets), s_hi]
-        return self._expect(lambda s: _wait_cdf_kernel(s, rem, lam), np.stack(np.broadcast_arrays(*cuts)))
+        n = len(offsets) + 1
+
+        def kernel(s):
+            below, above = _wait_kernel_below(s[:, :n], rem, lam), _wait_kernel_above(s[:, n:], rem, lam)
+            return np.concatenate([below, above], axis=1)
+
+        return self._expect(kernel, np.stack(np.broadcast_arrays(*cuts)))
 
 
 ServiceComponent = Union[PointMass, ExponentialComponent, ValueMapped]

@@ -93,10 +93,12 @@ def _panel_sums(f, a, width, orders):
     nodes, weights = _fused_panel(orders)
     x = a + width * nodes.reshape((-1,) + (1,) * a.ndim)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        y = np.broadcast_to(f(x), x.shape).reshape(len(nodes), -1)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        at = float(x.reshape(len(nodes), -1)[bad][0])
+        y = f(x)
+    if np.shape(y) != x.shape:
+        y = np.broadcast_to(y, x.shape)
+    y = y.reshape(len(nodes), -1)
+    if not np.isfinite(y).all():
+        at = float(x.reshape(len(nodes), -1)[~np.isfinite(y)][0])
         raise QuadratureError(f"integrand not finite at x={at!r}", (at, at))
     sums, row = [], 0
     for w in weights:
@@ -129,17 +131,21 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
     GL_MAX_POINTS nodes per pass, raises ``QuadratureError`` with the piece
     that moved most in the integral furthest from its tolerance.
     """
-    a, b = np.atleast_1d(*np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    if not a.ndim:
+        a, b = a.reshape(1), b.reshape(1)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("integration bounds must be finite")
-    if (a > b).any():
+    width = b - a
+    if (width < 0.0).any():
         raise ValueError("require a <= b on every interval")
     order = 2 * GL_FIRST_ORDER
     if (order + GL_FIRST_ORDER) * a.size > GL_MAX_POINTS:
         raise QuadratureError(
             f"{a.size} pieces need more than GL_MAX_POINTS = {GL_MAX_POINTS} nodes in the first pass"
         )
-    width = b - a
     (coarse, fine), mass = _panel_sums(f, a, width, (GL_FIRST_ORDER, order))
     while True:
         total, moved = fine.sum(axis=0), np.abs(fine - coarse)

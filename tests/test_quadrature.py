@@ -3,12 +3,23 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from voilab import quadrature
-from voilab.model import _wait_cdf_kernel
+from voilab import model, quadrature
+from voilab.analytics import analyze
+from voilab.model import (
+    MG12,
+    DependentService,
+    DescendFunction,
+    Scenario,
+    UniformValue,
+    ValueMapped,
+    _wait_cdf_kernel,
+    _wait_kernel_above,
+    _wait_kernel_below,
+)
 from voilab.quadrature import (
     GL_FIRST_ORDER,
     GL_MAX_ORDER,
@@ -86,6 +97,19 @@ def test_gauss_legendre_parameters_broadcast_against_the_bounds():
     got = gauss_legendre(lambda x: k * x, cuts[:-1], cuts[1:])
     assert got.shape == (3, 2)
     np.testing.assert_allclose(got, k * r * r / 2.0, rtol=1e-13)
+
+
+def test_gauss_legendre_broadcasts_constant_integrands_and_scalar_bounds():
+    # An integrand may return a Python float or a shape-(1,) array: it is the
+    # same constant at every node, so the integral is the summed width.
+    for const in (lambda x: 1.0, lambda x: np.ones(1)):
+        assert gauss_legendre(const, 0.0, 3.0) == pytest.approx(3.0, rel=1e-14, abs=0.0)
+        assert gauss_legendre(const, [0.0, 1.0], [1.0, 3.0]) == pytest.approx(3.0, rel=1e-14, abs=0.0)
+        got = gauss_legendre(const, np.zeros((2, 3)), np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]]))
+        np.testing.assert_allclose(got, [2.5, 4.5, 6.5], rtol=1e-14)
+    # A scalar lower bound against 1-d upper bounds: two pieces of one integral.
+    got = gauss_legendre(np.exp, 0.0, np.array([0.5, 1.0]))
+    assert isinstance(got, float) and got == pytest.approx(math.expm1(0.5) + math.expm1(1.0), rel=1e-14, abs=0.0)
 
 
 def test_gauss_legendre_rejects_bad_bounds():
@@ -264,11 +288,22 @@ def _wait_kernel_oracle(s, rem, lam):
     return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
 
 
+def _assert_regime_forms_equal_the_kernel(s, rem, lam, got):
+    # Each side of s = rem has its own form, bit for bit the general kernel (both at s = rem).
+    below, above = s <= rem, s >= rem
+    assert np.array_equal(_wait_kernel_below(s[below], rem[below], lam), got[below])
+    assert np.array_equal(_wait_kernel_above(s[above], rem[above], lam), got[above])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(-8.0, 3.0),
     st.lists(st.tuples(st.floats(1e-3, 6.0), st.floats(1e-3, 6.0)), min_size=1, max_size=6),
 )
+@example(-300.0, [(0.5, 2.0), (2.0, 0.5), (3.0, 3.0)])
+@example(-8.0, [(1e-3, 6.0), (6.0, 1e-3), (2.5, 2.5)])
+# x = lam min(s, rem) on both sides of _SERIES_BELOW = 1/2:
+@example(0.0, [(0.4999999, 3.0), (0.5000001, 3.0), (3.0, 0.4999999), (3.0, 0.5000001), (0.5, 0.5)])
 def test_wait_kernel_matches_its_defining_integral(log10_lam, pairs):
     lam = 10.0**log10_lam
     s = np.array([p[0] for p in pairs])
@@ -276,6 +311,7 @@ def test_wait_kernel_matches_its_defining_integral(log10_lam, pairs):
     got = _wait_cdf_kernel(s, rem, lam)
     want = [_wait_kernel_oracle(si, ri, lam) for si, ri in pairs]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    _assert_regime_forms_equal_the_kernel(s, rem, lam, got)
 
 
 @pytest.mark.parametrize("lam", [1e20, 1e300, sys.float_info.max])
@@ -286,4 +322,43 @@ def test_wait_kernel_reaches_its_infinite_rate_limit(lam):
     s = np.array([1e-3, 0.5, 2.0, 3.0, 7.0, 1e3])
     rem = np.array([7.0, 3.0, 2.0, 0.5, 1e-3, 1e-2])
     want = 0.5 * np.maximum(rem - s, 0.0) ** 2 + np.where(s == rem, 1.0 / lam / lam, 0.0)
-    np.testing.assert_allclose(_wait_cdf_kernel(s, rem, lam), want, rtol=1e-12, atol=0.0)
+    got = _wait_cdf_kernel(s, rem, lam)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    _assert_regime_forms_equal_the_kernel(s, rem, lam, got)
+
+
+_RATES = [1e-300, 1e-8, 0.9, 1e4, 1e20, sys.float_info.max]
+
+
+@pytest.mark.parametrize("lam", _RATES)
+def test_wait_kernel_regime_forms_are_finite_on_the_other_side(lam):
+    # A piece of ValueMapped.wait_fold that collapses to a point (rem past the
+    # support) puts its nodes on the other side of s = rem; they weigh nothing
+    # but must be finite, where exp(-lam (s - rem)) unclipped would overflow.
+    lo, hi = np.array([0.0, 1e-3, 0.5, 2.0]), np.array([1e-2, 0.6, 3.0, 1e3])
+    assert np.isfinite(_wait_kernel_below(hi, lo, lam)).all()
+    assert np.isfinite(_wait_kernel_above(lo, hi, lam)).all()
+
+
+@pytest.mark.parametrize("lam", _RATES)
+def test_value_mapped_wait_fold_equals_the_general_kernel_fold(monkeypatch, lam):
+    # Uniform-log (S in [0, log 11]) at D = 3: rem below, inside and past the
+    # support, where the pieces on one side of S = rem collapse.
+    law = ValueMapped(1.0, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0))
+    rem = np.array([[0.0, 1e-3, 0.3], [1.2, math.log1p(10.0), 3.0]])
+    got = law.wait_fold(rem, lam)
+    monkeypatch.setattr(model, "_wait_kernel_below", _wait_cdf_kernel)
+    monkeypatch.setattr(model, "_wait_kernel_above", _wait_cdf_kernel)
+    assert np.array_equal(got, law.wait_fold(rem, lam))
+
+
+def test_fcfs_fold_takes_per_node_q_terms_below_its_kink_only(monkeypatch):
+    # Uniform-log M/GI/1/2 at D = 3, lam = 0.9: one inner pass over 96 outer
+    # nodes, two pieces of 48 nodes each per rem (9,216 inner nodes).  The
+    # q-terms run per node on the 4,608 below S = rem, and once per rem above.
+    sizes = []
+    q_terms = model._q_terms
+    monkeypatch.setattr(model, "_q_terms", lambda x: sizes.append(np.size(x)) or q_terms(x))
+    law = (UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), DescendFunction.linear(3.0))
+    analyze(Scenario(0.9, *law, MG12))
+    assert sizes == [4608, 96]
