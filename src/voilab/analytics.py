@@ -14,7 +14,7 @@ classic parameter families (uniform value with log service, exponential
 value with identity service) also have closed forms, which ``analyze``
 never calls, so that the two routes check each other.
 Only the linear decay law is covered, since the FCFS busy-arrival fold
-(``model._wait_cdf_kernel``) is a closed form for that law alone.
+(the kernel of ``model._q_terms``) is a closed form for that law alone.
 
 This module assembles the renewal-reward sum and integrates nothing itself:
 expectations without a closed form are members of the law's components or
@@ -24,11 +24,11 @@ evaluate on vectorised Gauss-Legendre panels at the one budget of
 tensor-product rule: the outer service-time nodes are evaluated together,
 and the inner fold (M/GI/1/2) or residual integral (M/GI/1/2*) runs once
 over all of them, each outer node's inner pieces cut at its own remaining
-time.  For a value-mapped law the inner FCFS pieces end at the kernel's kink
-S = rem, and ``ValueMapped.wait_fold`` evaluates the kernel per side: below
-it the hold factor is exactly 1, above it the q-terms depend on rem alone and
-run once per outer node.  Each side keeps the general kernel's products in
-its order, so the result is bit for bit that of the general kernel.
+time.  The FCFS kernel has one form on each side of its kink S = rem: below
+it the hold factor is exactly 1, above it the q-terms depend on rem alone.  A
+point-mass component takes the side of its one service time; a value-mapped
+law's inner pieces end at S = rem, so each piece takes its side, and the
+q-terms above run once per outer node.
 Class-filtered admission is Poisson thinning: the queue sees rate
 lam * P[class admitted] and the value distribution conditioned on admission.
 

@@ -38,10 +38,11 @@ preset. There is no mu_independent key: the presets fix the independent
 service rate at 1.5.
 
 Exit codes: 0 success, 2 usage error (also when a run is out of memory: lower
-n_packets), 3 verification failure, 4 numeric failure (also when a number a
-row would write is not finite, so no cell holds inf or nan; the message names
-the row).  Memory grows with n_packets and with --jobs, since each worker
-holds one simulated row at a time.
+n_packets; and when n_packets is past sys.maxsize // 8, the most float64
+values one numpy array holds), 3 verification failure, 4 numeric failure
+(also when a number a row would write is not finite, so no cell holds inf or
+nan; the message names the row).  Memory grows with n_packets and with
+--jobs, since each worker holds one simulated row at a time.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ class ExperimentConfig:
                 raise UsageError(f"repeated {what} {repeats[0]!r}")
         if self.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        if self.n_packets < 1:
-            raise UsageError("n_packets must be >= 1")
+        if not 1 <= self.n_packets <= sys.maxsize // 8:  # numpy's limit for a float64 array
+            raise UsageError(f"n_packets must lie in [1, {sys.maxsize // 8}], got {self.n_packets}")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -445,10 +446,11 @@ def read_csv(path: str) -> list[dict[str, str]]:
     A column that ``compare_engines`` reads and the header lacks, or a cell
     of a numeric one that holds neither a number nor its allowed text, is a
     UsageError naming the line of the file and the column; only analytic
-    and closed-form rows may hold 'unsupported'.  So is a second
-    row with the same key columns, which ``compare_engines`` would let
-    overwrite the first; that error names both lines.  So are bytes that do
-    not decode (naming the file) and a line the csv module rejects.
+    and closed-form rows may hold 'unsupported'.  So is a discipline or an
+    engine unknown to ``compare_engines``, which would skip its row.  So is
+    a second row with the same key columns, which ``compare_engines`` would
+    let overwrite the first; that error names both lines.  So are bytes that
+    do not decode (naming the file) and a line the csv module rejects.
     """
     try:
         with open(path, newline="") as fh:
@@ -473,6 +475,9 @@ def read_csv(path: str) -> list[dict[str, str]]:
             if col not in reader.fieldnames:
                 raise UsageError(f"{where()}: missing column {col!r}")
         for row in reader:
+            for col, known in (("discipline", DISCIPLINES), ("engine", ENGINES)):
+                if row[col] not in known:
+                    raise UsageError(f"{where()}: column {col!r}: {row[col]!r} is not one of {', '.join(known)}")
             key = tuple(row[col] for col in _VERIFY_KEY_COLUMNS)
             if key in first_line:
                 raise UsageError(f"{where()}: repeats the {', '.join(_VERIFY_KEY_COLUMNS)} of line {first_line[key]}")

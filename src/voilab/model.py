@@ -336,20 +336,16 @@ class Scenario:
 # pays (the value distribution itself when S = g(V)).  Each provides seven
 # members.  ``analyze`` reads five: mean(), mgf(lam) and one_minus_mgf(lam);
 # expect_value_kappa(d, kappa, lam) = E[V kappa(d - S); S < d], kappa carrying
-# a layer of arrival rate lam (0 if none); and wait_fold(rem, lam) =
-# E[_wait_cdf_kernel(S, rem, lam)], which is (1 - MGF) int_0^rem (rem - w)
+# a layer of arrival rate lam (0 if none); and wait_fold(rem, lam) = E[K(S, rem)]
+# for the FCFS wait kernel K of ``_q_terms``: (1 - MGF) int_0^rem (rem - w)
 # P[W' <= w] dw for the residual W' that the first arrival during a service
 # waits.  The other two, its kinks (where its integrands bend, or where the
 # pieces around its exponential layer end) and ccdf(w) = P[S > w], are read
 # only by the rules in this module (``residual_fold``).  The arguments w and
 # rem, and the argument and result of kappa, are numpy arrays (elementwise);
 # expectations without a closed form go through ``gauss_legendre``, cut in
-# this module at ``layer_offsets``.  ``_wait_cdf_kernel`` is the general form of
-# the FCFS kernel (``PointMass`` and the tests read it); ``ValueMapped``, whose
-# pieces end at the kink S = rem, evaluates its two sides, ``_wait_kernel_below``
-# (no hold factor) and ``_wait_kernel_above`` (q-terms once per rem), which
-# repeat its products in its order and so give the same bits.  All three take
-# their q-terms from ``_q_terms``.
+# this module at ``layer_offsets``.  K takes one form on each side of its kink
+# S = rem, ``_wait_kernel_below`` and ``_wait_kernel_above``.
 
 def layer_offsets(rate: float, width: float) -> list[float]:
     """The one rule for a layer exp(-rate t) of width 1/rate at t = 0 on a span
@@ -373,7 +369,16 @@ def _series3(z):
 
 
 def _q_terms(x):
-    """(1 - exp(-x), q_2, q_3) of ``_wait_cdf_kernel`` at x = lam m >= 0, elementwise."""
+    """(1 - exp(-x), q_2, q_3) at x >= 0, elementwise, for the FCFS wait kernel
+    K(s, rem) = int_0^rem (rem - w) exp(-lam (s - u)) (1 - exp(-lam u)) dw, u = min(w, s),
+    whose integrand is the chance that the first arrival during a service of
+    length s waits W' <= w.  With m = min(rem, s), x = lam m and q_k = P(k, x) /
+    x^(k-1) (P the regularised lower incomplete gamma), K is the sum of terms
+    exp(-lam (s - m)) m ((rem - m) q_2 + m q_3) + (1 - exp(-x)) (rem - m)^2 / 2,
+    non-negative and each with full relative accuracy for any lam.  Below
+    x = 1/2, q_3 = x exp(-x) _series3(x) and q_2 = x (exp(-x)/2 + q_3); above,
+    q_2 = (1 - exp(-x))/x - exp(-x) and q_3 = q_2/x - exp(-x)/2, which vanish,
+    not overflow, as x -> inf."""
     e, em = np.exp(-x), -np.expm1(-x)
     xd = np.maximum(x, _SERIES_BELOW)
     q2 = np.asarray(em / xd - e)
@@ -386,31 +391,9 @@ def _q_terms(x):
     return em, q2, q3
 
 
-def _wait_cdf_kernel(s, rem, lam: float):
-    """int_0^rem (rem - w) exp(-lam (s - u)) (1 - exp(-lam u)) dw, u = min(w, s),
-    elementwise over arrays s and rem: the integrand is the chance that the
-    first arrival during a service of length s waits W' <= w for its end.
-
-    With m = min(rem, s), x = lam m and q_k = P(k, x) / x^(k-1) (P the
-    regularised lower incomplete gamma) it is the sum of non-negative terms
-    exp(-lam (s - m)) m ((rem - m) q_2 + m q_3) + (1 - exp(-x)) (rem - m)^2 / 2,
-    each with full relative accuracy for any lam (x = lam s wherever rem > m).
-    Below x = 1/2, q_3 = x exp(-x) _series3(x) and q_2 = x (exp(-x)/2 + q_3);
-    above, q_2 = (1 - exp(-x))/x - exp(-x) and q_3 = q_2/x - exp(-x)/2, which
-    vanish, not overflow, as x -> inf.
-    """
-    m = np.maximum(np.minimum(rem, s), 0.0)
-    with np.errstate(over="ignore"):
-        x = lam * m
-        hold = np.exp(-lam * (s - m))
-    em, q2, q3 = _q_terms(x)
-    tail = rem - m
-    return hold * m * (tail * q2 + m * q3) + 0.5 * em * tail * tail
-
-
 def _wait_kernel_below(s, rem, lam: float):
-    """``_wait_cdf_kernel`` where 0 <= s <= rem: m = s, and the hold factor is
-    exp(-lam 0) = 1, so it is left out.  Finite (and unused) where s > rem."""
+    """K(s, rem) of ``_q_terms`` where 0 <= s <= rem: m = s, and the hold
+    factor is exp(-lam 0) = 1, so it is left out.  Finite (and unused) where s > rem."""
     with np.errstate(over="ignore"):
         x = lam * s
     em, q2, q3 = _q_terms(x)
@@ -419,8 +402,8 @@ def _wait_kernel_below(s, rem, lam: float):
 
 
 def _wait_kernel_above(s, rem, lam: float):
-    """``_wait_cdf_kernel`` where 0 <= rem <= s: m = rem and the tail terms are
-    0, so q_3 is taken once per rem (``rem`` may broadcast against ``s`` from
+    """K(s, rem) of ``_q_terms`` where 0 <= rem <= s: m = rem and the tail terms
+    are 0, so q_3 is taken once per rem (``rem`` may broadcast against ``s`` from
     fewer dimensions).  The hold exponent is clipped at 0, which changes
     nothing where s >= rem and keeps it finite (and unused) where s < rem."""
     with np.errstate(over="ignore"):
@@ -479,7 +462,10 @@ class PointMass:
         return self.value * float(kappa(d - self.s)) if self.s < d else 0.0
 
     def wait_fold(self, rem, lam: float):
-        return _wait_cdf_kernel(self.s, rem, lam)
+        # ``service_law`` never mixes component kinds, so rem is the one scalar d - s' of an
+        # ``expect_value_kappa``: K's form of that side, on numpy scalars (``_q_terms`` masks x).
+        s, rem = np.float64(self.s), np.float64(rem)
+        return _wait_kernel_below(s, rem, lam) if s <= rem else _wait_kernel_above(s, rem, lam)
 
 
 @dataclass(frozen=True)
@@ -591,9 +577,7 @@ class ValueMapped:
         # 1/lam above S = s_lo (up to rem) and above S = max(rem, s_lo), where
         # exp(-lam (S - rem)) starts: all pieces in one call, along axis 0.  The
         # first n pieces lie below S = rem and the rest above (axis 1 of the nodes),
-        # so each side takes its form of the kernel: the same products in the same
-        # order, without the hold factor of 1 below and with the q-terms once per
-        # rem above, so the fold is bit for bit that of ``_wait_cdf_kernel``.
+        # so each side takes its form of the kernel.
         s_lo, s_hi = self.kinks
         rem = np.asarray(rem, dtype=float)
         start = np.maximum(rem, s_lo)

@@ -40,7 +40,6 @@ from voilab.model import (
     mgf_service,
     one_minus_mgf_service,
     service_law,
-    _wait_cdf_kernel,
 )
 
 LIN3 = DescendFunction.linear(3.0)
@@ -876,13 +875,13 @@ def test_high_rate_fcfs_points_converge_on_the_first_pass(monkeypatch, value, se
 
 
 def _fold_oracle(lam, rem):
-    # E[_wait_cdf_kernel(S, rem, lam)] for S = log(1 + V), V ~ Uniform(0, 10), by
+    # E[PointMass(1, 0, S).wait_fold(rem, lam)] for S = log(1 + V), V ~ Uniform(0, 10), by
     # scipy quad on pieces that double in width away from both layers (with
     # wider steps quad reports roundoff on the layer above rem at lam = 1e7).
     s_hi = math.log(11.0)
     steps = [0.0, *(0.1 * 2.0**j / lam for j in range(14))]
     cuts = sorted({0.0, s_hi, *(p for base in (0.0, rem) for p in (base + t for t in steps) if 0.0 < p < s_hi)})
-    f = lambda s: math.exp(s) / 10.0 * float(_wait_cdf_kernel(s, rem, lam))
+    f = lambda s: math.exp(s) / 10.0 * float(PointMass(1.0, 0.0, s).wait_fold(rem, lam))
     return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0] for a, b in zip(cuts, cuts[1:]))
 
 

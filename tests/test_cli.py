@@ -1,5 +1,7 @@
 import csv
 import os
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -244,6 +246,10 @@ def test_verify_well_formed_csv_passes(tmp_path, capsys):
         (",0.5,,,", ",unsupported,,abc,", "line 3: column 'stderr': 'abc' is not a number"),
         ("serve-all,simulate,0.51,2.0,0.01,0.5,0.5,0,1,1", "serve-all,simulate,0.51", "line 4: column 'stderr': missing cell"),
         (",0.51,", ",unsupported,", "line 4: column 'avg_voi': 'unsupported' on a 'simulate' row"),
+        # compare_engines would skip these rows without a word.
+        (",simulate,", ",simulat,", "line 4: column 'engine': 'simulat' is not one of analytic, closed-form, simulate"),
+        ("1,M/GI/1/1,serve-all,simulate,", "1,M/GI/1/l,serve-all,simulate,",
+         "line 4: column 'discipline': 'M/GI/1/l' is not one of M/GI/1/1, M/GI/1/2, M/GI/1/2*"),
     ],
 )
 def test_verify_malformed_csv_is_a_usage_error(tmp_path, capsys, old, new, where):
@@ -312,6 +318,32 @@ def test_out_of_memory_run_is_a_usage_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and "n_packets" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("n", [2**60, 2**62, 2**63 - 1, 10**29])
+def test_packet_count_past_the_array_limit_is_a_usage_error(tmp_path, monkeypatch, capsys, n, flag, jobs):
+    # numpy refuses a float64 array of n values with a ValueError (a traceback, exit 1).
+    # The config is checked before any row runs; the simulator is replaced all the same,
+    # so that nothing is allocated.
+    def allocates(config):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli, "simulate", allocates)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(_BASE.replace("engines = analytic", "engines = simulate") + ("" if flag else f"n_packets = {n}\n"))
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv"), "--jobs", jobs]
+    assert main(argv + (["--packets", str(n)] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: n_packets must lie in [1, {sys.maxsize // 8}], got {n}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_array_limit_admits_its_largest_packet_count():
+    # 2**60 - 1 on a 64-bit build, where that run ends in MemoryError (exit 2).
+    n = sys.maxsize // 8
+    assert replace(load_preset("exponential"), n_packets=n).n_packets == n
 
 
 def test_verify_csv_without_header_is_a_usage_error(tmp_path, capsys):

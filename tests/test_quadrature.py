@@ -13,10 +13,10 @@ from voilab.model import (
     MG12,
     DependentService,
     DescendFunction,
+    PointMass,
     Scenario,
     UniformValue,
     ValueMapped,
-    _wait_cdf_kernel,
     _wait_kernel_above,
     _wait_kernel_below,
 )
@@ -288,8 +288,14 @@ def _wait_kernel_oracle(s, rem, lam):
     return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
 
 
+def _point_mass_folds(s, rem, lam):
+    # The kernel at each (s, rem) pair, as PointMass.wait_fold takes it: the form of its side of s = rem.
+    return np.array([PointMass(1.0, 0.0, si).wait_fold(ri, lam) for si, ri in zip(s, rem)])
+
+
 def _assert_regime_forms_equal_the_kernel(s, rem, lam, got):
-    # Each side of s = rem has its own form, bit for bit the general kernel (both at s = rem).
+    # Each side form over arrays, as ValueMapped.wait_fold takes it, is bit for bit
+    # the point-mass fold; at s = rem both forms are.
     below, above = s <= rem, s >= rem
     assert np.array_equal(_wait_kernel_below(s[below], rem[below], lam), got[below])
     assert np.array_equal(_wait_kernel_above(s[above], rem[above], lam), got[above])
@@ -308,7 +314,7 @@ def test_wait_kernel_matches_its_defining_integral(log10_lam, pairs):
     lam = 10.0**log10_lam
     s = np.array([p[0] for p in pairs])
     rem = np.array([p[1] for p in pairs])
-    got = _wait_cdf_kernel(s, rem, lam)
+    got = _point_mass_folds(s, rem, lam)
     want = [_wait_kernel_oracle(si, ri, lam) for si, ri in pairs]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
     _assert_regime_forms_equal_the_kernel(s, rem, lam, got)
@@ -322,7 +328,7 @@ def test_wait_kernel_reaches_its_infinite_rate_limit(lam):
     s = np.array([1e-3, 0.5, 2.0, 3.0, 7.0, 1e3])
     rem = np.array([7.0, 3.0, 2.0, 0.5, 1e-3, 1e-2])
     want = 0.5 * np.maximum(rem - s, 0.0) ** 2 + np.where(s == rem, 1.0 / lam / lam, 0.0)
-    got = _wait_cdf_kernel(s, rem, lam)
+    got = _point_mass_folds(s, rem, lam)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     _assert_regime_forms_equal_the_kernel(s, rem, lam, got)
 
@@ -343,12 +349,17 @@ def test_wait_kernel_regime_forms_are_finite_on_the_other_side(lam):
 @pytest.mark.parametrize("lam", _RATES)
 def test_value_mapped_wait_fold_equals_the_general_kernel_fold(monkeypatch, lam):
     # Uniform-log (S in [0, log 11]) at D = 3: rem below, inside and past the
-    # support, where the pieces on one side of S = rem collapse.
+    # support, where the pieces on one side of S = rem collapse.  The reference
+    # takes each node's side of S = rem, whichever piece it lies in.
     law = ValueMapped(1.0, UniformValue(0.0, 10.0), DependentService("log-shift", 1.0))
     rem = np.array([[0.0, 1e-3, 0.3], [1.2, math.log1p(10.0), 3.0]])
     got = law.wait_fold(rem, lam)
-    monkeypatch.setattr(model, "_wait_kernel_below", _wait_cdf_kernel)
-    monkeypatch.setattr(model, "_wait_kernel_above", _wait_cdf_kernel)
+
+    def by_side(s, rem, lam):
+        return np.where(s <= rem, _wait_kernel_below(s, rem, lam), _wait_kernel_above(s, rem, lam))
+
+    monkeypatch.setattr(model, "_wait_kernel_below", by_side)
+    monkeypatch.setattr(model, "_wait_kernel_above", by_side)
     assert np.array_equal(got, law.wait_fold(rem, lam))
 
 
