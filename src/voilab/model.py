@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class DescendFunction:
     def value(self, v0, tau):
         """Remaining value ``tau`` time units after generation, elementwise
         over arrays; x = clip(tau/D, 0, 1), so it is exactly 0 from D on."""
-        x = np.clip(np.asarray(tau, dtype=float) / self.deadline, 0.0, 1.0)
+        x = np.minimum(np.maximum(np.asarray(tau, dtype=float) / self.deadline, 0.0), 1.0)
         v = np.asarray(v0, dtype=float)
         if self.kind == "linear":
             return v * (1.0 - x)
@@ -98,9 +98,9 @@ class DescendFunction:
         v = np.asarray(v0, dtype=float)
         d = self.deadline
         if self.kind == "linear":
-            rem = np.clip(d - t, 0.0, None)
+            rem = np.maximum(d - t, 0.0)
             return v / (2.0 * d) * rem * rem
-        r = np.clip((d - t) / d, 0.0, None)
+        r = np.maximum((d - t) / d, 0.0)
         k1 = self.shape + 1.0
         if self.kind == "power-convex":
             return v * d * r**k1 / k1
@@ -273,22 +273,26 @@ def sample_service_times(
     service: ServiceModel,
     values: np.ndarray,
     classes: Optional[np.ndarray],
-    rng: Optional[np.random.Generator],
+    make_rng: Optional[Callable[[], np.random.Generator]],
 ) -> np.ndarray:
     """Service requirement of every packet of a stream with initial values
-    ``values`` (and classes, for class-conditional service)."""
+    ``values`` (and classes, for class-conditional service).
+
+    ``make_rng`` builds the service stream; only the random models call it,
+    so a run with deterministic service never builds one.
+    """
     n = len(values)
     if isinstance(service, DependentService):
         return service.g(values)
     if isinstance(service, IndependentDeterministicService):
         return np.full(n, service.s0)
-    if rng is None:
+    if make_rng is None:
         raise ValueError("random service models need an RNG handle")
     if isinstance(service, IndependentExponentialService):
-        return rng.exponential(1.0 / service.rate, n)
+        return make_rng().exponential(1.0 / service.rate, n)
     if classes is None:
         raise ValueError("class-conditional service requires packet classes")
-    return rng.standard_exponential(n) * values
+    return make_rng().standard_exponential(n) * values
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Seeded simulation of the three packet-management disciplines.
 
-One run draws the whole packet stream up front (Philox counter-based streams,
-one per random source).  The server then fixes who is served and when each
+One run draws the whole packet stream up front from Philox counter-based
+streams keyed (seed, source).  It builds the arrival and value streams, and a
+service stream only for exponential service: dependent and deterministic
+service draw nothing.  The server then fixes who is served and when each
 leaves; every discipline serves in arrival order.  Without a buffer, each
 served arrival hands the server on to the first arrival after its departure,
 so the served arrivals are the orbit of the first one under that map,
@@ -18,7 +20,9 @@ bit-identical reports.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,9 +49,28 @@ _MAX_SAMPLES = 2.0**52
 _N_BATCHES = 100
 
 
+@functools.cache
+def _key_type() -> type:
+    """A Philox key handed over as the seed sequence it is read from:
+    ``Philox(key=...)`` builds a ``SeedSequence`` from OS entropy first and
+    then discards it.  Defined on first use, so that importing voilab does
+    not import numpy.random (about 5 MB and 15 ms)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return Key
+
+
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The counter-based stream keyed (seed, stream): ``Philox(key=[seed, stream])``."""
+    key = _key_type()(np.array([seed, stream], dtype=np.uint64))
+    return np.random.Generator(np.random.Philox(key))
 
 
 @dataclass(frozen=True)
@@ -59,6 +82,10 @@ class SimConfig:
     trace: bool = False   # keep the per-packet and per-delivery arrays in ``detail``
 
     def __post_init__(self) -> None:
+        for name in ("n_packets", "seed"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {x!r}")
         if self.n_packets < 1:
             raise ValueError("need at least one packet")
         if not 0 <= self.seed < 2**64:
@@ -107,16 +134,13 @@ def simulate(config: SimConfig) -> SimReport:
     n = config.n_packets
     n_batches = min(_N_BATCHES, n)
 
-    rng_a = rng_stream(config.seed, _STREAM_ARRIVALS)
-    rng_v = rng_stream(config.seed, _STREAM_VALUES)
-    rng_s = rng_stream(config.seed, _STREAM_SERVICES)
-
+    seed = config.seed
     with np.errstate(over="ignore"):
-        t_gen = np.cumsum(rng_a.exponential(1.0 / sc.lam, n))
+        t_gen = np.cumsum(rng_stream(seed, _STREAM_ARRIVALS).exponential(1.0 / sc.lam, n))
     if not math.isfinite(t_gen[-1]):
         raise ArithmeticError(f"arrival times overflow at lambda = {sc.lam:g} over {n} packets")
-    values, classes = sc.value_dist.sample(rng_v, n)
-    services = sample_service_times(sc.service, values, classes, rng_s)
+    values, classes = sc.value_dist.sample(rng_stream(seed, _STREAM_VALUES), n)
+    services = sample_service_times(sc.service, values, classes, lambda: rng_stream(seed, _STREAM_SERVICES))
 
     keep_cls = sc.admitted_class()
     admitted = None if keep_cls is None else (classes == keep_cls)
@@ -132,10 +156,17 @@ def simulate(config: SimConfig) -> SimReport:
 
     # One batch partition by generation index for every batch-means error;
     # renewal-reward batching assigns each packet's area to the batch of its
-    # generation epoch.
-    edges_idx = (np.arange(1, n_batches) * n) // n_batches
-    edges_t = np.concatenate(([0.0], t_gen[edges_idx], [elapsed]))
-    spans = np.diff(edges_t)
+    # generation epoch.  Batch b starts at index firsts[b] and time edges_t[b].
+    firsts = (np.arange(n_batches) * n) // n_batches
+    edges_t = np.empty(n_batches + 1)
+    edges_t[0], edges_t[-1] = 0.0, elapsed
+    np.take(t_gen, firsts[1:], out=edges_t[1:-1])
+    spans = np.subtract(edges_t[1:], edges_t[:-1])
+    # Rows: VoI, age (scaled by 2^-e_age, so its error scales back by 4^e_age)
+    # and the three occupancies; the last four are differences of ``at_edges``,
+    # their running totals at the batch edges.
+    batch_totals = np.empty((5, n_batches))
+    at_edges = np.empty((4, n_batches + 1))
 
     # A trace keeps every array it reports; an untraced run holds each
     # per-packet array only until its last reader, so the VoI, age and
@@ -151,29 +182,30 @@ def simulate(config: SimConfig) -> SimReport:
     sampled = None if step is None else _sampled_voi_mean(sc.descend, gen, v_d, d_t, t_sys, elapsed, step)
     q = q_area_batch(sc.descend, v_d, t_sys)
     n_expired = int(np.count_nonzero(t_sys >= sc.descend.deadline))
-    batch_sums = _voi_batch_sums(q, d_idx, n, edges_idx)
+    _voi_batch_sums(q, d_idx, n, firsts, batch_totals[0])
     avg_voi = float(q.sum() / elapsed)
     if detail is not None:
         detail.update(system_times=t_sys, q_areas=q)
     del v_d, t_sys, q
-    avg_aoi, age_batches, e_age = _age_statistics(gen, d_t, elapsed, edges_t)
+    avg_aoi, e_age = _age_statistics(gen, d_t, elapsed, edges_t, at_edges[0])
     del gen
 
     # A served packet's buffer is filled from the first admitted arrival after
     # its service starts, if that comes by its departure, until the departure.
+    occ_at = at_edges[1:]
     if disc == 0:
         fills = np.zeros(d_t.size, dtype=bool)
-        full_at = np.zeros_like(edges_t)
+        occ_at[2] = 0.0
     else:
         t_next, fills = _buffer_fills(t_gen if pos is None else t_gen[pos], served, d_t, disc)[1:]
         np.copyto(t_next, d_t, where=~fills)
-        full_at = _covered(t_next, d_t, edges_t)
+        occ_at[2] = _covered(t_next, d_t, edges_t)
     # Time spent idle, busy with an empty buffer and busy with a full buffer.
-    occ_at = np.stack((edges_t - busy_at, busy_at - full_at, full_at))
+    np.subtract(edges_t, busy_at, out=occ_at[0])
+    np.subtract(busy_at, occ_at[2], out=occ_at[1])
     occupancy = tuple((occ_at[:, -1] / elapsed).tolist())
-    # Rows: VoI, age (scaled by 2^-e_age, so its error scales back by 4^e_age)
-    # and the three occupancies.
-    errors = _batch_stderrs(np.vstack((batch_sums, age_batches, np.diff(occ_at, axis=1))), spans)
+    np.subtract(at_edges[:, 1:], at_edges[:, :-1], out=batch_totals[1:])
+    errors = _batch_stderrs(batch_totals, spans)
     stderr_voi, stderr_age, *occupancy_stderr = errors.tolist()
     stderr_aoi = math.ldexp(stderr_age, 2 * e_age)
 
@@ -193,7 +225,7 @@ def simulate(config: SimConfig) -> SimReport:
         occupancy=occupancy,
         occupancy_stderr=tuple(occupancy_stderr),
         sampled_voi_mean=sampled,
-        seed=config.seed,
+        seed=seed,
         n_batches=n_batches,
         detail=detail,
     )
@@ -309,12 +341,13 @@ def _covered(lo, hi, x):
     return cum[k] - np.where(k > 0, over, 0.0)
 
 
-def _voi_batch_sums(q, d_idx, n, edges_idx):
-    """VoI area of each batch, over all n generation indices: ``reduceat`` sums
-    pairwise, so the zeros of undelivered packets fix its rounding."""
+def _voi_batch_sums(q, d_idx, n, firsts, out):
+    """Write the VoI area of each batch, over all n generation indices, to
+    ``out``: ``reduceat`` sums pairwise, so the zeros of undelivered packets
+    fix its rounding."""
     q_full = np.zeros(n)
     q_full[d_idx] = q
-    return np.add.reduceat(q_full, np.concatenate(([0], edges_idx)))
+    np.add.reduceat(q_full, firsts, out=out)
 
 
 def _batch_stderrs(batch_totals: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -324,25 +357,30 @@ def _batch_stderrs(batch_totals: np.ndarray, spans: np.ndarray) -> np.ndarray:
     # Boolean indexing along the columns yields a Fortran-ordered array, whose
     # row reductions would sum in another order than a one-row ``std``.
     m = np.ascontiguousarray(batch_totals[:, keep] / spans[keep])
-    if m.shape[1] < 2:
+    k = m.shape[1]
+    if k < 2:
         return np.zeros(m.shape[0])
     # Each row is scaled into [-1, 1] by a power of two (exact), so that
     # squares cannot overflow.
-    e = np.frexp(np.abs(m).max(axis=1))[1]
-    std = np.ldexp(m, -e[:, None]).std(ddof=1, axis=1)
-    return np.ldexp(std / math.sqrt(m.shape[1]), e)
+    e = np.frexp(np.maximum.reduce(np.abs(m), axis=1))[1]
+    # ``std(ddof=1, axis=1)``, step by step as numpy takes it.
+    x = np.ldexp(m, -e[:, None])
+    dev = np.square(np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / k, out=x), out=x)
+    std = np.sqrt(np.add.reduce(dev, axis=1) / (k - 1))
+    return np.ldexp(std / math.sqrt(k), e)
 
 
-def _age_statistics(gen, d_t, elapsed, edges_t):
-    """Time-average age, the age integral over each batch scaled by 4^-e,
-    and e.
+def _age_statistics(gen, d_t, elapsed, edges_t, out):
+    """Time-average age and e; writes the age integral up to each batch
+    edge, scaled by 4^-e, to ``out``.
 
     The age process starts at zero, grows with slope one, and drops to
     (delivery time - generation time) at every delivery: ``_serve`` serves
     admitted arrivals in arrival order, so each delivery is the freshest yet.
     """
     if d_t.size == 0:
-        return float(elapsed / 2.0), np.zeros(edges_t.size - 1), 0
+        out[:] = 0.0
+        return float(elapsed / 2.0), 0
     # Times scaled into [0, 1] by a power of two (exact), so that their
     # squares cannot overflow; the age integral scales back by 4^e.
     e = math.frexp(elapsed)[1]
@@ -355,13 +393,14 @@ def _age_statistics(gen, d_t, elapsed, edges_t):
     np.ldexp(gen, -e, out=u[1:-1])
     r, u = ru[:-1], u[:-1]
     x = np.ldexp(edges_t, -e)
-    k = np.clip(np.searchsorted(r, x, side="right") - 1, 0, r.size - 1)
+    # The segment each edge lies in; r[0] = 0 <= x, so k >= 0.
+    k = np.searchsorted(r, x, side="right") - 1
     u_k = u[k]
     seg = np.square(np.subtract(ru[1:], u, out=cum[1:]), out=cum[1:])
     sq = np.square(np.subtract(r, u, out=u), out=u)
     np.cumsum(np.multiply(np.subtract(seg, sq, out=seg), 0.5, out=seg), out=seg)
-    at_edges = cum[k] + 0.5 * ((x - u_k) ** 2 - sq[k])
-    return math.ldexp(float(at_edges[-1]) / end, e), np.diff(at_edges), e
+    np.add(cum[k], 0.5 * ((x - u_k) ** 2 - sq[k]), out=out)
+    return math.ldexp(float(out[-1]) / end, e), e
 
 
 def _sampled_voi_mean(descend, gen, v_d, d_t, t_sys, elapsed, step):
@@ -383,26 +422,35 @@ def _sampled_voi_mean(descend, gen, v_d, d_t, t_sys, elapsed, step):
     """
     n_s = _grid_length(elapsed, step)
     alive = t_sys < descend.deadline
+    m = int(np.count_nonzero(alive))
+    # Each run's first sample and the first sample past its deadline, counted
+    # in one pass over the alive packets' delivery times and expiry times.
+    x = np.empty(2 * m)
+    np.compress(alive, d_t, out=x[:m])
+    np.add(np.compress(alive, gen, out=x[m:]), descend.deadline, out=x[m:])
+    bounds = _samples_below(x, step, n_s)
+    del x
+    starts, hi = bounds[:m], bounds[m:]
     gen, v0 = gen[alive], v_d[alive]
-    # starts holds each run's first sample, then its length, then its first pair.
-    starts = _samples_below(d_t[alive], step, n_s)
-    hi = _samples_below(gen + descend.deadline, step, n_s)
+    # starts holds each run's first sample, then its length, then its first
+    # pair; hi becomes the offset from a pair to its sample.
     np.maximum(np.subtract(hi, starts, out=starts), 0, out=starts)
     ends = np.cumsum(starts)
     np.subtract(ends, starts, out=starts)
-    n_pairs = int(ends[-1]) if ends.size else 0
+    np.subtract(hi, ends, out=hi)
+    n_pairs = int(ends[-1]) if m else 0
     total = 0.0
     for first in range(0, n_pairs, _SAMPLE_PAIRS_PER_BLOCK):
         last = min(first + _SAMPLE_PAIRS_PER_BLOCK, n_pairs)
-        pair = np.arange(first, last)
-        # The packets whose runs meet the block, each repeated over its share
-        # of it; a run that holds a pair is never empty, so it ends at hi,
-        # and the pair's sample counts back from there.
+        # The runs that meet the block, each repeated over its share of it; a
+        # run that holds a pair is never empty, so it ends at the sample
+        # before its deadline, and the pair's sample counts back from there.
         k0, k1 = np.searchsorted(ends, (first, last - 1), side="right")
-        share = np.minimum(ends[k0 : k1 + 1], last) - np.maximum(starts[k0 : k1 + 1], first)
-        k = np.repeat(np.arange(k0, k1 + 1), share)
-        tau = (pair - ends[k] + hi[k]) * step - gen[k]
-        total += float(descend.value(v0[k], tau).sum())
+        runs = slice(k0, k1 + 1)
+        share = np.minimum(ends[runs], last) - np.maximum(starts[runs], first)
+        sample = np.arange(first, last) + np.repeat(hi[runs], share)
+        tau = sample * step - np.repeat(gen[runs], share)
+        total += float(descend.value(np.repeat(v0[runs], share), tau).sum())
     return total / n_s
 
 
@@ -426,7 +474,9 @@ def _samples_below(x, step, n_s):
     ``ceil(x / step)``, clipped to [0, n_s], is within one of the count,
     and one test each way settles it.
     """
-    m = np.clip(np.ceil(x / step), 0.0, n_s)
+    m = np.divide(x, step)
+    np.ceil(m, out=m)
+    np.minimum(np.maximum(m, 0.0, out=m), n_s, out=m)
     m -= (m > 0.0) & ((m - 1.0) * step >= x)
     m += (m < n_s) & (m * step < x)
     return m.astype(np.int64)

@@ -140,6 +140,59 @@ def test_q_area_decreases_with_system_time(descend, v0):
     assert areas[0] == pytest.approx(full, rel=1e-8, abs=1e-10)
 
 
+def _clip_value(descend, v0, tau):
+    """``DescendFunction.value`` written with ``np.clip``."""
+    x = np.clip(np.asarray(tau, dtype=float) / descend.deadline, 0.0, 1.0)
+    v = np.asarray(v0, dtype=float)
+    if descend.kind == "linear":
+        return v * (1.0 - x)
+    if descend.kind == "power-concave":
+        return v * (1.0 - x**descend.shape)
+    return v * (1.0 - x) ** descend.shape
+
+
+def _clip_area(descend, v0, t_sys):
+    """``DescendFunction.area`` written with ``np.clip``."""
+    t, v, d = np.asarray(t_sys, dtype=float), np.asarray(v0, dtype=float), descend.deadline
+    if descend.kind == "linear":
+        rem = np.clip(d - t, 0.0, None)
+        return v / (2.0 * d) * rem * rem
+    r = np.clip((d - t) / d, 0.0, None)
+    k1 = descend.shape + 1.0
+    if descend.kind == "power-convex":
+        return v * d * r**k1 / k1
+    return v * d * (r - (1.0 - (1.0 - r) ** k1) / k1)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize(
+    "descend",
+    [LIN3, DescendFunction.power_convex(1.5, 3.0), DescendFunction.power_convex(2.0, 3.0),
+     DescendFunction.power_concave(2.5, 3.0), DescendFunction.power_concave(3.0, 3.0)],
+    ids=repr,
+)
+def test_value_and_area_equal_their_clip_forms_bit_for_bit(descend):
+    # The laws call the ufuncs that np.clip wraps; outputs, signed zeros
+    # included, must be np.clip's, on scalars and on arrays long enough for
+    # numpy's vector loops.  Before generation the concave area is nan
+    # ((1 - r)**k1 with r > 1), in both forms.
+    d = descend.deadline
+    times = [-1.0, -0.0, 0.0, d / 2, d, 2 * d, math.inf]
+    tau = np.tile(times, 5)
+    with np.errstate(invalid="ignore"):
+        for v0 in (0.0, 2.5):
+            for t in times:
+                assert _same_bits(descend.value(v0, t), _clip_value(descend, v0, t)), (v0, t)
+                assert _same_bits(descend.area(v0, t), _clip_area(descend, v0, t)), (v0, t)
+            v = np.full(tau.size, v0)
+            assert _same_bits(descend.value(v, tau), _clip_value(descend, v, tau))
+            assert _same_bits(descend.area(v, tau), _clip_area(descend, v, tau))
+
+
 # ---------------------------------------------------------------------------
 # sample_service_times
 # ---------------------------------------------------------------------------
@@ -162,13 +215,13 @@ def test_service_time_class_exponential_monte_carlo():
     draws = rng.standard_exponential(n) * 0.4
     se = draws.std(ddof=1) / math.sqrt(n)
     assert abs(draws.mean() - 0.4) <= 3.0 * se
-    one = sample_service_times(ClassExponentialService(), np.array([0.4]), np.array([1]), rng_stream(7, 2))
+    one = sample_service_times(ClassExponentialService(), np.array([0.4]), np.array([1]), lambda: rng_stream(7, 2))
     assert one[0] >= 0.0
 
 
 def test_service_time_class_exponential_requires_class():
     with pytest.raises(ValueError):
-        sample_service_times(ClassExponentialService(), np.array([0.4]), None, rng_stream(7, 2))
+        sample_service_times(ClassExponentialService(), np.array([0.4]), None, lambda: rng_stream(7, 2))
 
 
 def test_service_time_random_models_require_rng():

@@ -26,6 +26,7 @@ from voilab.model import (
     UniformValue,
     service_law,
 )
+from voilab import sim
 from voilab.sim import (
     SimConfig,
     _batch_stderrs,
@@ -34,6 +35,7 @@ from voilab.sim import (
     _samples_below,
     _serve,
     _serve_bufferless,
+    rng_stream,
     simulate,
 )
 
@@ -100,6 +102,56 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SimConfig(mm12(), seed=bad)
     assert SimConfig(mm12(), seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("field", ["n_packets", "seed"])
+@pytest.mark.parametrize("bad", [1000.0, 1.5, True, np.float64(7.0), np.bool_(True), "7", None])
+def test_config_rejects_a_count_or_seed_that_is_not_an_integer(field, bad):
+    # A float seed ran with its integer part as the key while the report
+    # showed the float, True ran as seed 1, and a float packet count passed
+    # validation to fail inside numpy.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(mm12(), **{field: bad})
+
+
+def test_config_accepts_numpy_integers():
+    want = simulate(SimConfig(mm12(), n_packets=50, seed=3))
+    assert simulate(SimConfig(mm12(), n_packets=np.int64(50), seed=np.uint64(3))) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, SEED, 2**64 - 1])
+def test_rng_stream_is_philox_keyed_by_seed_and_stream(seed):
+    for stream in range(3):
+        key = np.array([seed, stream], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = sim.rng_stream(seed, stream)
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert np.array_equal(got.exponential(1.0, 1000), want.exponential(1.0, 1000))
+
+
+@pytest.mark.parametrize(
+    "service, streams",
+    [
+        (DependentService("log-shift", 1.0), 2),
+        (IndependentDeterministicService(0.8), 2),
+        (IndependentExponentialService(1.5), 3),
+        (ClassExponentialService(), 3),
+    ],
+    ids=lambda x: type(x).__name__ if not isinstance(x, int) else str(x),
+)
+def test_run_builds_only_the_streams_it_draws_from(monkeypatch, service, streams):
+    calls = []
+
+    def counted(seed, stream):
+        calls.append(stream)
+        return rng_stream(seed, stream)
+
+    monkeypatch.setattr(sim, "rng_stream", counted)
+    dist = BinaryValue(0.4, 1.33, 0.8) if isinstance(service, ClassExponentialService) else UniformValue(0.0, 10.0)
+    for disc in DISCIPLINES:
+        calls.clear()
+        simulate(SimConfig(Scenario(1.0, dist, service, LIN3, disc), n_packets=100, seed=SEED))
+        assert sorted(calls) == list(range(streams)), (disc, calls)
 
 
 # ---------------------------------------------------------------------------
