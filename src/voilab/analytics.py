@@ -35,13 +35,12 @@ lam * P[class admitted] and the value distribution conditioned on admission.
 A report carries the probabilities, the two areas and avg_voi
 (``AnalyticReport``).  Where lam E[S] or lam^2 overflows (lam near 1e308, or
 1.34e154 for the M/M/1/2 closed form) the probabilities are formed in scaled
-units, and avg_voi multiplies them by lam before the areas.
+units, and avg_voi takes lam into each of its two terms before the area.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -234,11 +233,8 @@ def analyze(scenario: Scenario) -> AnalyticReport:
 
 
 def _avg_voi(lam: float, p_idle: float, eq_idle: float, p_served: float, eq_busy: float, unit: float = 1.0) -> float:
-    """lam (p_idle eq_idle + p_served eq_busy / unit), unit a power of two.  Where
-    the sum falls below the normal range (lam E[S] near overflow), lam goes in first."""
-    eq = p_idle * eq_idle + p_served * eq_busy
-    if unit == 1.0 and eq >= sys.float_info.min:
-        return lam * eq
+    """lam (p_idle eq_idle + p_served eq_busy / unit), unit a power of two: lam goes into each term
+    first, so that neither falls below the normal range where lam E[S] is near overflow."""
     return lam * p_idle * eq_idle + lam / unit * p_served * eq_busy
 
 

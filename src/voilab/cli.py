@@ -273,7 +273,7 @@ def parse_lambda_grid(text: str) -> tuple[float, ...]:
         if ":" in text:
             start_s, stop_s, step_s = text.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0.0 or stop < start:
+            if not (step > 0.0 and stop >= start):  # also true for a nan bound
                 raise UsageError(f"bad lambda range {text!r}")
             steps = (stop - start) / step + 1e-9
             if not steps < MAX_GRID_POINTS:  # also false for inf and nan

@@ -150,8 +150,8 @@ class ExponentialValue:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rate < math.inf):
-            raise ValueError("rate must be finite and > 0")
+        if not (0.0 < self.rate < math.inf and 1.0 / self.rate < math.inf):
+            raise ValueError(f"rate must be finite and > 0, with a finite mean 1/rate, got {self.rate!r}")
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -242,8 +242,8 @@ class IndependentExponentialService:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rate < math.inf):
-            raise ValueError("service rate must be finite and > 0")
+        if not (0.0 < self.rate < math.inf and 1.0 / self.rate < math.inf):
+            raise ValueError(f"service rate must be finite and > 0, with a finite mean 1/rate, got {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -542,7 +542,10 @@ class ValueMapped:
 
     def _expect(self, f, cuts):
         """E[f(S)] as one integral on the pieces between consecutive ``cuts`` (axis 0), clipped to the support."""
-        cuts = np.clip(cuts, *self.kinks)
+        lo, hi = self.kinks
+        if not math.isfinite(hi):  # 0 <= lo <= hi, so hi is the end that overflows first
+            raise ArithmeticError(f"service times of {self.value} under {self.service} reach {hi}")
+        cuts = np.clip(cuts, lo, hi)
         pdf, g_inv, slope = self.value.pdf, self.service.g_inv, self.service.g_inv_slope
         return gauss_legendre(lambda s: pdf(g_inv(s)) * slope(s) * f(s), cuts[:-1], cuts[1:])
 

@@ -86,6 +86,8 @@ class SimConfig:
             x = getattr(self, name)
             if isinstance(x, bool) or not isinstance(x, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {x!r}")
+            # A numpy integer runs as its int, and the report shows that int.
+            object.__setattr__(self, name, int(x))
         if self.n_packets < 1:
             raise ValueError("need at least one packet")
         if not 0 <= self.seed < 2**64:
@@ -153,6 +155,8 @@ def simulate(config: SimConfig) -> SimReport:
     del t_adm, s_adm
     d_idx = served if pos is None else pos[served]
     elapsed = float(max(t_gen[-1], d_t[-1]) if d_t.size else t_gen[-1])
+    if not math.isfinite(elapsed):
+        raise ArithmeticError(f"departure times overflow at lambda = {sc.lam:g} over {n} packets")
 
     # One batch partition by generation index for every batch-means error;
     # renewal-reward batching assigns each packet's area to the batch of its
@@ -422,35 +426,26 @@ def _sampled_voi_mean(descend, gen, v_d, d_t, t_sys, elapsed, step):
     """
     n_s = _grid_length(elapsed, step)
     alive = t_sys < descend.deadline
-    m = int(np.count_nonzero(alive))
-    # Each run's first sample and the first sample past its deadline, counted
-    # in one pass over the alive packets' delivery times and expiry times.
-    x = np.empty(2 * m)
-    np.compress(alive, d_t, out=x[:m])
-    np.add(np.compress(alive, gen, out=x[m:]), descend.deadline, out=x[m:])
-    bounds = _samples_below(x, step, n_s)
-    del x
-    starts, hi = bounds[:m], bounds[m:]
     gen, v0 = gen[alive], v_d[alive]
-    # starts holds each run's first sample, then its length, then its first
-    # pair; hi becomes the offset from a pair to its sample.
+    # starts holds each run's first sample, then its length, then its first pair.
+    starts = _samples_below(d_t[alive], step, n_s)
+    hi = _samples_below(gen + descend.deadline, step, n_s)
     np.maximum(np.subtract(hi, starts, out=starts), 0, out=starts)
     ends = np.cumsum(starts)
     np.subtract(ends, starts, out=starts)
-    np.subtract(hi, ends, out=hi)
-    n_pairs = int(ends[-1]) if m else 0
+    n_pairs = int(ends[-1]) if ends.size else 0
     total = 0.0
     for first in range(0, n_pairs, _SAMPLE_PAIRS_PER_BLOCK):
         last = min(first + _SAMPLE_PAIRS_PER_BLOCK, n_pairs)
-        # The runs that meet the block, each repeated over its share of it; a
-        # run that holds a pair is never empty, so it ends at the sample
-        # before its deadline, and the pair's sample counts back from there.
+        pair = np.arange(first, last)
+        # The packets whose runs meet the block, each repeated over its share
+        # of it; a run that holds a pair is never empty, so it ends at hi,
+        # and the pair's sample counts back from there.
         k0, k1 = np.searchsorted(ends, (first, last - 1), side="right")
-        runs = slice(k0, k1 + 1)
-        share = np.minimum(ends[runs], last) - np.maximum(starts[runs], first)
-        sample = np.arange(first, last) + np.repeat(hi[runs], share)
-        tau = sample * step - np.repeat(gen[runs], share)
-        total += float(descend.value(np.repeat(v0[runs], share), tau).sum())
+        share = np.minimum(ends[k0 : k1 + 1], last) - np.maximum(starts[k0 : k1 + 1], first)
+        k = np.repeat(np.arange(k0, k1 + 1), share)
+        tau = (pair - ends[k] + hi[k]) * step - gen[k]
+        total += float(descend.value(v0[k], tau).sum())
     return total / n_s
 
 

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
@@ -39,11 +40,17 @@ _BASE = "preset = binary\nengines = analytic\nlambda_grid = 1\n"
         "seed = 18446744073709551616",
         "n_packets = 0",
         "lambda_grid = -1",
+        "lambda_grid = 5:1:1",
+        "lambda_grid = 1:5:0",
+        "lambda_grid = abc",
+        "engines = analytic,foo",
+        "jobs = 0",
     ],
 )
 def test_bad_numeric_config_value_is_a_usage_error(tmp_path, line, capsys):
     assert _run_config(tmp_path, _BASE + line + "\n") == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -84,6 +91,49 @@ def test_model_with_wrong_argument_count_is_a_usage_error(tmp_path, lines, capsy
     assert _run_config(tmp_path, _SCENARIO_BASE + lines + "\n") == 2
     assert "arguments" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_SCENARIO_BASE + "scenario.value_dist = uniform[0,10]\n", "cannot parse value distribution: 'uniform[0,10]'"),
+        (_SCENARIO_BASE + "scenario.value_dist = gamma(1)\n", "unknown value distribution 'gamma(1)'"),
+        (_SCENARIO_BASE + "scenario.value_dist = uniform(a,b)\n", "bad numeric argument in value distribution"),
+        (_SCENARIO_BASE + "scenario.discipline = M/GI/1/3\n", "unknown discipline 'M/GI/1/3'"),
+        (_SCENARIO_BASE + "lambda_grid 2\n", "line 6: expected 'key = value', got 'lambda_grid 2'"),
+        ("engines = analytic\nlambda_grid = 1\n", "config must name a preset or define scenario.value_dist"),
+    ],
+    ids=["unparsed-model", "unknown-model", "non-numeric-argument", "unknown-discipline", "no-equals", "no-experiment"],
+)
+def test_bad_config_line_is_a_usage_error_naming_the_fault(tmp_path, capsys, text, message):
+    assert _run_config(tmp_path, text) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_config_skips_blank_and_comment_lines_and_writes_name_csv_by_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text("# a comment\n\n   \n" + _BASE + "  # indented comment\nname = mine\n")
+    assert main(["run", "--config", "exp.cfg"]) == 0
+    assert capsys.readouterr().out == "wrote 6 rows to mine.csv\n"
+    assert len(cli.read_csv("mine.csv")) == 6
+
+
+def test_no_subcommand_is_a_usage_error(capsys):
+    assert main([]) == 2
+    err = capsys.readouterr().err
+    assert "error: the following arguments are required: command" in err and "Traceback" not in err
+
+
+def test_analytic_row_on_a_power_law_is_unsupported_and_skipped(tmp_path, capsys):
+    assert _run_config(tmp_path, _SCENARIO_BASE + "scenario.descend = power-convex(1.5,3)\n") == 0
+    (row,) = cli.read_csv(str(tmp_path / "out.csv"))
+    assert row["avg_voi"] == "unsupported"
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "out.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["lambda=1 M/GI/1/1 serve-all analytic: unsupported, SKIPPED", "0 pass, 0 fail, 1 skipped"]
 
 
 def test_seed_range_ends_are_accepted():
@@ -209,11 +259,71 @@ def test_oversized_lambda_range_exits_before_building_it(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["1:nan:1", "nan:5:1", "1:5:nan"])
+def test_lambda_range_with_a_nan_bound_is_a_bad_range(text):
+    with pytest.raises(UsageError, match=f"^bad lambda range '{text}'$"):
+        parse_lambda_grid(text)
+
+
 def test_lambda_range_point_cap():
     assert len(parse_lambda_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
     for text in (f"1:{MAX_GRID_POINTS + 1}:1", "0.1:5:1e-6", "0:1:5e-324"):
         with pytest.raises(UsageError):
             parse_lambda_grid(text)
+
+
+# Each grammar parameter, and lambda, in turn at the ends of the double range,
+# the others at ordinary values: (lambda, value law, service, descend law).
+_GRAMMAR_EXTREMES = ("5e-324", "1e-320", "1e-308", "1e-307", "1e-300", "1e300", "1e307", "1e308", "1.7e308")
+_GRAMMAR_SLOTS = (
+    ("{x}", "uniform(0,10)", "dependent-log-shift(1)", "linear(3)"),
+    ("1", "uniform(0,{x})", "dependent-log-shift(1)", "linear(3)"),
+    ("1", "uniform({x},10)", "dependent-log-shift(1)", "linear(3)"),
+    ("1", "exponential({x})", "dependent-log-shift(1)", "linear(3)"),
+    ("1", "exponential({x})", "dependent-identity", "linear(3)"),
+    ("1", "binary({x},1.33,0.8)", "class-exponential", "linear(3)"),
+    ("1", "binary(0.4,{x},0.8)", "class-exponential", "linear(3)"),
+    ("1", "binary(0.4,1.33,{x})", "class-exponential", "linear(3)"),
+    ("1", "uniform(0,10)", "dependent-log-shift({x})", "linear(3)"),
+    ("1", "uniform(0,10)", "independent-exponential({x})", "linear(3)"),
+    ("1", "uniform(0,10)", "independent-deterministic({x})", "linear(3)"),
+    ("1", "uniform(0,10)", "dependent-log-shift(1)", "linear({x})"),
+    ("1", "uniform(0,10)", "dependent-log-shift(1)", "power-concave({x},3)"),
+    ("1", "uniform(0,10)", "dependent-log-shift(1)", "power-concave(2.5,{x})"),
+    ("1", "uniform(0,10)", "dependent-log-shift(1)", "power-convex({x},3)"),
+    ("1", "uniform(0,10)", "dependent-log-shift(1)", "power-convex(1.5,{x})"),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grammar_extremes_end_in_rows_or_an_error_line(tmp_path, capsys):
+    # 144 configurations, each 3 disciplines x 3 engines.  A service-time
+    # support whose end overflows must end in exit 4, not in the quadrature's
+    # ValueError for infinite bounds.
+    out = tmp_path / "out.csv"
+    outcomes = []
+    for slot in _GRAMMAR_SLOTS:
+        for x in _GRAMMAR_EXTREMES:
+            lam, dist, service, descend = (part.format(x=x) for part in slot)
+            text = (
+                f"lambda_grid = {lam}\nengines = analytic,closed-form,simulate\nn_packets = 200\n"
+                f"scenario.value_dist = {dist}\nscenario.service = {service}\nscenario.descend = {descend}\n"
+                "scenario.discipline = M/GI/1/1,M/GI/1/2,M/GI/1/2*\n"
+            )
+            code = _run_config(tmp_path, text)
+            err = capsys.readouterr().err.splitlines()
+            where = (lam, dist, service, descend, code, err)
+            assert code in (0, 2, 4), where
+            if code == 0:
+                rows = cli.read_csv(str(out))
+                cells = [row[k] for row in rows for k in ("avg_voi", "avg_aoi", "stderr", "p_idle", "p_busy1", "p_busy2")]
+                assert len(rows) == 9 and all(math.isfinite(float(c)) for c in cells if c not in ("", "unsupported")), where
+                out.unlink()
+            else:
+                assert len(err) == 1 and err[0].startswith(("error: ", "numeric failure: ")), where
+                assert not out.exists(), where
+            outcomes.append(code)
+    assert len(outcomes) == 144 and set(outcomes) == {0, 2, 4}
 
 
 _CSV = (
@@ -292,8 +402,21 @@ _MISS = (
             "1 pass, 0 fail, 2 skipped",
             "worst |z|: no check against a simulated standard error",
         ),
+        # A simulated row with stderr 0 must match to 1e-12.
+        (
+            _CSV.replace(",0.51,2.0,0.01,", ",0.5,2.0,0,"),
+            0,
+            "1 pass, 0 fail, 0 skipped",
+            "worst |z|: no check against a simulated standard error",
+        ),
+        (
+            _CSV.replace(",0.01,", ",0,"),
+            3,
+            "0 pass, 1 fail, 0 skipped",
+            "worst |z|: no check against a simulated standard error",
+        ),
     ],
-    ids=["misses", "no-misses", "no-simulate-rows"],
+    ids=["misses", "no-misses", "no-simulate-rows", "zero-spread-pass", "zero-spread-fail"],
 )
 def test_verify_ends_with_the_worst_z_and_its_row(tmp_path, capsys, text, code, totals, worst):
     assert _verify_text(tmp_path, text) == code

@@ -345,6 +345,25 @@ def test_scenario_rejects_unknown_discipline():
         Scenario(1.0, UniformValue(0, 10), DependentService(), LIN3, "M/GI/1/3")
 
 
+@pytest.mark.parametrize("make", [ExponentialValue, IndependentExponentialService])
+def test_rate_whose_mean_overflows_is_rejected(make):
+    make(5.6e-309)  # 1 / rate = 1.786e308 is still finite
+    with pytest.raises(ValueError, match="finite mean"):
+        make(5.5e-309)
+
+
+@pytest.mark.parametrize(
+    "service, dist",
+    [(DependentService("identity"), ExponentialValue(1e-308)), (DependentService("log-shift", 1e308), UniformValue(0.0, 10.0))],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a * log1p(10) overflows to inf
+def test_value_mapped_law_whose_service_times_overflow_is_a_numeric_failure(service, dist):
+    ((c,), _) = service_law(_scenario(service, dist))
+    for integral in (c.mean, lambda: c.mgf(1.0), lambda: c.one_minus_mgf(1.0)):
+        with pytest.raises(ArithmeticError, match="reach inf$"):
+            integral()
+
+
 def test_scenario_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
         Scenario(0.0, UniformValue(0, 10), DependentService(), LIN3, MG12)
