@@ -6,10 +6,13 @@ cycle, the expected collected area of a packet that arrives in idle state,
 and that of a busy arrival that is served; only the busy-arrival rule
 differs between disciplines.  Each piece is a weighted sum over the
 components of the admitted service law (``model.service_law``), built once
-per call.  E[S] and the idle-arrival area depend on that law and the
-deadline alone, not on lam or the discipline, so they are computed once per
-law and shared by every point of a sweep (a bounded cache keyed by value on
-the frozen law tuple and D; nothing keyed on lam is cached).  The two
+per call.  Of MGF = E[exp(-lam S)] and 1 - MGF, which the buffered
+disciplines read, only the one at most 1/2 is integrated, and the other is
+the law's mass minus it (``stationary_mg12``).  E[S], the mass and the
+idle-arrival area depend on that law and the deadline alone, not on lam or the discipline, so they are
+computed once per law and shared by every point of a sweep (a bounded cache
+keyed by value on the frozen law tuple and D; nothing keyed on lam is
+cached).  The two
 classic parameter families (uniform value with log service, exponential
 value with identity service) also have closed forms, which ``analyze``
 never calls, so that the two routes check each other.
@@ -114,7 +117,7 @@ class Stationary(NamedTuple):
 # Pieces of one admitted law
 # ---------------------------------------------------------------------------
 #
-# E[S] and eq_idle are cached per law (see the module docstring); the law
+# E[S], the mass and eq_idle are cached per law (see the module docstring); the law
 # tuple and its components are frozen dataclasses, so keys compare by value.
 
 def _area(law, d: float, kappa, lam: float) -> float:
@@ -125,6 +128,12 @@ def _area(law, d: float, kappa, lam: float) -> float:
 @lru_cache(maxsize=64)
 def _mean_service(law) -> float:
     return mean_service_time(law)
+
+
+@lru_cache(maxsize=64)
+def _mass(law) -> float:
+    """E[1] over the admitted law as its rules integrate it (see ``stationary_mg12``)."""
+    return sum(c.weight * c.mass() for c in law)
 
 
 @lru_cache(maxsize=64)
@@ -149,6 +158,9 @@ def stationary_mg11(law, lam: float) -> Stationary:
     return Stationary(one / (one + busy), p_busy, p_busy, 0.0, e_s)
 
 
+_LN2 = math.log(2.0)  # lam E[S] up to which MGF >= 1/2 (``stationary_mg12``)
+
+
 def stationary_mg12(law, lam: float) -> Stationary:
     """Server-state probabilities of the one-buffer disciplines under the admitted law ``law`` at rate ``lam``.
 
@@ -158,11 +170,26 @@ def stationary_mg12(law, lam: float) -> Stationary:
     service stays empty until the first arrival X ~ exponential(lam) during
     it, so the B1 share of busy time is E[min(X, S)] / E[S]
     = (1 - MGF) / (lam E[S]), and B2 is the rest.
+
+    Only a transform that is at most 1/2 is integrated: the other, 1 minus
+    it, then has no larger relative error.  By Jensen MGF >= exp(-lam E[S]),
+    so where lam E[S] <= ln 2, MGF >= 1/2 and 1 - MGF is integrated.
+    Elsewhere MGF is, and 1 - MGF is 1 minus it where MGF <= 1/2; both are
+    integrated only where lam E[S] > ln 2 and MGF > 1/2.  The 1 is the law's
+    mass as its rules integrate it (``_mass``), which E[S] and the integrated
+    transform share, so the probabilities cancel it: a value-mapped density
+    integrates to 1 +- 2e-9 on a narrow support rounded in S, and to 1 - 1e-12
+    where cut at ``EXP_TAIL_EPS``.
     """
     e_s = _mean_service(law)
     one, busy = (1.0, lam * e_s) if lam * e_s < math.inf else (1.0 / lam, e_s)  # as in stationary_mg11
-    mgf = mgf_service(law, lam) * one
-    omm = one_minus_mgf_service(law, lam)
+    if lam * e_s <= _LN2:
+        omm = one_minus_mgf_service(law, lam)
+        mgf = _mass(law) - omm
+    else:
+        mgf = mgf_service(law, lam)
+        omm = _mass(law) - mgf if mgf <= 0.5 else one_minus_mgf_service(law, lam)
+    mgf *= one
     # Scaled by MGF so that nothing divides by it: it underflows to 0 once
     # lam * S is large, when every service sees an arrival.
     p_idle = mgf / (mgf + busy)
@@ -312,22 +339,26 @@ def closed_form_mg11_uniform_log(
 def closed_form_mm12_exp(mu: float, lam: float, deadline: float) -> AnalyticReport:
     """FCFS one-buffer average VoI for exponential(mu) values served through
     the identity map (so service is exponential(mu) too), in closed form.
-    Both area numerators cancel as x = D mu -> 0, so below x = 3 they are
-    summed as their alternating Taylor series, through x^31.  Both are
-    divided by x before it is squared, so that long deadlines stay finite."""
+    With x = D mu each area is num(x) / (2 mu^2).  Both numerators cancel as
+    x -> 0, so below x = 3 they are summed as their alternating Taylor series
+    through x^30, and the areas are D^2/2 (num / x^2), with series powers
+    x^(n-3); from x = 3 on they are D/(2 mu) (num / x).  Neither mu^2 nor x^3
+    is formed, so no area under- or overflows where the answer does not."""
     if not (mu > 0.0 and lam > 0.0 and deadline > 0.0):
         raise ValueError("invalid closed-form parameters")
-    dm = deadline * mu
-    if dm < 3.0:
+    x = deadline * mu
+    if x < 3.0:
         n = np.arange(4, 32)
-        terms = -((-dm) ** (n - 1)) / np.array([math.factorial(k) for k in n], dtype=float)
-        num_i, num_b = 2.0 * ((n - 3) * terms).sum(), -((n - 3) * (n - 4) * terms).sum()
+        terms = -((-x) ** (n - 3)) / np.array([math.factorial(k) for k in n], dtype=float)
+        idle, busy = 2.0 * ((n - 3) * terms).sum(), ((n - 3) * (4 - n) * terms).sum()
+        # D^2/2 (num / x^2), with D^2 not formed either (D reaches 1e300 where mu is small).
+        eqi, eqb = 0.5 * deadline * (deadline * float(idle)), 0.5 * deadline * (deadline * float(busy))
     else:
-        emu = math.exp(-dm)
-        num_i = dm - 4.0 + 6.0 / dm - emu * (2.0 + 6.0 / dm)
-        num_b = dm - 6.0 + 12.0 / dm - emu * (6.0 + dm + 12.0 / dm)
-    eqi = float(num_i) / (2.0 * mu * mu)
-    eqb = float(num_b) / (2.0 * mu * mu)
+        e, y = math.exp(-x), 1.0 / x
+        idle = 1.0 - 4.0 * y + 6.0 * y * y - e * y * (2.0 + 6.0 * y)
+        busy = 1.0 - 6.0 * y + 12.0 * y * y - e * (1.0 + 6.0 * y + 12.0 * y * y)
+        half = 0.5 * deadline / mu
+        eqi, eqb = half * idle, half * busy
     # Divided through by max(lam, mu)^2 where lam^2 + lam mu + mu^2 overflows.
     k = max(lam, mu) if lam * lam + lam * mu + mu * mu == math.inf else 1.0
     lk, mk = lam / k, mu / k

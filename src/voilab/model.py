@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -337,8 +338,10 @@ class Scenario:
 #
 # ``service_law`` writes the joint law of an admitted packet's value V and
 # service time S once, as weighted components, each carrying the value it
-# pays (the value distribution itself when S = g(V)).  Each provides seven
-# members.  ``analyze`` reads five: mean(), mgf(lam) and one_minus_mgf(lam);
+# pays (the value distribution itself when S = g(V)).  Each provides eight
+# members.  ``analyze`` reads six: mass() = E[1] as its rules integrate it (1
+# up to the rounding of a value-mapped support and the ``EXP_TAIL_EPS`` cut),
+# mean(), mgf(lam) and one_minus_mgf(lam);
 # expect_value_kappa(d, kappa, lam) = E[V kappa(d - S); S < d], kappa carrying
 # a layer of arrival rate lam (0 if none); and wait_fold(rem, lam) = E[K(S, rem)]
 # for the FCFS wait kernel K of ``_q_terms``: (1 - MGF) int_0^rem (rem - w)
@@ -450,6 +453,9 @@ class PointMass:
     def kinks(self) -> tuple[float, ...]:
         return (self.s,)
 
+    def mass(self) -> float:
+        return 1.0
+
     def mean(self) -> float:
         return self.s
 
@@ -486,6 +492,9 @@ class ExponentialComponent:
     def kinks(self) -> tuple[float, ...]:
         # The ends of the pieces around the layer exp(-s/m) at s = 0.
         return tuple(layer_offsets(1.0 / self.m, math.inf))
+
+    def mass(self) -> float:
+        return 1.0
 
     def mean(self) -> float:
         return self.m
@@ -535,8 +544,9 @@ class ValueMapped:
     value: InitialValueDist
     service: DependentService
 
-    @property
+    @cached_property
     def kinks(self) -> tuple[float, ...]:
+        # Read by every member; cached in the instance, not a field, so eq, hash and repr ignore it.
         lo, hi = self.value.support()
         return (float(self.service.g(lo)), float(self.service.g(hi)))
 
@@ -545,9 +555,13 @@ class ValueMapped:
         lo, hi = self.kinks
         if not math.isfinite(hi):  # 0 <= lo <= hi, so hi is the end that overflows first
             raise ArithmeticError(f"service times of {self.value} under {self.service} reach {hi}")
-        cuts = np.clip(cuts, lo, hi)
+        # np.clip(cuts, lo, hi) bit for bit (signed zeros and nan too), without its Python-level dispatch.
+        cuts = np.minimum(hi, np.maximum(lo, cuts))
         pdf, g_inv, slope = self.value.pdf, self.service.g_inv, self.service.g_inv_slope
         return gauss_legendre(lambda s: pdf(g_inv(s)) * slope(s) * f(s), cuts[:-1], cuts[1:])
+
+    def mass(self) -> float:
+        return self._expect(lambda s: 1.0, self.kinks)
 
     def mean(self) -> float:
         return self._expect(lambda s: s, self.kinks)

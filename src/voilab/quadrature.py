@@ -118,7 +118,10 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
     piece is one Gauss-Legendre panel of k points, and k doubles from
     GL_FIRST_ORDER until every integral meets sum |I_2k - I_k| <= max(REL_TOL
     |sum I_2k|, 1e-14 M, float_info.min), both sums over its pieces; the sum
-    of I_2k is returned.  No floor carries a unit.  M, the rounding level, is
+    of I_2k is returned.  The two sides are compared directly; their ratio is
+    formed only to name the worst piece of a failure (with the bound a normal
+    number, ratio > 1 iff err > bound, so this is the same test).  No floor
+    carries a unit.  M, the rounding level, is
     the largest integral of |f| of any integral in the call, since one whose
     integrand carries a subnormal factor has few digits of its own; the
     smallest normal number keeps integrals below the normal range from failing.
@@ -150,14 +153,15 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
     while True:
         total, moved = fine.sum(axis=0), np.abs(fine - coarse)
         floor = max(1e-14 * float(mass.sum(axis=0).max()), sys.float_info.min)
-        excess = moved.sum(axis=0) / np.maximum(REL_TOL * np.abs(total), floor)
-        if not (excess > 1.0).any():
+        err, bound = moved.sum(axis=0), np.maximum(REL_TOL * np.abs(total), floor)
+        if not (err > bound).any():
             return total if total.ndim else float(total)
         if 2 * order > GL_MAX_ORDER or 2 * order * a.size > GL_MAX_POINTS:
             break
         order *= 2
         coarse = fine
         (fine,), mass = _panel_sums(f, a, width, (order,))
+    excess = err / bound
     row = np.unravel_index(np.argmax(excess), excess.shape)
     i = (int(np.argmax(moved[(slice(None), *row)])), *row)
     raise QuadratureError(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.optimize import brentq
 from scipy.special import gammainc
 
 from voilab import cli
@@ -114,6 +115,45 @@ def test_stationary_partitions_sum_to_one(lam):
     st = stationary_mg12(*service_law(mm12(lam)))
     assert st.p_idle + st.p_busy == pytest.approx(1.0, abs=1e-12)
     assert st.p_busy1 + st.p_busy2 == pytest.approx(st.p_busy, abs=1e-12)
+
+
+# stationary_mg12 integrates one service transform and takes the other as the
+# law's mass minus it: 1 - MGF where lam E[S] <= ln 2, MGF elsewhere, and both
+# only where lam E[S] > ln 2 and MGF > 1/2.  The oracles are scipy quad on the
+# service density, cut where a layer exp(-lam S) at S = 0 ends for any lam.
+
+def _by_quad(density, top):
+    """f -> E[f(S)] for S of ``density`` on [0, top], on pieces that double in width from 1e-9."""
+    end = min(top, 40.0)
+    cuts = [0.0, *(t for t in (1e-9 * 2.0**j for j in range(40)) if t < end), end]
+    pieces = [*zip(cuts, cuts[1:]), *([(end, math.inf)] if top == math.inf else [])]
+
+    def expect(f):
+        return sum(quad(lambda s: f(s) * density(s), a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in pieces)
+
+    return expect
+
+
+_TRANSFORM_LAWS = {
+    "unif-log": (UniformValue(0.0, 10.0), DependentService("log-shift", 1.0), _by_quad(lambda s: math.exp(s) / 10.0, math.log(11.0))),
+    "exp-id": (ExponentialValue(1.5), DependentService("identity"), _by_quad(lambda s: 1.5 * math.exp(-1.5 * s), math.inf)),
+    "unif-idet": (UniformValue(0.0, 10.0), IndependentDeterministicService(0.8), lambda f: f(0.8)),
+    "unif-iexp": (UniformValue(0.0, 10.0), IndependentExponentialService(1.5), _by_quad(lambda s: 1.5 * math.exp(-1.5 * s), math.inf)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_TRANSFORM_LAWS))
+def test_stationary_mg12_transforms_match_scipy_on_both_sides_of_the_rule(family):
+    dist, svc, expect = _TRANSFORM_LAWS[family]
+    e_s = expect(lambda s: s)
+    at_ln2 = math.log(2.0) / e_s
+    at_half = brentq(lambda lam: expect(lambda s: math.exp(-lam * s)) - 0.5, 0.1 * at_ln2, 10.0 * at_ln2, xtol=1e-14)
+    edges = [r * (1.0 + t) for r in (at_ln2, at_half) for t in (-1e-9, 1e-9)]
+    for lam in [*map(float, np.logspace(-8, 8, 33)), *edges]:
+        st = stationary_mg12(*service_law(Scenario(lam, dist, svc, LIN3, MG12)))
+        mgf = expect(lambda s: math.exp(-lam * s))
+        assert st.omm == pytest.approx(expect(lambda s: -math.expm1(-lam * s)), rel=1e-10, abs=0.0), lam
+        assert st.p_idle == pytest.approx(mgf / (mgf + lam * e_s), rel=1e-10, abs=0.0), lam
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +526,20 @@ def test_mm12_closed_form_holds_at_long_deadlines(d):
             assert getattr(cf, field) == pytest.approx(want, rel=1e-12, abs=0.0), (field, lam)
 
 
+# The areas were num / (2 mu^2): below mu = 1.5e-162 that divided by 0 (a bare
+# ZeroDivisionError), and at 1e-155 and 1e-160 the series' x^3 underflowed
+# (eq_idle 0).  From mu = 1e154 on 2 mu^2 overflowed (every area 0), and at
+# 1e308 so did x = D mu (nan).
+@pytest.mark.parametrize("mu", [1e-300, 1e-200, 1e-170, 1e-160, 1e-155, 1e154, 1e200, 1e250, 1e300, 1e308])
+def test_mm12_closed_form_matches_analyze_at_the_ends_of_the_value_rate(mu):
+    rep, cf = analyze(Scenario(1.0, ExponentialValue(mu), DependentService("identity"), LIN3, MG12)), closed_form_mm12_exp(mu, 1.0, 3.0)
+    assert all(math.isfinite(v) for v in astuple(cf))
+    normal = {f: v for f, v in vars(rep).items() if abs(v) >= sys.float_info.min}
+    assert "eq_idle" in normal or mu == 1e308  # there every area is subnormal
+    for field, want in normal.items():
+        assert getattr(cf, field) == pytest.approx(want, rel=1e-9, abs=0.0), field
+
+
 def test_closed_form_report_dispatch():
     assert closed_form_report(mm12(1.0)) == closed_form_mm12_exp(1.5, 1.0, 3.0)
     assert closed_form_report(uniflog(1.0)) == closed_form_mg11_uniform_log(0.0, 10.0, 1.0, 1.0, 3.0)
@@ -792,7 +846,7 @@ def cold_law_cache():
     """analytics with its per-law cache emptied before and after the test."""
     import voilab.analytics as analytics
 
-    cached = (analytics._mean_service, analytics._eq_idle)
+    cached = (analytics._mean_service, analytics._mass, analytics._eq_idle)
     for fn in cached:
         fn.cache_clear()
     yield analytics
@@ -815,16 +869,33 @@ def _panel_orders(monkeypatch):
     return orders
 
 
-@pytest.mark.parametrize("discipline, passes", [(MG11, 0), (MG12, 4), (MG12_STAR, 4)])
-def test_integrand_passes_per_point_with_a_warm_cache(monkeypatch, discipline, passes):
-    # None without a buffer (E[S] and eq_idle are cached).  Buffered: MGF and
-    # 1 - MGF, then one outer and one inner pass of the nested busy-arrival
-    # rule: every rule converges on its fused first pass.
-    sc = uniflog(0.9, discipline)
+@pytest.mark.parametrize(
+    "discipline, lam, passes, transforms",
+    [
+        (MG11, 0.9, 0, []),
+        *((d, 0.9, 3, ["mgf_service"]) for d in (MG12, MG12_STAR)),
+        *((d, 0.3, 3, ["one_minus_mgf_service"]) for d in (MG12, MG12_STAR)),
+        *((d, 0.435, 4, ["mgf_service", "one_minus_mgf_service"]) for d in (MG12, MG12_STAR)),
+    ],
+)
+def test_integrand_passes_per_point_with_a_warm_cache(monkeypatch, discipline, lam, passes, transforms):
+    # None without a buffer (E[S], the law's mass and eq_idle are cached).
+    # Buffered: one service transform, then one outer and one inner pass of the
+    # nested busy-arrival rule, every rule converging on its fused first pass.
+    # The transform is MGF at lam = 0.9 (lam E[S] > ln 2 and MGF <= 1/2) and
+    # 1 - MGF at lam = 0.3 (lam E[S] <= ln 2); inside the band lam E[S] > ln 2,
+    # MGF > 1/2 (lam in (0.4232, 0.4473)) it is both, 4 passes.
+    import voilab.analytics as analytics
+
+    sc = uniflog(lam, discipline)
     analyze(sc)
-    orders = _panel_orders(monkeypatch)
+    orders, ran = _panel_orders(monkeypatch), []
+    for name in ("mgf_service", "one_minus_mgf_service"):
+        fn = getattr(analytics, name)
+        monkeypatch.setattr(analytics, name, lambda law, lam, fn=fn, name=name: ran.append(name) or fn(law, lam))
     analyze(sc)
     assert len(orders) == passes
+    assert ran == transforms
 
 
 def test_a_sweep_over_one_law_integrates_e_s_and_eq_idle_once(monkeypatch, cold_law_cache):
