@@ -142,8 +142,12 @@ class UniformValue:
         """P[V > v], elementwise over an array."""
         return 1.0 - np.clip((np.asarray(v) - self.v_min) / (self.v_max - self.v_min), 0.0, 1.0)
 
-    def sample(self, rng: np.random.Generator, n: int):
-        return rng.uniform(self.v_min, self.v_max, n), None
+    def sample(self, rng: np.random.Generator, out: np.ndarray):
+        """Fill ``out`` as ``rng.uniform(v_min, v_max, out.size)`` draws it."""
+        rng.random(out=out)
+        out *= self.v_max - self.v_min
+        out += self.v_min
+        return out, None
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,11 @@ class ExponentialValue:
         loses every digit once the cdf rounds to 1 (rate * v >= 37.4)."""
         return np.exp(-self.rate * np.maximum(v, 0.0))
 
-    def sample(self, rng: np.random.Generator, n: int):
-        return rng.exponential(1.0 / self.rate, n), None
+    def sample(self, rng: np.random.Generator, out: np.ndarray):
+        """Fill ``out`` as ``rng.exponential(1 / rate, out.size)`` draws it."""
+        rng.standard_exponential(out=out)
+        out *= 1.0 / self.rate
+        return out, None
 
 
 @dataclass(frozen=True)
@@ -194,10 +201,12 @@ class BinaryValue:
     def atoms(self) -> tuple[tuple[float, float, int], ...]:
         return ((self.v1, self.p, 1), (self.v2, 1.0 - self.p, 2))
 
-    def sample(self, rng: np.random.Generator, n: int):
-        classes = np.where(rng.random(n) < self.p, 1, 2).astype(np.int8)
-        values = np.where(classes == 1, self.v1, self.v2)
-        return values, classes
+    def sample(self, rng: np.random.Generator, out: np.ndarray):
+        """Fill ``out`` with the values; return it and the int8 classes."""
+        one = rng.random(out=out) < self.p
+        out.fill(self.v2)
+        np.copyto(out, self.v1, where=one)
+        return out, np.where(one, np.int8(1), np.int8(2))
 
 
 InitialValueDist = Union[UniformValue, ExponentialValue, BinaryValue]
@@ -275,25 +284,37 @@ def sample_service_times(
     values: np.ndarray,
     classes: Optional[np.ndarray],
     make_rng: Optional[Callable[[], np.random.Generator]],
+    out: np.ndarray,
 ) -> np.ndarray:
     """Service requirement of every packet of a stream with initial values
-    ``values`` (and classes, for class-conditional service).
+    ``values`` (and classes, for class-conditional service), written to
+    ``out``; identity service returns ``values`` itself.  Each draw equals
+    the array draw it replaces: ``exponential(1 / rate, n)``, and
+    ``standard_exponential(n) * values`` for class-exponential service.
 
     ``make_rng`` builds the service stream; only the random models call it,
     so a run with deterministic service never builds one.
     """
-    n = len(values)
     if isinstance(service, DependentService):
-        return service.g(values)
+        if service.map_kind == "identity":
+            return values
+        np.log1p(values, out=out)
+        out *= service.a
+        return out
     if isinstance(service, IndependentDeterministicService):
-        return np.full(n, service.s0)
+        out.fill(service.s0)
+        return out
     if make_rng is None:
         raise ValueError("random service models need an RNG handle")
     if isinstance(service, IndependentExponentialService):
-        return make_rng().exponential(1.0 / service.rate, n)
+        make_rng().standard_exponential(out=out)
+        out *= 1.0 / service.rate
+        return out
     if classes is None:
         raise ValueError("class-conditional service requires packet classes")
-    return make_rng().standard_exponential(n) * values
+    make_rng().standard_exponential(out=out)
+    out *= values
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,21 @@ occupancies and their batch-means standard errors all follow from those
 service intervals, as array operations over the whole run; the five
 standard errors are one row-wise reduction over a stack of batch totals.
 Sampled VoI sums the alive packets' values on a time grid that is indexed,
-never built.  An untraced run keeps each per-packet array only until its
-last reader; a trace keeps them all.  Identical config and seed give
-bit-identical reports.
+never built.  Identical config and seed give bit-identical reports.
+
+A run's per-packet arrays are the rows of one workspace, four rows of n + 2
+floats, each array at row[1 : size + 1] so that ``_covered`` and
+``_age_statistics`` can extend it by a slot at either end in place.  The
+three streams are drawn straight into rows 0-2; the admitted, then the
+delivered, packets' entries close up in place at the front of their rows;
+and every later per-packet array is written into a row whose contents are
+dead.  Four rows hold the bufferless server's arrivals, values, services and
+jump map at once; a fifth would raise a heavily loaded buffered run above
+the memory it took with an array per stage.  Beside the rows a run holds the
+admitted and served positions and one scratch array at a time, less than the
+workspace in all: the allocator then keeps the heap of one run for the next,
+instead of handing it back and faulting it in again.  A trace reports
+copies, since the rows are written over.
 """
 
 from __future__ import annotations
@@ -47,6 +59,13 @@ _MAX_SAMPLES = 2.0**52
 
 # Batches of every batch-means standard error (one per packet in shorter runs).
 _N_BATCHES = 100
+
+# Rows of the per-packet workspace of a run (see the module docstring).
+_ROWS = 4
+
+# Elements one step of ``_gather`` moves: numpy stages an ``out`` that
+# overlaps its source, so a gather in place costs a chunk of memory.
+_GATHER_CHUNK = 1 << 14
 
 
 @functools.cache
@@ -92,8 +111,18 @@ class SimConfig:
             raise ValueError("need at least one packet")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.sample_voi_every is not None and not (0.0 < self.sample_voi_every < math.inf):
-            raise ValueError("sampling interval must be finite and > 0")
+        step = self.sample_voi_every
+        if step is not None:
+            if isinstance(step, bool) or not isinstance(step, numbers.Real):
+                raise ValueError(f"sample_voi_every must be a real number, got {step!r}")
+            # A real step runs as its float.
+            try:
+                step = float(step)
+            except OverflowError:  # an int or fraction past the largest float
+                step = math.inf
+            object.__setattr__(self, "sample_voi_every", step)
+            if not 0.0 < step < math.inf:
+                raise ValueError("sampling interval must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -137,73 +166,107 @@ def simulate(config: SimConfig) -> SimReport:
     n_batches = min(_N_BATCHES, n)
 
     seed = config.seed
-    with np.errstate(over="ignore"):
-        t_gen = np.cumsum(rng_stream(seed, _STREAM_ARRIVALS).exponential(1.0 / sc.lam, n))
-    if not math.isfinite(t_gen[-1]):
+    try:
+        ws = np.empty((_ROWS, n + 2))
+    except ValueError:  # more bytes than an array can address
+        raise MemoryError(f"{n} packets need more memory than one array can address") from None
+    t_gen = ws[0, 1 : n + 1]
+    rng_stream(seed, _STREAM_ARRIVALS).standard_exponential(out=t_gen)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_gen *= 1.0 / sc.lam  # as exponential(1 / lam, n) draws it
+        np.cumsum(t_gen, out=t_gen)
+    t_last = float(t_gen[-1])
+    if not math.isfinite(t_last):
         raise ArithmeticError(f"arrival times overflow at lambda = {sc.lam:g} over {n} packets")
-    values, classes = sc.value_dist.sample(rng_stream(seed, _STREAM_VALUES), n)
-    services = sample_service_times(sc.service, values, classes, lambda: rng_stream(seed, _STREAM_SERVICES))
-
-    keep_cls = sc.admitted_class()
-    admitted = None if keep_cls is None else (classes == keep_cls)
-    # Index only when admission filters: serve-all runs on the whole stream.
-    pos = None if admitted is None else np.flatnonzero(admitted)
-    disc = {MG11: 0, MG12: 1}.get(sc.discipline, 2)
-    # The server sees the admitted arrivals only; their copies die right after.
-    t_adm, s_adm = (t_gen, services) if pos is None else (t_gen[pos], services[pos])
-    served, d_t = _serve_bufferless(t_adm, s_adm) if disc == 0 else _serve(t_adm, s_adm, disc)
-    del t_adm, s_adm
-    d_idx = served if pos is None else pos[served]
-    elapsed = float(max(t_gen[-1], d_t[-1]) if d_t.size else t_gen[-1])
-    if not math.isfinite(elapsed):
-        raise ArithmeticError(f"departure times overflow at lambda = {sc.lam:g} over {n} packets")
+    values, classes = sc.value_dist.sample(rng_stream(seed, _STREAM_VALUES), ws[1, 1 : n + 1])
+    services = sample_service_times(
+        sc.service, values, classes, lambda: rng_stream(seed, _STREAM_SERVICES), ws[2, 1 : n + 1]
+    )
 
     # One batch partition by generation index for every batch-means error;
     # renewal-reward batching assigns each packet's area to the batch of its
     # generation epoch.  Batch b starts at index firsts[b] and time edges_t[b].
     firsts = (np.arange(n_batches) * n) // n_batches
     edges_t = np.empty(n_batches + 1)
-    edges_t[0], edges_t[-1] = 0.0, elapsed
+    edges_t[0] = 0.0
     np.take(t_gen, firsts[1:], out=edges_t[1:-1])
-    spans = np.subtract(edges_t[1:], edges_t[:-1])
     # Rows: VoI, age (scaled by 2^-e_age, so its error scales back by 4^e_age)
     # and the three occupancies; the last four are differences of ``at_edges``,
     # their running totals at the batch edges.
     batch_totals = np.empty((5, n_batches))
     at_edges = np.empty((4, n_batches + 1))
+    occ_at = at_edges[1:]
 
-    # A trace keeps every array it reports; an untraced run holds each
-    # per-packet array only until its last reader, so the VoI, age and
-    # buffer passes run in turn and none holds another's arrays.
+    keep_cls = sc.admitted_class()
+    admitted = None if keep_cls is None else (classes == keep_cls)
     detail = None
     if config.trace:
-        detail = {"t_gen": t_gen, "values": values, "classes": classes, "services": services, "admitted": admitted}
-    t_sys, v_d = services[d_idx], values[d_idx]
-    del values, classes, services
-    gen = t_gen[d_idx]
-    busy_at = _add_waits(t_sys, gen, d_t, disc, edges_t, detail)
+        # A trace keeps copies: the workspace rows are written over.
+        v = values.copy()
+        detail = {"t_gen": t_gen.copy(), "values": v, "classes": classes, "admitted": admitted,
+                  "services": v if services is values else services.copy()}
+    # The server sees the admitted arrivals only; rows 0 and 2 take theirs.
+    t_arr, s_arr, pos = t_gen, services, None
+    if admitted is not None:
+        pos = np.flatnonzero(admitted)
+        t_arr = _gather(t_gen, pos, ws[0, 1 : pos.size + 1])
+        s_arr = _gather(services, pos, ws[2, 1 : pos.size + 1])
+    del classes, admitted, t_gen, services
+    disc = {MG11: 0, MG12: 1}.get(sc.discipline, 2)
+    if disc == 0:
+        served, d_t = _serve_bufferless(t_arr, s_arr, ws[3]), None
+    else:
+        served, d_t = _serve(t_arr, s_arr, disc, ws[3, 1 : t_arr.size + 1])
+    m = served.size
+    # Scratch besides the rows: the buffer fills, then the service starts.
+    work, t_next = np.empty(m + 2), None
+    if disc:
+        # A served packet's buffer is filled from the first admitted arrival
+        # after its service starts, if that comes by its departure, until
+        # the departure.
+        t_next = _next_arrivals(t_arr, served, disc, work[1 : m + 1])
+        if detail is not None:
+            # State at each completion just before it (1 busy, 2 busy with a full buffer).
+            detail["completion_states"] = 1 + (t_next <= d_t)
+        np.minimum(t_next, d_t, out=t_next)
+    # The delivered packets' generation and service times, in place.
+    gen = _gather(t_arr, served, ws[0, 1 : m + 1])
+    t_sys = _gather(s_arr, served, ws[2, 1 : m + 1])
+    if disc == 0:
+        # Served on arrival: each departs its service time after generation.
+        d_t = np.add(gen, t_sys, out=ws[3, 1 : m + 1])
+        if detail is not None:
+            detail["completion_states"] = 1 + np.zeros(m, dtype=bool)
+    elapsed = float(max(t_last, d_t[-1]) if m else t_last)
+    if not math.isfinite(elapsed):
+        raise ArithmeticError(f"departure times overflow at lambda = {sc.lam:g} over {n} packets")
+    edges_t[-1] = elapsed
+    spans = np.subtract(edges_t[1:], edges_t[:-1])
+    occ_at[2] = 0.0 if t_next is None else _covered(t_next, d_t, edges_t, work)
+    d_idx = served if pos is None else _gather(pos, served, pos[:m])
+    v_d = _gather(values, d_idx, ws[1, 1 : m + 1])
+    del t_arr, s_arr, served, values, t_next
+
+    busy_at = _add_waits(t_sys, gen, d_t, disc, edges_t, work, detail)
+    del work
+    if detail is not None:
+        detail.update(system_times=t_sys.copy(), delivered_ids=d_idx, delivered_times=d_t.copy())
     step = config.sample_voi_every
     sampled = None if step is None else _sampled_voi_mean(sc.descend, gen, v_d, d_t, t_sys, elapsed, step)
-    q = q_area_batch(sc.descend, v_d, t_sys)
     n_expired = int(np.count_nonzero(t_sys >= sc.descend.deadline))
-    _voi_batch_sums(q, d_idx, n, firsts, batch_totals[0])
+    avg_aoi, e_age = _age_statistics(ws[0, : m + 1], ws[3, : m + 2], elapsed, edges_t, np.empty(m + 2), at_edges[0])
+    del gen, d_t
+    # Row 0 is free: the delivered positions move there before the areas.
+    ids = ws[0].view(np.int64)[:m]
+    ids[:] = d_idx
+    d_idx = ids
+    del pos
+    q = q_area_batch(sc.descend, v_d, t_sys)
+    _voi_batch_sums(q, d_idx, firsts, ws[3, :n], batch_totals[0])
     avg_voi = float(q.sum() / elapsed)
     if detail is not None:
-        detail.update(system_times=t_sys, q_areas=q)
-    del v_d, t_sys, q
-    avg_aoi, e_age = _age_statistics(gen, d_t, elapsed, edges_t, at_edges[0])
-    del gen
+        detail["q_areas"] = q
 
-    # A served packet's buffer is filled from the first admitted arrival after
-    # its service starts, if that comes by its departure, until the departure.
-    occ_at = at_edges[1:]
-    if disc == 0:
-        fills = np.zeros(d_t.size, dtype=bool)
-        occ_at[2] = 0.0
-    else:
-        t_next, fills = _buffer_fills(t_gen if pos is None else t_gen[pos], served, d_t, disc)[1:]
-        np.copyto(t_next, d_t, where=~fills)
-        occ_at[2] = _covered(t_next, d_t, edges_t)
     # Time spent idle, busy with an empty buffer and busy with a full buffer.
     np.subtract(edges_t, busy_at, out=occ_at[0])
     np.subtract(busy_at, occ_at[2], out=occ_at[1])
@@ -213,13 +276,9 @@ def simulate(config: SimConfig) -> SimReport:
     stderr_voi, stderr_age, *occupancy_stderr = errors.tolist()
     stderr_aoi = math.ldexp(stderr_age, 2 * e_age)
 
-    if detail is not None:
-        # State at each completion just before it (1 busy, 2 busy with a full buffer).
-        detail.update(delivered_ids=d_idx, delivered_times=d_t, completion_states=1 + fills)
-
     return SimReport(
         n_generated=n,
-        n_delivered=int(d_idx.size),
+        n_delivered=m,
         n_expired=n_expired,
         elapsed=elapsed,
         avg_voi=avg_voi,
@@ -235,34 +294,48 @@ def simulate(config: SimConfig) -> SimReport:
     )
 
 
-def _serve_bufferless(t_arr, s_arr):
-    """Positions served without a buffer, in service order, and their departure times.
+def _gather(src, idx, out):
+    """``out[:] = src[idx]``, a chunk at a time; returns ``out``.
+
+    ``out`` may start where ``src`` does if ``idx[j] >= j`` throughout: each
+    chunk then reads only elements the chunks before it left in place, and
+    numpy stages a chunk that overlaps its source, so a gather in place costs
+    one chunk of memory, not an array.
+    """
+    for i in range(0, idx.size, _GATHER_CHUNK):
+        np.take(src, idx[i : i + _GATHER_CHUNK], out=out[i : i + _GATHER_CHUNK], mode="clip")
+    return out
+
+
+def _serve_bufferless(t_arr, s_arr, work=None):
+    """Positions served without a buffer, in service order.
 
     Once arrival i is served, the next one served is ``jump[i]``, the first
     arrival after i departs (an arrival at that instant still finds the
     server busy), so ``jump[i] > i``.  The served positions are the orbit of
     0 under ``jump`` up to the sentinel ``jump[n] = n``, which it reaches
     within n + 1 steps.  Each round writes ``jump[path]`` after the known
-    prefix ``path`` of the orbit, doubling it, and squares the map until the
-    orbit reaches n, so ⌈log2(served + 1)⌉ rounds of gathers replace a pass
-    over every arrival.
+    prefix ``path`` of the orbit, doubling it, and squares the map in place
+    until the orbit reaches n, so ⌈log2(served + 1)⌉ rounds of gathers
+    replace a pass over every arrival.  ``work`` (n + 1 floats) holds the
+    departures and then the map.
     """
     n = t_arr.size
-    jump = np.empty(n + 1, dtype=np.int64)
-    jump[:n], jump[n] = np.searchsorted(t_arr, t_arr + s_arr, side="right"), n
+    work = np.empty(n + 1) if work is None else work
+    jump = work[: n + 1].view(np.int64)
+    jump[:n] = np.searchsorted(t_arr, np.add(t_arr, s_arr, out=work[:n]), side="right")
+    jump[n] = n
     path, k = np.zeros(n + 1, dtype=np.int64), 1
     while path[k - 1] < n:
         if k > 1:
-            jump = jump[jump]
+            _gather(jump, jump, jump)
         # Every index is in range, and "clip" writes out without a temporary.
         np.take(jump, path[: min(k, n + 1 - k)], out=path[k : 2 * k], mode="clip")
         k = min(2 * k, n + 1)
-    del jump
-    path = path[: np.searchsorted(path[:k], n)].copy()
-    return path, t_arr[path] + s_arr[path]
+    return path[: np.searchsorted(path[:k], n)].copy()
 
 
-def _serve(t_arr, s_arr, disc):
+def _serve(t_arr, s_arr, disc, departs=None):
     """Positions served with a buffer and their departure times, both in arrival order.
 
     ``t_arr`` and ``s_arr`` are the admitted arrivals' times and service times;
@@ -271,11 +344,13 @@ def _serve(t_arr, s_arr, disc):
     ``buf`` the buffered position (-1: none).  An arrival at the instant the
     server falls free still finds it busy.  A buffered packet arrived after
     the one in service, so packets leave in arrival order: each departure is
-    written at its packet's arrival position, which is marked.  Departures
-    are running sums of services that decide who is served next, so this
-    loop does not vectorise the way ``_serve_bufferless`` does.
+    written at its packet's arrival position, which is marked, and the
+    departures then close up in place at the front of ``departs``.
+    Departures are running sums of services that decide who is served next,
+    so this loop does not vectorise the way ``_serve_bufferless`` does.
     """
-    departs, mark = np.empty(t_arr.size), np.zeros(t_arr.size, dtype=bool)
+    departs = np.empty(t_arr.size) if departs is None else departs
+    mark = np.zeros(t_arr.size, dtype=bool)
     dv, mv, sv = memoryview(departs), memoryview(mark), memoryview(s_arr)
     c = -math.inf
     buf = -1
@@ -295,25 +370,28 @@ def _serve(t_arr, s_arr, disc):
         dv[buf] = c + sv[buf]
         mv[buf] = True
     served = np.flatnonzero(mark)
-    return served, departs[served]
+    del mark, mv
+    return served, _gather(departs, served, departs[: served.size])
 
 
-def _buffer_fills(t_arr, served, d_t, disc):
-    """Per buffered service: the first admitted arrival after it starts (n:
-    none), its time (inf: none) and whether it comes by the departure.  An
-    arrival at a departure instant finds the server busy, so it belongs to the
-    service that ends there.  Under FCFS an arrival between two served
-    positions found the buffer holding the earlier one, so came no later than
-    that one's start: the first arrival after a start is served next.  Under
-    LCFS with replacement a packet leaves the buffer as the last arrival up to
-    then, so the first arrival after a start is ``served + 1``."""
-    n = t_arr.size
-    first = np.append(served, n)[1:] if disc == 1 else served + 1
-    t_next = np.where(first < n, t_arr[np.minimum(first, n - 1)], np.inf)
-    return first, t_next, t_next <= d_t
+def _next_arrivals(t_arr, served, disc, out):
+    """Per buffered service, the time of the first admitted arrival after it
+    starts (inf: none), written to ``out``.  An arrival at a departure
+    instant finds the server busy, so it belongs to the service that ends
+    there.  Under FCFS an arrival between two served positions found the
+    buffer holding the earlier one, so came no later than that one's start:
+    the first arrival after a start is the next served one.  Under LCFS with
+    replacement a packet leaves the buffer as the last arrival up to then, so
+    the first arrival after a start is the one after the packet served."""
+    if served.size:
+        n = t_arr.size
+        src, idx, last = (t_arr, served[1:], n) if disc == 1 else (t_arr[1:], served[:-1], served[-1] + 1)
+        np.take(src, idx, out=out[:-1], mode="clip")
+        out[-1] = t_arr[last] if last < n else math.inf
+    return out
 
 
-def _add_waits(t_sys, gen, d_t, disc, edges_t, detail):
+def _add_waits(t_sys, gen, d_t, disc, edges_t, work, detail):
     """Add the waits to the service times ``t_sys`` in place; return the busy time up to each batch edge.
 
     Packets leave in service order, so each starts service at its generation
@@ -321,35 +399,46 @@ def _add_waits(t_sys, gen, d_t, disc, edges_t, detail):
     wait + service, so a packet served on arrival gets exactly ``s`` and one
     whose service reaches the deadline never keeps a rounding-sized area.
     Without a buffer only arrivals after the previous departure are served,
-    so every wait is exactly 0.0.
+    so every wait is exactly 0.0.  ``work`` takes the starts (written twice:
+    the waits take their place first) and then their running busy time.
     """
-    if disc == 0:
-        start = gen
-    else:
-        start = gen.copy()
-        np.maximum(gen[1:], d_t[:-1], out=start[1:])
-        t_sys += start - gen
+    start = gen
+    if disc:
+        start = work[1 : gen.size + 1]
+        t_sys += np.subtract(_starts(gen, d_t, start), gen, out=start)
+        _starts(gen, d_t, start)
     if detail is not None:
-        detail["service_start_times"] = start
-    return _covered(start, d_t, edges_t)
+        detail["service_start_times"] = start.copy()
+    return _covered(start, d_t, edges_t, work)
 
 
-def _covered(lo, hi, x):
-    """Length of the disjoint sorted intervals [lo, hi] that lies below each ``x >= 0``."""
-    # cum[k], k = 0..m: the total length of the first k intervals, of which
-    # the k-th (ending at hi[k - 1]) may reach past x.
-    cum = np.zeros(lo.size + 1)
-    np.cumsum(np.subtract(hi, lo, out=cum[1:]), out=cum[1:])
+def _starts(gen, d_t, out):
+    """Service start times with a buffer, written to ``out``."""
+    out[:1] = gen[:1]
+    np.maximum(gen[1:], d_t[:-1], out=out[1:])
+    return out
+
+
+def _covered(lo, hi, x, work):
+    """Length of the disjoint sorted intervals [lo, hi] that lies below each ``x >= 0``.
+
+    ``work`` takes lo.size + 1 running totals; it may end in ``lo`` itself,
+    which is read first."""
     k = np.searchsorted(lo, x, side="right")
     over = np.maximum(hi[k - 1] - x, 0.0) if hi.size else 0.0
+    # cum[k], k = 0..m: the total length of the first k intervals, of which
+    # the k-th (ending at hi[k - 1]) may reach past x.
+    cum = work[: lo.size + 1]
+    cum[0] = 0.0
+    np.cumsum(np.subtract(hi, lo, out=cum[1:]), out=cum[1:])
     return cum[k] - np.where(k > 0, over, 0.0)
 
 
-def _voi_batch_sums(q, d_idx, n, firsts, out):
-    """Write the VoI area of each batch, over all n generation indices, to
-    ``out``: ``reduceat`` sums pairwise, so the zeros of undelivered packets
-    fix its rounding."""
-    q_full = np.zeros(n)
+def _voi_batch_sums(q, d_idx, firsts, q_full, out):
+    """Write the VoI area of each batch, over all generation indices (the
+    length of ``q_full``, which this zeroes), to ``out``: ``reduceat`` sums
+    pairwise, so the zeros of undelivered packets fix its rounding."""
+    q_full.fill(0.0)
     q_full[d_idx] = q
     np.add.reduceat(q_full, firsts, out=out)
 
@@ -374,28 +463,31 @@ def _batch_stderrs(batch_totals: np.ndarray, spans: np.ndarray) -> np.ndarray:
     return np.ldexp(std / math.sqrt(k), e)
 
 
-def _age_statistics(gen, d_t, elapsed, edges_t, out):
+def _age_statistics(u, ru, elapsed, edges_t, cum, out):
     """Time-average age and e; writes the age integral up to each batch
     edge, scaled by 4^-e, to ``out``.
 
-    The age process starts at zero, grows with slope one, and drops to
-    (delivery time - generation time) at every delivery: ``_serve`` serves
-    admitted arrivals in arrival order, so each delivery is the freshest yet.
+    ``u[1:]`` holds the delivered packets' generation times and ``ru[1:-1]``
+    their delivery times, both overwritten; ``cum`` takes as many floats as
+    ``ru``.  The age process starts at zero, grows with slope one, and drops
+    to (delivery time - generation time) at every delivery: the servers
+    serve admitted arrivals in arrival order, so each delivery is the
+    freshest yet.
     """
-    if d_t.size == 0:
+    if u.size == 1:
         out[:] = 0.0
         return float(elapsed / 2.0), 0
     # Times scaled into [0, 1] by a power of two (exact), so that their
     # squares cannot overflow; the age integral scales back by 4^e.
     e = math.frexp(elapsed)[1]
     # Segment k runs from reset time r_k to the next (or the end) with age
-    # t - u_k.  Three buffers, each can reuse a freed per-packet array: r then
-    # the end, u (read at the batch edges x, then (r_k - u_k)^2), the integral.
-    ru, u, cum = (np.zeros(d_t.size + 2) for _ in range(3))
+    # t - u_k: r then the end in ru, u (read at the batch edges x, then
+    # (r_k - u_k)^2), and the integral in cum.
+    ru[0] = u[0] = cum[0] = 0.0
     end = ru[-1] = math.ldexp(elapsed, -e)
-    np.ldexp(d_t, -e, out=ru[1:-1])
-    np.ldexp(gen, -e, out=u[1:-1])
-    r, u = ru[:-1], u[:-1]
+    np.ldexp(ru[1:-1], -e, out=ru[1:-1])
+    np.ldexp(u[1:], -e, out=u[1:])
+    r = ru[:-1]
     x = np.ldexp(edges_t, -e)
     # The segment each edge lies in; r[0] = 0 <= x, so k >= 0.
     k = np.searchsorted(r, x, side="right") - 1

@@ -199,12 +199,12 @@ def test_value_and_area_equal_their_clip_forms_bit_for_bit(descend):
 
 def test_service_time_log_shift_inverse_point():
     svc = DependentService("log-shift", 1.0)
-    assert sample_service_times(svc, np.array([math.e - 1.0]), None, None)[0] == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert sample_service_times(svc, np.array([math.e - 1.0]), None, None, np.empty(1))[0] == pytest.approx(1.0, rel=1e-15, abs=0.0)
     assert svc.g_inv(svc.g(4.2)) == pytest.approx(4.2, rel=1e-15, abs=0.0)
 
 
 def test_service_time_identity():
-    assert sample_service_times(DependentService("identity"), np.array([2.0]), None, None)[0] == 2.0
+    assert sample_service_times(DependentService("identity"), np.array([2.0]), None, None, np.empty(1))[0] == 2.0
 
 
 def test_service_time_class_exponential_monte_carlo():
@@ -215,18 +215,20 @@ def test_service_time_class_exponential_monte_carlo():
     draws = rng.standard_exponential(n) * 0.4
     se = draws.std(ddof=1) / math.sqrt(n)
     assert abs(draws.mean() - 0.4) <= 3.0 * se
-    one = sample_service_times(ClassExponentialService(), np.array([0.4]), np.array([1]), lambda: rng_stream(7, 2))
+    one = sample_service_times(
+        ClassExponentialService(), np.array([0.4]), np.array([1]), lambda: rng_stream(7, 2), np.empty(1)
+    )
     assert one[0] >= 0.0
 
 
 def test_service_time_class_exponential_requires_class():
     with pytest.raises(ValueError):
-        sample_service_times(ClassExponentialService(), np.array([0.4]), None, lambda: rng_stream(7, 2))
+        sample_service_times(ClassExponentialService(), np.array([0.4]), None, lambda: rng_stream(7, 2), np.empty(1))
 
 
 def test_service_time_random_models_require_rng():
     with pytest.raises(ValueError):
-        sample_service_times(IndependentExponentialService(1.5), np.array([1.0]), None, None)
+        sample_service_times(IndependentExponentialService(1.5), np.array([1.0]), None, None, np.empty(1))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ def test_constructors_reject_non_finite_parameters(build, bad):
 
 def test_binary_sampling_matches_class_probability():
     dist = BinaryValue(0.4, 1.33, 0.8)
-    values, classes = dist.sample(rng_stream(5, 1), 200_000)
+    values, classes = dist.sample(rng_stream(5, 1), np.empty(200_000))
     frac1 = float(np.mean(classes == 1))
     assert abs(frac1 - 0.8) <= 3.0 * math.sqrt(0.8 * 0.2 / 200_000)
     assert set(np.unique(values)) == {0.4, 1.33}

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 from dataclasses import replace
 
 import numpy as np
@@ -24,13 +26,14 @@ from voilab.model import (
     MG12_STAR,
     Scenario,
     UniformValue,
+    sample_service_times,
     service_law,
 )
 from voilab import sim
 from voilab.sim import (
     SimConfig,
     _batch_stderrs,
-    _buffer_fills,
+    _next_arrivals,
     _grid_length,
     _samples_below,
     _serve,
@@ -114,6 +117,28 @@ def test_config_rejects_a_count_or_seed_that_is_not_an_integer(field, bad):
         SimConfig(mm12(), **{field: bad})
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "0.25", 0.25j, np.complex128(0.25), [0.25]])
+def test_config_rejects_a_sampling_step_that_is_not_real(bad):
+    # True ran as step 1, and a str or complex step raised TypeError.
+    with pytest.raises(ValueError, match="sample_voi_every must be a real number"):
+        SimConfig(mm12(), sample_voi_every=bad)
+
+
+def test_config_runs_a_real_sampling_step_as_its_float():
+    for step in (1, np.float32(0.25), np.int64(2), Fraction(1, 4)):
+        got = SimConfig(mm12(), sample_voi_every=step).sample_voi_every
+        assert type(got) is float and got == step
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(mm12(), sample_voi_every=10**400)
+
+
+def test_largest_packet_count_is_out_of_memory():
+    # The CLI accepts this count and turns MemoryError into exit 2; the run's
+    # workspace of four rows cannot exist, so it fails before touching memory.
+    with pytest.raises(MemoryError):
+        simulate(SimConfig(mm12(), n_packets=sys.maxsize // 8, seed=1))
+
+
 def test_departures_past_dbl_max_are_a_numeric_failure():
     sc = Scenario(1.0, UniformValue(0.0, 10.0), IndependentDeterministicService(1e308), LIN3, MG12)
     with pytest.raises(ArithmeticError, match="^departure times overflow at lambda = 1 over 200 packets$"):
@@ -136,6 +161,41 @@ def test_rng_stream_is_philox_keyed_by_seed_and_stream(seed):
         got = sim.rng_stream(seed, stream)
         assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
         assert np.array_equal(got.exponential(1.0, 1000), want.exponential(1.0, 1000))
+
+
+def _pairs(seed):
+    """Two fresh generators of each stream of ``seed``."""
+    return [(rng_stream(seed, k), rng_stream(seed, k)) for k in range(3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3000])
+def test_in_place_draws_equal_numpys_array_draws(n):
+    # A run draws each stream straight into a workspace row.  That rests on
+    # numpy drawing exponential(scale) as scale * a standard exponential and
+    # uniform(lo, hi) as lo + (hi - lo) * a double: an upgrade that changes
+    # either must fail here.
+    for seed in (1, 7, SEED):
+        for lam in (1e-300, 1e-3, 0.1, 1.0, 5.0, 1e3, 1e300):
+            (a, b), (va, vb), (sa, sb) = _pairs(seed)
+            t = a.standard_exponential(out=np.empty(n))
+            t *= 1.0 / lam  # the arrivals, as simulate draws them
+            assert np.array_equal(t, b.exponential(1.0 / lam, n))
+            got, classes = ExponentialValue(lam).sample(va, np.empty(n))
+            assert classes is None and np.array_equal(got, vb.exponential(1.0 / lam, n))
+            got = sample_service_times(IndependentExponentialService(lam), got, None, lambda: sa, np.empty(n))
+            assert np.array_equal(got, sb.exponential(1.0 / lam, n))
+        for lo, hi in ((0.0, 10.0), (2.5, 7.25), (0.0, 1e-300), (0.0, 1e308)):
+            (va, vb), _, _ = _pairs(seed)
+            got, classes = UniformValue(lo, hi).sample(va, np.empty(n))
+            assert classes is None and np.array_equal(got, vb.uniform(lo, hi, n))
+        (_, _), (va, vb), (sa, sb) = _pairs(seed)
+        dist = BinaryValue(0.4, 1.33, 0.8)
+        values, classes = dist.sample(va, np.empty(n))
+        want_classes = np.where(vb.random(n) < dist.p, 1, 2).astype(np.int8)
+        assert classes.dtype == np.int8 and np.array_equal(classes, want_classes)
+        assert np.array_equal(values, np.where(want_classes == 1, dist.v1, dist.v2))
+        got = sample_service_times(ClassExponentialService(), values, classes, lambda: sa, np.empty(n))
+        assert np.array_equal(got, sb.standard_exponential(n) * values)
 
 
 @pytest.mark.parametrize(
@@ -441,16 +501,17 @@ def test_event_trace_shape_and_rendering():
 # Event-by-event reference simulator
 # ---------------------------------------------------------------------------
 
-def _reference_run(t_gen, services, admitted, discipline):
+def _reference_run(t_gen, services, admitted, discipline, starts=None):
     """Replay arrivals and completions one event at a time.
 
     Returns the delivered ids and times, the state each arrival finds, the
     state at each completion (before it) and a timeline of (time, state after
     the event).  States: 0 idle, 1 busy, 2 busy with a full buffer.  An
-    arrival at a completion instant is handled first.
+    arrival at a completion instant is handled first.  The service start of
+    each delivery is appended to ``starts`` if given.
     """
     ids, times, arrival_states, completion_states, timeline = [], [], [], [], [(0.0, 0)]
-    in_service, done, buffer = None, math.inf, None
+    in_service, done, buffer, began = None, math.inf, None, None
     i = 0
     while i < len(t_gen) or in_service is not None:
         state = (in_service is not None) + (buffer is not None)
@@ -459,7 +520,7 @@ def _reference_run(t_gen, services, admitted, discipline):
             arrival_states.append(state)
             if admitted is None or admitted[i]:
                 if in_service is None:
-                    in_service, done = i, t + services[i]
+                    in_service, done, began = i, t + services[i], t
                 elif discipline == MG12_STAR or (discipline == MG12 and buffer is None):
                     buffer = i
             i += 1
@@ -468,7 +529,9 @@ def _reference_run(t_gen, services, admitted, discipline):
             completion_states.append(state)
             ids.append(in_service)
             times.append(t)
-            in_service, buffer = buffer, None
+            if starts is not None:
+                starts.append(began)
+            in_service, buffer, began = buffer, None, t
             done = math.inf if in_service is None else t + services[in_service]
         timeline.append((t, (in_service is not None) + (buffer is not None)))
     return ids, times, arrival_states, completion_states, timeline
@@ -564,7 +627,8 @@ def test_servers_match_event_by_event_reference(stream, disc):
     t, s = _STREAMS[stream]
     ids, times, *_ = _reference_run(t.tolist(), s.tolist(), None, disc)
     if disc == MG11:
-        served, departs = _serve_bufferless(t, s)
+        served = _serve_bufferless(t, s)
+        departs = t[served] + s[served]
     else:
         served, departs = _serve(t, s, 1 if disc == MG12 else 2)
     assert served.dtype == np.int64 and departs.dtype == np.float64
@@ -584,6 +648,16 @@ def test_buffer_fills_match_event_by_event_reference(stream, disc):
     first, t_next, fills = _buffer_fills(t, served, departs, code)
     assert (1 + fills).tolist() == completion_states
     assert t_next[fills].tolist() == t[first[fills]].tolist()
+
+
+def _buffer_fills(t, served, departs, code):
+    """Per buffered service: the first admitted arrival after it starts (n:
+    none), by the rule ``_next_arrivals`` reads: the next served position
+    under FCFS, the next position under LCFS; its time as ``_next_arrivals``
+    writes it; and whether it comes by the departure."""
+    first = np.append(served, t.size)[1:] if code == 1 else served + 1
+    t_next = _next_arrivals(t, served, code, np.empty(served.size))
+    return first, t_next, t_next <= departs
 
 
 def _searched_fills(t, served, departs):
@@ -628,7 +702,11 @@ def _states_off_served(t, served, departs, code):
 
 def _found_states(t, s, disc):
     code = {MG11: 0, MG12: 1, MG12_STAR: 2}[disc]
-    served, departs = _serve_bufferless(t, s) if code == 0 else _serve(t, s, code)
+    if code == 0:
+        served = _serve_bufferless(t, s)
+        departs = t[served] + s[served]
+    else:
+        served, departs = _serve(t, s, code)
     return _states_off_served(t, served, departs, code).tolist()
 
 
@@ -680,6 +758,54 @@ def test_traced_and_untraced_reports_are_equal(disc, family):
             assert repr(simulate(cfg)) == repr(replace(traced, detail=None))
 
 
+def _array_draws(sc, n, seed):
+    """A run's streams as numpy's array methods draw them."""
+    t_gen = np.cumsum(rng_stream(seed, 0).exponential(1.0 / sc.lam, n))
+    dist, service, rng = sc.value_dist, sc.service, rng_stream(seed, 1)
+    classes = None
+    if isinstance(dist, BinaryValue):
+        classes = np.where(rng.random(n) < dist.p, 1, 2).astype(np.int8)
+        values = np.where(classes == 1, dist.v1, dist.v2)
+    elif isinstance(dist, UniformValue):
+        values = rng.uniform(dist.v_min, dist.v_max, n)
+    else:
+        values = rng.exponential(1.0 / dist.rate, n)
+    if isinstance(service, DependentService):
+        services = service.g(values)
+    else:
+        services = rng_stream(seed, 2).standard_exponential(n) * values
+    return t_gen, values, classes, services
+
+
+@pytest.mark.parametrize("family", sorted(_TRACE_FAMILIES))
+@pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
+def test_trace_keeps_whole_arrays(disc, family):
+    # A run writes its workspace rows over and over: what a trace reports
+    # must be the run's arrays as they were, each in memory of its own.
+    for lam in (0.3, 3.0):
+        sc = _TRACE_FAMILIES[family](lam, disc)
+        for n in (1, 2, 50, 5000):
+            d = simulate(SimConfig(sc, n_packets=n, seed=SEED, trace=True)).detail
+            t_gen, values, classes, services = _array_draws(sc, n, SEED)
+            assert np.array_equal(d["t_gen"], t_gen)
+            assert np.array_equal(d["values"], values)
+            assert np.array_equal(d["services"], services)
+            assert (d["classes"] is None) == (classes is None)
+            assert classes is None or np.array_equal(d["classes"], classes)
+            starts = []
+            admitted = None if d["admitted"] is None else d["admitted"].tolist()
+            ids, times, *_ = _reference_run(t_gen.tolist(), services.tolist(), admitted, disc, starts)
+            assert d["delivered_ids"].tolist() == ids
+            assert d["delivered_times"].tolist() == times
+            assert d["service_start_times"].tolist() == starts
+            assert d["system_times"].tolist() == [services[i] + (b - t_gen[i]) for i, b in zip(ids, starts)]
+            arrays = [(k, v) for k, v in d.items() if isinstance(v, np.ndarray)]
+            for j, (a, x) in enumerate(arrays):
+                for b, y in arrays[:j]:
+                    one = {a, b} == {"values", "services"} and sc.service == DependentService("identity")
+                    assert np.shares_memory(x, y) == one, (a, b)
+
+
 _CLASS_ONE = Scenario(1.0, BinaryValue(0.4, 1.33, 0.8), ClassExponentialService(), LIN3, MG11, "class-only(1)")
 
 
@@ -702,17 +828,17 @@ _PEAK_PINS = {(MG12, "uniform-log", 3.0): 60, (MG11, "class-only(1)", 0.1): 70}
 @pytest.mark.parametrize("family", ["uniform-log", "class-only(1)"])
 @pytest.mark.parametrize("disc", [MG11, MG12, MG12_STAR])
 def test_untraced_serve_all_run_allocates_no_per_arrival_state_array(disc, family, lam):
-    # Per arrival a run holds the arrival times (8 B), under class-only
-    # admission the admitted mark and positions (9 B), and the drawn values
-    # and services only until the delivered packets' ones are gathered.  Per
-    # delivered packet it holds the served positions and departures, and the
-    # generation times, values, system times and areas each only until its
-    # last reader; the age statistics take three buffers once the values,
-    # system times and areas are gone.  Holding every array to the end peaked
-    # at 95-131 B per arrival at lam = 0.1, and a per-arrival state array with
-    # the lookup that built it took 73.8 B at lam = 3.  Without a buffer the
-    # served orbit fills one buffer of n + 1 positions; doubling a new array
-    # each round took 72.6 B for class-only(1) at lam = 0.1.
+    # Per arrival a run holds its workspace of four rows (32 B), into which
+    # the streams are drawn and every later per-packet array is written over
+    # a dead one, and under class-only admission the admitted mark and
+    # positions (9 B).  Beside the rows it holds the served positions and one
+    # scratch array at a time: the buffer fills, the service starts, the age
+    # integral, or the areas once the positions have moved into a row.
+    # Holding every array to the end peaked at 95-131 B per arrival at
+    # lam = 0.1, and a per-arrival state array with the lookup that built it
+    # took 73.8 B at lam = 3.  Without a buffer the served orbit fills one
+    # buffer of n + 1 positions while the jump map squares in place; doubling
+    # a new array each round took 72.6 B for class-only(1) at lam = 0.1.
     base = uniflog() if family == "uniform-log" else _CLASS_ONE
     cfg = SimConfig(replace(base, lam=lam, discipline=disc), n_packets=200_000, seed=SEED)
     assert _peak_per_arrival(cfg) < _PEAK_PINS.get((disc, family, lam), 80)
