@@ -303,7 +303,7 @@ def _gather(src, idx, out):
     one chunk of memory, not an array.
     """
     for i in range(0, idx.size, _GATHER_CHUNK):
-        np.take(src, idx[i : i + _GATHER_CHUNK], out=out[i : i + _GATHER_CHUNK], mode="clip")
+        src.take(idx[i : i + _GATHER_CHUNK], out=out[i : i + _GATHER_CHUNK], mode="clip")
     return out
 
 
@@ -317,8 +317,8 @@ def _serve_bufferless(t_arr, s_arr, work=None):
     within n + 1 steps.  Each round writes ``jump[path]`` after the known
     prefix ``path`` of the orbit, doubling it, and squares the map in place
     until the orbit reaches n, so ⌈log2(served + 1)⌉ rounds of gathers
-    replace a pass over every arrival.  ``work`` (n + 1 floats) holds the
-    departures and then the map.
+    replace a pass over every arrival.  ``work`` (n + 1 floats) holds each
+    arrival's departure, were it served, and then the map.
     """
     n = t_arr.size
     work = np.empty(n + 1) if work is None else work
@@ -330,7 +330,7 @@ def _serve_bufferless(t_arr, s_arr, work=None):
         if k > 1:
             _gather(jump, jump, jump)
         # Every index is in range, and "clip" writes out without a temporary.
-        np.take(jump, path[: min(k, n + 1 - k)], out=path[k : 2 * k], mode="clip")
+        jump.take(path[: min(k, n + 1 - k)], out=path[k : 2 * k], mode="clip")
         k = min(2 * k, n + 1)
     return path[: np.searchsorted(path[:k], n)].copy()
 
@@ -422,8 +422,8 @@ def _starts(gen, d_t, out):
 def _covered(lo, hi, x, work):
     """Length of the disjoint sorted intervals [lo, hi] that lies below each ``x >= 0``.
 
-    ``work`` takes lo.size + 1 running totals; it may end in ``lo`` itself,
-    which is read first."""
+    ``work`` takes lo.size + 1 running totals; ``work[1:]`` may be ``lo``
+    itself, which is read first."""
     k = np.searchsorted(lo, x, side="right")
     over = np.maximum(hi[k - 1] - x, 0.0) if hi.size else 0.0
     # cum[k], k = 0..m: the total length of the first k intervals, of which
